@@ -46,7 +46,6 @@ from .dendrite import (
     check_continuity_modulus,
     check_surjectivity,
     dendrite_map,
-    euler_tour,
     fiber_of,
     lift_to_level,
 )

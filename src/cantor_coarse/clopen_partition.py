@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .code_space import Address, ClopenSet, clopen_complement, clopen_union
+from .code_space import ClopenSet, _first_difference, clopen_complement, clopen_union
 
 __all__ = [
     "Partition",
@@ -50,15 +50,6 @@ class Partition:
     @property
     def size(self) -> int:
         return len(self.blocks)
-
-
-def _first_difference(a: Address, b: Address) -> int:
-    n = max(len(a.prefix), len(b.prefix)) + 1
-    sa, sb = a.symbols(n), b.symbols(n)
-    for i in range(n):
-        if sa[i] != sb[i]:
-            return i
-    raise ValueError("addresses coincide")
 
 
 def _split_block(block: ClopenSet) -> tuple[ClopenSet, ClopenSet]:

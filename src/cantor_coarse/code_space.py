@@ -98,19 +98,24 @@ class Address:
         return f"{self.prefix}({self.tail})^inf"
 
 
+def _first_difference(a: Address, b: Address) -> int:
+    """The first position at which two distinct addresses differ."""
+    n = max(len(a.prefix), len(b.prefix)) + 1
+    sa, sb = a.symbols(n), b.symbols(n)
+    for i in range(n):
+        if sa[i] != sb[i]:
+            return i
+    raise ValueError("addresses coincide")
+
+
 def embed_cmts(a: Address) -> Fraction:
     """Middle-thirds embedding of an address, as an exact rational.
 
-    Symbol i contributes 2*s_i/3**i; a constant tail of ones sums in
-    closed form to 3**-len(prefix).
+    Symbol i contributes 2*s_i/3**i, so the prefix is the ternary numeral
+    with each 1 written as 2, over 3**len(prefix); a constant tail of ones
+    sums in closed form to 3**-len(prefix).
     """
-    total = Fraction(0)
-    for i, sym in enumerate(a.prefix, start=1):
-        if sym == "1":
-            total += Fraction(2, 3**i)
-    if a.tail == "1":
-        total += Fraction(1, 3 ** len(a.prefix))
-    return total
+    return Fraction(int("0" + a.prefix.replace("1", "2"), 3) + (a.tail == "1"), 3 ** len(a.prefix))
 
 
 def code_distance(a: Address, b: Address) -> Fraction:
@@ -151,22 +156,25 @@ class Cylinder:
 
 
 def _canonical_words(words) -> tuple[str, ...]:
-    ws = set(words)
-    # a cylinder refining another is absorbed by the shorter one
-    ws = {w for w in ws if not any(u != w and w.startswith(u) for u in ws)}
-    # complete sibling pairs w0, w1 merge upward until none remain
-    merged = True
-    while merged:
-        merged = False
-        for w in sorted(ws, key=len, reverse=True):
-            if w and w in ws:
-                sibling = w[:-1] + ("1" if w[-1] == "0" else "0")
-                if sibling in ws:
-                    ws.discard(w)
-                    ws.discard(sibling)
-                    ws.add(w[:-1])
-                    merged = True
-    return tuple(sorted(ws))
+    """The unique maximal-cylinder form of a union of cylinders, sorted.
+
+    One scan over the sorted distinct words keeps a stack that is sorted
+    and prefix-free.  In sorted order every extension of a word follows it
+    before any word that does not extend it, so a word lies inside a
+    stacked cylinder exactly when it starts with the top word, and is
+    absorbed.  Likewise a complete sibling pair w0, w1 can only meet as the
+    top two entries, so after each push they merge into w until the top
+    pair is no longer a sibling pair.
+    """
+    stack: list[str] = []
+    for w in sorted(set(words)):
+        if stack and w.startswith(stack[-1]):
+            continue
+        while w and stack and w[-1] == "1" and stack[-1] == w[:-1] + "0":
+            stack.pop()
+            w = w[:-1]
+        stack.append(w)
+    return tuple(stack)
 
 
 def _subtract(word: str, removal_words) -> list[str]:
@@ -188,8 +196,10 @@ class ClopenSet:
 
     Canonical means no member cylinder contains another, no two sibling
     cylinders w0 and w1 are both present (they merge to w), and the list is
-    sorted by word.  The empty union is a valid value; operations that need
-    a non-empty set say so.
+    sorted by word.  Construction reaches this form in one scan over the
+    sorted words (``_canonical_words``), whose stack is sorted, prefix-free
+    and free of sibling pairs after every step.  The empty union is a valid
+    value; operations that need a non-empty set say so.
     """
 
     cylinders: tuple[Cylinder, ...]

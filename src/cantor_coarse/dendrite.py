@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .code_space import Address, ClopenSet, Cylinder, map_clopen, random_address
+from .code_space import Address, ClopenSet, Cylinder, _first_difference, map_clopen, random_address
 from .coarse_graining import HierarchyLevel
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "check_continuity_modulus",
     "check_surjectivity",
     "dendrite_map",
-    "euler_tour",
     "fiber_of",
     "lift_to_level",
 ]
@@ -199,6 +198,12 @@ class DendriteGraph:
             acc.append(acc[-1] + self.edge_length(child))
         return tuple(acc)
 
+    @cached_property
+    def _break_ticks(self) -> tuple[int, ...]:
+        """``tour_breaks`` in whole units of 3**-depth, the shortest edge."""
+        scale = 3**self.depth
+        return tuple(int(arc * scale) for arc in self.tour_breaks)
+
     @property
     def tour_length(self) -> Fraction:
         return self.tour_breaks[-1]
@@ -211,7 +216,10 @@ class DendriteGraph:
         if self.depth == 0:
             return self.vertex_point(1)
         arc = t * self.tour_length
-        i = bisect.bisect_right(self.tour_breaks, arc) - 1
+        # every break is a whole number of ticks, so the breaks at or below
+        # arc are those at or below the whole ticks it contains
+        ticks = arc.numerator * 3**self.depth // arc.denominator
+        i = bisect.bisect_right(self._break_ticks, ticks) - 1
         if i >= len(self.tour_segments):  # t == 1 closes the tour
             return self.vertex_point(1)
         child, direction = self.tour_segments[i]
@@ -275,20 +283,13 @@ class DendriteGraph:
         return pos
 
 
-def euler_tour(tree: DendriteGraph, t) -> DendritePoint:
-    """The closed depth-first tour as a map [0, 1] -> tree."""
-    return tree.tour_point(t)
-
-
 def binary_expansion(a: Address) -> Fraction:
-    """The value sum s_i * 2**-i of an address; continuous and onto [0, 1]."""
-    total = Fraction(0)
-    for i, sym in enumerate(a.prefix, start=1):
-        if sym == "1":
-            total += Fraction(1, 2**i)
-    if a.tail == "1":
-        total += Fraction(1, 2 ** len(a.prefix))
-    return total
+    """The value sum s_i * 2**-i of an address; continuous and onto [0, 1].
+
+    The prefix is a binary numeral over 2**len(prefix); a constant tail of
+    ones adds 2**-len(prefix).
+    """
+    return Fraction(int("0" + a.prefix, 2) + (a.tail == "1"), 2 ** len(a.prefix))
 
 
 def dendrite_map(tree: DendriteGraph, a: Address) -> DendritePoint:
@@ -385,21 +386,12 @@ def check_continuity_modulus(
         if a == b:
             continue
         done += 1
-        m = _agreement(a, b)
+        m = _first_difference(a, b)
         bound = total * Fraction(1, 2**m)
         d = tree.distance(dendrite_map(tree, a), dendrite_map(tree, b))
         if d > bound:
             return False
     return True
-
-
-def _agreement(a: Address, b: Address) -> int:
-    n = max(len(a.prefix), len(b.prefix)) + 1
-    sa, sb = a.symbols(n), b.symbols(n)
-    for i in range(n):
-        if sa[i] != sb[i]:
-            return i
-    raise ValueError("addresses coincide")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from cantor_coarse.code_space import (
     Cylinder,
     FULL_SPACE,
     OutsideDomainError,
+    _canonical_words,
     clopen_complement,
     clopen_union,
     code_distance,
@@ -35,6 +37,59 @@ addresses = st.builds(
     Address,
     prefix=st.text(alphabet="01", max_size=10),
     tail=st.sampled_from("01"),
+)
+
+
+def _reference_canonical_words(words) -> tuple[str, ...]:
+    """Quadratic fixpoint canonicalization, the oracle for the sorted scan.
+
+    Absorbs every word that refines another, then merges complete sibling
+    pairs deepest first until a whole pass merges nothing.
+    """
+    ws = set(words)
+    ws = {w for w in ws if not any(u != w and w.startswith(u) for u in ws)}
+    merged = True
+    while merged:
+        merged = False
+        for w in sorted(ws, key=len, reverse=True):
+            if w and w in ws:
+                sibling = w[:-1] + ("1" if w[-1] == "0" else "0")
+                if sibling in ws:
+                    ws.discard(w)
+                    ws.discard(sibling)
+                    ws.add(w[:-1])
+                    merged = True
+    return tuple(sorted(ws))
+
+
+def _reference_embed_cmts(a: Address) -> Fraction:
+    """Middle-thirds embedding summed one symbol at a time."""
+    total = Fraction(0)
+    for i, sym in enumerate(a.prefix, start=1):
+        if sym == "1":
+            total += Fraction(2, 3**i)
+    if a.tail == "1":
+        total += Fraction(1, 3 ** len(a.prefix))
+    return total
+
+
+def _level_words(depth: int) -> list[str]:
+    return ["".join(bits) for bits in itertools.product("01", repeat=depth)]
+
+
+@st.composite
+def dense_word_lists(draw):
+    """A complete depth-d level with a few words dropped, plus stray words,
+    shuffled: the holes and strays force long sibling-merge chains."""
+    level = _level_words(draw(st.integers(0, 7)))
+    dropped = draw(st.sets(st.sampled_from(level), max_size=3))
+    strays = draw(st.lists(st.text(alphabet="01", max_size=9), max_size=6))
+    return draw(st.permutations([w for w in level if w not in dropped] + strays))
+
+
+word_lists = st.one_of(
+    st.lists(st.text(alphabet="01", max_size=8), max_size=24),
+    dense_word_lists(),
 )
 
 
@@ -123,6 +178,10 @@ class TestEmbedding:
         for v1, v2 in zip(values, values[1:]):
             assert v1 < v2
 
+    @given(a=st.builds(Address, prefix=st.text(alphabet="01", max_size=60), tail=st.sampled_from("01")))
+    def test_closed_form_matches_symbol_sum(self, a):
+        assert embed_cmts(a) == _reference_embed_cmts(a)
+
     @given(a=addresses)
     def test_image_has_a_ternary_expansion_without_ones(self, a):
         # reconstruct the value from digits 2*s_i, which witnesses
@@ -149,6 +208,27 @@ class TestClopenSet:
         shuffled = list(words)
         rng.shuffle(shuffled)
         assert ClopenSet.from_words(shuffled) == cs
+
+    @settings(max_examples=300)
+    @given(words=word_lists)
+    def test_sorted_scan_matches_fixpoint_oracle(self, words):
+        assert _canonical_words(words) == _reference_canonical_words(words)
+        assert ClopenSet.from_words(words).words == _reference_canonical_words(words)
+
+    def test_complete_deep_level_canonicalizes_within_budget(self):
+        # the fixpoint oracle needs about 2.7e8 prefix tests for this input
+        level = _level_words(14)
+        hole = level[5000]
+        start = time.perf_counter()
+        full = ClopenSet.from_words(level)
+        holed = ClopenSet.from_words(level[:5000] + level[5001:])
+        elapsed = time.perf_counter() - start
+        assert full == FULL_SPACE
+        # the complement of one deep cylinder is its path's 14 siblings
+        siblings = {hole[:i] + ("1" if hole[i] == "0" else "0") for i in range(14)}
+        assert len(holed.cylinders) == 14
+        assert set(holed.words) == siblings
+        assert elapsed < 2.0, f"{elapsed:.2f}s"
 
     def test_membership_and_bounds(self):
         cs = ClopenSet.from_words(["0", "110"])

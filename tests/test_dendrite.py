@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cantor_coarse.code_space import Address, random_address
 from cantor_coarse.coarse_graining import build_hierarchy
@@ -19,6 +22,32 @@ from cantor_coarse.dendrite import (
     lift_to_level,
 )
 from cantor_coarse.quadratic_system import QuadraticParams
+
+
+def _reference_tour_point(tree: DendriteGraph, t: Fraction):
+    """Tour lookup by bisecting the Fraction breaks directly."""
+    if tree.depth == 0:
+        return tree.vertex_point(1)
+    arc = t * tree.tour_length
+    i = bisect.bisect_right(tree.tour_breaks, arc) - 1
+    if i >= len(tree.tour_segments):
+        return tree.vertex_point(1)
+    child, direction = tree.tour_segments[i]
+    delta = arc - tree.tour_breaks[i]
+    if direction == "down":
+        return tree.point(child, delta)
+    return tree.point(child, tree.edge_length(child) - delta)
+
+
+def _reference_binary_expansion(a: Address) -> Fraction:
+    """Binary value summed one symbol at a time."""
+    total = Fraction(0)
+    for i, sym in enumerate(a.prefix, start=1):
+        if sym == "1":
+            total += Fraction(1, 2**i)
+    if a.tail == "1":
+        total += Fraction(1, 2 ** len(a.prefix))
+    return total
 
 
 class TestTreeStructure:
@@ -137,6 +166,17 @@ class TestTour:
             for s in t.tour_parameters(p):
                 assert t.tour_point(s) == p
 
+    def test_integer_lookup_matches_fraction_bisect(self):
+        for depth in range(7):
+            t = DendriteGraph(depth)
+            # every k / 2**m with m <= 10 is some k / 1024; the exact break
+            # times put arc on a segment boundary
+            times = [Fraction(k, 1024) for k in range(1025)]
+            if depth:
+                times += [arc / t.tour_length for arc in t.tour_breaks]
+            for s in times:
+                assert t.tour_point(s) == _reference_tour_point(t, s), (depth, s)
+
     def test_internal_vertex_visit_count(self):
         t = DendriteGraph(2)
         # an internal vertex with two children is hit three times
@@ -151,6 +191,10 @@ class TestBinaryExpansion:
         assert binary_expansion(Address("", "1")) == 1
         assert binary_expansion(Address("1", "0")) == Fraction(1, 2)
         assert binary_expansion(Address("01", "0")) == Fraction(1, 4)
+
+    @given(a=st.builds(Address, prefix=st.text(alphabet="01", max_size=60), tail=st.sampled_from("01")))
+    def test_closed_form_matches_symbol_sum(self, a):
+        assert binary_expansion(a) == _reference_binary_expansion(a)
 
     def test_two_expansions_of_a_dyadic(self):
         assert binary_expansion(Address("1", "0")) == binary_expansion(Address("0", "1"))
