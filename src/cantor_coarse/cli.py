@@ -425,6 +425,13 @@ def verify(config_path, **overrides) -> None:
     _write_text(out, _dump(report))
     click.echo(f"report: {out}")
     if not report["summary"]["all_passed"]:
+        for check in report["checks"]:
+            if not check["passed"]:
+                click.echo(
+                    f"failed: {check['id']} [{check['location']}] measured "
+                    f"{json.dumps(check['measured'])}, bound {json.dumps(check['bound'])}",
+                    err=True,
+                )
         sys.exit(1)
 
 

@@ -98,6 +98,18 @@ class Address:
         return f"{self.prefix}({self.tail})^inf"
 
 
+def _trusted_address(prefix: str, tail: str) -> Address:
+    """``Address(prefix, tail)`` for symbols already known to be binary.
+
+    Skips the symbol check of ``Address.__post_init__`` but still trims the
+    prefix, so the result is canonical.
+    """
+    a = object.__new__(Address)
+    object.__setattr__(a, "prefix", prefix.rstrip(tail))
+    object.__setattr__(a, "tail", tail)
+    return a
+
+
 def _first_difference(a: Address, b: Address) -> int:
     """The first position at which two distinct addresses differ."""
     n = max(len(a.prefix), len(b.prefix)) + 1
@@ -321,10 +333,15 @@ class PrefixRewrite:
         _check_prefix_free((dst for _, dst in self.rules), "replacement")
 
     def __call__(self, a: Address) -> Address:
+        # rule words were checked at construction and ``a`` is canonical, so
+        # the image needs trimming but no symbol check
+        prefix, tail = a.prefix, a.tail
         for src, dst in self.rules:
-            if a.starts_with(src):
-                rest = a.drop(len(src))
-                return Address(dst + rest.prefix, rest.tail)
+            if prefix.startswith(src):
+                return _trusted_address(dst + prefix[len(src):], tail)
+            # a source longer than the prefix must run on into the tail
+            if src.startswith(prefix) and src[len(prefix):] == tail * (len(src) - len(prefix)):
+                return _trusted_address(dst, tail)
         raise OutsideDomainError(f"{a} lies outside the map's source cylinders")
 
     def word_image(self, word: str) -> str | None:

@@ -5,20 +5,33 @@ length 3**-l, walked by the closed depth-first tour that descends and
 reascends every edge.  Composing binary expansion of an address with arc
 length along the tour gives a continuous map of the whole code space onto
 the whole tree; the point fibers of that map realize the tree as a
-decomposition of the code space.  Tour arithmetic is rational throughout,
-so dyadic tour times invert exactly.
+decomposition of the code space.  The public point API (``tour_point``,
+``point``, ``distance``, ``dendrite_map``) is exact ``Fraction``
+arithmetic, so dyadic tour times invert exactly.  The sampled continuity
+check runs the same geometry in whole ticks: every edge length and tour
+break is a whole number of units of 3**-depth, and a dyadic tour time
+k/2**K lands on a whole number of units of 3**-depth * 2**-K.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .code_space import Address, ClopenSet, Cylinder, _first_difference, map_clopen, random_address
+from .code_space import (
+    Address,
+    ClopenSet,
+    Cylinder,
+    _first_difference,
+    _trusted_address,
+    map_clopen,
+    random_address,
+)
 from .coarse_graining import HierarchyLevel
 
 __all__ = [
@@ -51,6 +64,16 @@ class DendritePoint:
 
     edge_child: int
     offset: Fraction
+
+
+def _common_ancestor(a: int, b: int) -> int:
+    """Lowest common ancestor of two heap-indexed vertices."""
+    while a != b:
+        if a > b:
+            a //= 2
+        else:
+            b //= 2
+    return a
 
 
 @dataclass(frozen=True)
@@ -158,13 +181,7 @@ class DendriteGraph:
         self._validate(q)
         if p.edge_child == q.edge_child:
             return abs(p.offset - q.offset)
-        a, b = p.edge_child, q.edge_child
-        while a != b:  # lowest common ancestor in heap indexing
-            if a > b:
-                a //= 2
-            else:
-                b //= 2
-        anc = a
+        anc = _common_ancestor(p.edge_child, q.edge_child)
         dp = self.point_root_distance(p)
         dq = self.point_root_distance(q)
         if anc == p.edge_child:  # p's edge lies on q's root path
@@ -201,8 +218,55 @@ class DendriteGraph:
     @cached_property
     def _break_ticks(self) -> tuple[int, ...]:
         """``tour_breaks`` in whole units of 3**-depth, the shortest edge."""
-        scale = 3**self.depth
-        return tuple(int(arc * scale) for arc in self.tour_breaks)
+        edges = self._edge_ticks
+        return tuple(itertools.accumulate((edges[child] for child, _ in self.tour_segments), initial=0))
+
+    @cached_property
+    def _edge_ticks(self) -> tuple[int, ...]:
+        """Edge lengths in ticks (units of 3**-depth), indexed by child vertex;
+        the root and the unused index 0 carry no edge and read 0."""
+        return (0, 0) + tuple(3 ** (self.depth - self.level(v)) for v in range(2, self.vertex_count + 1))
+
+    @cached_property
+    def _root_ticks(self) -> tuple[int, ...]:
+        """Vertex root distances in ticks, indexed like ``_edge_ticks``."""
+        dist = [0, 0]
+        for v in range(2, self.vertex_count + 1):
+            dist.append(dist[v // 2] + self._edge_ticks[v])
+        return tuple(dist)
+
+    def _tick_point(self, a: Address, k: int) -> tuple[int, int]:
+        """``dendrite_map(self, a)`` as (edge child, offset), the offset in
+        units of 3**-depth * 2**-k; needs ``k >= len(a.prefix)``.
+
+        Not canonical: a vertex may come back as offset 0 on one of its
+        child edges, which ``_tick_distance`` measures correctly.
+        """
+        breaks = self._break_ticks
+        arc = (_binary_numerator(a) << (k - len(a.prefix))) * breaks[-1]
+        i = bisect.bisect_right(breaks, arc >> k) - 1
+        if i >= len(self.tour_segments):  # t == 1 closes the tour (always at depth 0)
+            return (1, 0)
+        child, direction = self.tour_segments[i]
+        delta = arc - (breaks[i] << k)
+        if direction == "down":
+            return (child, delta)
+        return (child, (self._edge_ticks[child] << k) - delta)
+
+    def _tick_distance(self, p: tuple[int, int], q: tuple[int, int], k: int) -> int:
+        """``distance`` between two ``_tick_point`` results, in the same units."""
+        (pe, x), (qe, y) = p, q
+        if pe == qe:
+            return abs(x - y)
+        anc = _common_ancestor(pe, qe)
+        root = self._root_ticks
+        dp = (root[pe // 2] << k) + x
+        dq = (root[qe // 2] << k) + y
+        if anc == pe:  # p's edge lies on q's root path
+            return dq - dp
+        if anc == qe:
+            return dp - dq
+        return dp + dq - (root[anc] << (k + 1))
 
     @property
     def tour_length(self) -> Fraction:
@@ -283,13 +347,17 @@ class DendriteGraph:
         return pos
 
 
-def binary_expansion(a: Address) -> Fraction:
-    """The value sum s_i * 2**-i of an address; continuous and onto [0, 1].
+def _binary_numerator(a: Address) -> int:
+    """Binary value of an address times 2**len(prefix).
 
-    The prefix is a binary numeral over 2**len(prefix); a constant tail of
-    ones adds 2**-len(prefix).
+    The prefix is a binary numeral; a constant tail of ones adds one unit.
     """
-    return Fraction(int("0" + a.prefix, 2) + (a.tail == "1"), 2 ** len(a.prefix))
+    return int("0" + a.prefix, 2) + (a.tail == "1")
+
+
+def binary_expansion(a: Address) -> Fraction:
+    """The value sum s_i * 2**-i of an address; continuous and onto [0, 1]."""
+    return Fraction(_binary_numerator(a), 2 ** len(a.prefix))
 
 
 def dendrite_map(tree: DendriteGraph, a: Address) -> DendritePoint:
@@ -368,6 +436,17 @@ def check_surjectivity(tree: DendriteGraph, depth: int) -> bool:
     return all(fiber_of(tree, p, depth).cylinders for p in points)
 
 
+def _sampled_pairs(seed: int, max_prefix: int):
+    """Endless seeded pairs of distinct addresses sharing a random prefix."""
+    rng = random.Random(seed)
+    while True:
+        shared = "".join(rng.choice("01") for _ in range(rng.randrange(max_prefix)))
+        a = _trusted_address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
+        b = _trusted_address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
+        if a != b:
+            yield a, b
+
+
 def check_continuity_modulus(
     tree: DendriteGraph,
     pairs: int = 10_000,
@@ -375,21 +454,18 @@ def check_continuity_modulus(
     max_prefix: int = 24,
 ) -> bool:
     """Sampled modulus of continuity: pairs agreeing on their first m symbols
-    land within tour_length * 2**-m of each other on the tree."""
-    rng = random.Random(seed)
-    total = tree.tour_length
-    done = 0
-    while done < pairs:
-        shared = "".join(rng.choice("01") for _ in range(rng.randrange(max_prefix)))
-        a = Address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
-        b = Address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
-        if a == b:
-            continue
-        done += 1
+    land within tour_length * 2**-m of each other on the tree.
+
+    Exact, in units of 3**-depth * 2**-K with K the longer prefix: both
+    binary values are whole multiples of 2**-K there, and the bound is
+    ``tour ticks << (K - m)``.
+    """
+    total = tree._break_ticks[-1]
+    for a, b in itertools.islice(_sampled_pairs(seed, max_prefix), pairs):
         m = _first_difference(a, b)
-        bound = total * Fraction(1, 2**m)
-        d = tree.distance(dendrite_map(tree, a), dendrite_map(tree, b))
-        if d > bound:
+        k = max(len(a.prefix), len(b.prefix), m)
+        d = tree._tick_distance(tree._tick_point(a, k), tree._tick_point(b, k), k)
+        if d > total << (k - m):
             return False
     return True
 

@@ -12,12 +12,21 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cantor_coarse.cli import RunConfig, load_config, main, run_campaign
+from cantor_coarse.cli import RunConfig, _dump, load_config, main, run_campaign
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 SCHEMAS = SRC / "cantor_coarse" / "schemas"
-GOLDEN = Path(__file__).parent / "data" / "hierarchy_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "hierarchy_golden.json"
+# verification reports pinned byte for byte: the default campaign and one
+# mu-sweep-shaped campaign (no tower, the deepest dendrite)
+VERIFY_GOLDENS = {
+    "verification_default_golden.json": RunConfig(),
+    "verification_mu10_dendrite8_golden.json": RunConfig(
+        mu=10.0, depth=0, levels=0, dendrite_depth=8, partition_n=5
+    ),
+}
 
 FAST = ["--depth", "6", "--levels", "1", "--dendrite-depth", "2"]
 
@@ -117,6 +126,11 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verification_report.json").read_text())
         schema = json.loads((SCHEMAS / "verification_report.schema.json").read_text())
         jsonschema.validate(report, schema)
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_GOLDENS))
+    def test_report_matches_golden_bytes(self, name):
+        produced = _dump(run_campaign(VERIFY_GOLDENS[name])).encode("utf-8")
+        assert produced == (DATA / name).read_bytes()
 
     def test_campaign_is_deterministic(self):
         cfg = RunConfig(depth=5, levels=1, dendrite_depth=2, out=".")
@@ -236,6 +250,20 @@ class TestSubprocessHarness:
         proc = self._run("verify", "--mu", "4.5", *FAST, "--out", str(tmp_path))
         assert proc.returncode == 1
         assert (tmp_path / "verification_report.json").exists()
+
+    def test_exit_one_explains_failures_on_stderr(self, tmp_path):
+        proc = self._run("verify", "--mu", "4.5", *FAST, "--out", str(tmp_path))
+        assert proc.returncode == 1
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        (check,) = [c for c in report["checks"] if not c["passed"]]
+        expected = (
+            f"failed: statement.iii.modulus_sum [mu=4.5] measured "
+            f"{json.dumps(check['measured'])}, bound 1.0"
+        )
+        assert proc.stderr.splitlines() == [expected]
+        # stdout keeps its one line per check plus the report path
+        assert "measured" not in proc.stdout
+        assert len(proc.stdout.splitlines()) == len(report["checks"]) + 1
 
     def test_exit_two_on_usage_error(self, tmp_path):
         proc = self._run("verify", "--mu", "3.9", "--out", str(tmp_path))

@@ -18,6 +18,7 @@ from cantor_coarse.code_space import (
     Cylinder,
     FULL_SPACE,
     OutsideDomainError,
+    PrefixRewrite,
     _canonical_words,
     clopen_complement,
     clopen_union,
@@ -91,6 +92,33 @@ word_lists = st.one_of(
     st.lists(st.text(alphabet="01", max_size=8), max_size=24),
     dense_word_lists(),
 )
+
+
+def _reference_rewrite(m: PrefixRewrite, a: Address) -> Address:
+    """The rewrite through ``starts_with``, ``drop`` and a checked ``Address``."""
+    for src, dst in m.rules:
+        if a.starts_with(src):
+            return Address(dst + a.drop(len(src)).prefix, a.tail)
+    raise OutsideDomainError(f"{a} lies outside the map's source cylinders")
+
+
+prefix_free_words = st.lists(st.text(alphabet="01", max_size=6), min_size=1, max_size=6).map(
+    lambda ws: ClopenSet.from_words(ws).words
+)
+
+
+@st.composite
+def rewrite_cases(draw):
+    """A rewrite and an address; half the addresses are built to meet a
+    source inside their tail (the source's trailing run is the tail)."""
+    srcs, dsts = draw(prefix_free_words), draw(prefix_free_words)
+    n = min(len(srcs), len(dsts))
+    m = PrefixRewrite(tuple(zip(srcs[:n], dsts[:n])))
+    if draw(st.booleans()):
+        src = draw(st.sampled_from(srcs[:n]))
+        tail = src[-1] if src else draw(st.sampled_from("01"))
+        return m, Address(src.rstrip(tail), tail)
+    return m, draw(addresses)
 
 
 def _all_addresses(max_prefix: int) -> list[Address]:
@@ -414,6 +442,41 @@ class TestMaps:
         assert g.word_image("") is None  # shorter than every source word
         assert g.word_image("0") == "0"
         assert g.word_image("11") == "1101"  # source '1' -> '110', passes '1' through
+
+    @settings(max_examples=300)
+    @given(case=rewrite_cases())
+    def test_rewrite_matches_the_checked_reference(self, case):
+        m, a = case
+        try:
+            want = _reference_rewrite(m, a)
+        except OutsideDomainError:
+            with pytest.raises(OutsideDomainError):
+                m(a)
+            return
+        got = m(a)
+        assert got == want
+        assert (got.prefix, got.tail) == (want.prefix, want.tail)
+
+    def test_rewrite_edge_cases(self):
+        cases = [
+            # the source runs past the prefix into the tail; the
+            # replacement ends in the tail symbol with nothing left over
+            (PrefixRewrite((("0111", "11"),)), Address("0", "1"), Address("", "1")),
+            (PrefixRewrite((("01", "10"),)), Address("01", "0"), Address("1", "0")),
+            (PrefixRewrite((("1", "0"), ("00", "11"))), Address("", "0"), Address("11", "0")),
+            (identity_map(), Address("0110", "1"), Address("0110", "1")),
+            (identity_map(), Address("", "0"), Address("", "0")),
+        ]
+        for m, a, want in cases:
+            got = m(a)
+            assert got == want == _reference_rewrite(m, a)
+            assert (got.prefix, got.tail) == (want.prefix, want.tail)
+
+    def test_rewrite_outside_domain(self):
+        m = PrefixRewrite((("00", "1"), ("0110", "0")))
+        for a in (Address("1", "0"), Address("", "1"), Address("01", "1"), Address("0111", "0")):
+            with pytest.raises(OutsideDomainError):
+                m(a)
 
     def test_random_address_respects_carrier(self):
         rng = random.Random(3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantor_coarse.code_space import Address, random_address
+from cantor_coarse.code_space import Address, _first_difference, random_address
 from cantor_coarse.coarse_graining import build_hierarchy
 from cantor_coarse.dendrite import (
     DendriteGraph,
+    _sampled_pairs,
     binary_expansion,
     check_continuity_modulus,
     check_surjectivity,
@@ -37,6 +39,47 @@ def _reference_tour_point(tree: DendriteGraph, t: Fraction):
     if direction == "down":
         return tree.point(child, delta)
     return tree.point(child, tree.edge_length(child) - delta)
+
+
+def _seed_pairs(seed: int, pairs: int, max_prefix: int = 24) -> list[tuple[Address, Address]]:
+    """The continuity check's pairs, drawn by its original inline loop."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < pairs:
+        shared = "".join(rng.choice("01") for _ in range(rng.randrange(max_prefix)))
+        a = Address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
+        b = Address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
+        if a == b:
+            continue
+        out.append((a, b))
+    return out
+
+
+def _tick_distance(tree: DendriteGraph, a: Address, b: Address) -> Fraction:
+    """The continuity check's integer geodesic, scaled back to length."""
+    k = max(len(a.prefix), len(b.prefix), _first_difference(a, b))
+    d = tree._tick_distance(tree._tick_point(a, k), tree._tick_point(b, k), k)
+    return Fraction(d, 3**tree.depth * 2**k)
+
+
+def _break_addresses(tree: DendriteGraph) -> list[Address]:
+    """Addresses at and next to the tour breaks.
+
+    A break time is dyadic only at the quarter points of the tour, which
+    get both of their binary expansions.  Every break time also gets the
+    dyadics of 25 and 40 places just below and above it, with both tails,
+    so the tick floor lands on each side of the break.
+    """
+    out = [Address(w, "0") for w in ("", "01", "1", "11")]
+    out += [Address(w, "1") for w in ("", "00", "0", "10")]
+    total = tree._break_ticks[-1]
+    for ticks in tree._break_ticks:
+        for n in (25, 40):
+            below = ticks * 2**n // total
+            for num in (below, below + 1):
+                word = format(min(num, 2**n - 1), f"0{n}b")
+                out += [Address(word, "0"), Address(word, "1")]
+    return sorted(set(out))
 
 
 def _reference_binary_expansion(a: Address) -> Fraction:
@@ -211,7 +254,61 @@ class TestDendriteMap:
         assert dendrite_map(t, Address("01", "0")) == t.vertex_point(2)
 
     def test_continuity_modulus_sampled(self):
-        assert check_continuity_modulus(DendriteGraph(4), pairs=10_000, seed=0)
+        for seed in range(5):
+            assert check_continuity_modulus(DendriteGraph(4), pairs=10_000, seed=seed)
+
+
+class TestTickGeometry:
+    """The continuity check's integer geodesic against the Fraction API."""
+
+    def test_random_pairs(self):
+        rng = random.Random(7)
+        for depth in range(9):
+            t = DendriteGraph(depth)
+            pairs = _seed_pairs(depth, 200) + [
+                (random_address(rng, 30), random_address(rng, 30)) for _ in range(200)
+            ]
+            for a, b in pairs:
+                if a != b:
+                    assert _tick_distance(t, a, b) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
+
+    def test_constant_addresses(self):
+        a, b = Address("", "0"), Address("", "1")
+        for depth in range(9):
+            t = DendriteGraph(depth)
+            assert _tick_distance(t, a, b) == 0
+            assert t._tick_point(a, 0) in ((1, 0), (2, 0))
+            assert t._tick_point(b, 0) == (1, 0)
+
+    def test_tour_breaks(self):
+        # depth 0 has no edges; the constant-address test covers it
+        for depth in range(1, 9):
+            t = DendriteGraph(depth)
+            addrs = _break_addresses(t)
+            # each address against its neighbours in order and one far away
+            pairs = list(zip(addrs, addrs[1:])) + list(zip(addrs, addrs[len(addrs) // 2 :]))
+            for a, b in pairs:
+                assert _tick_distance(t, a, b) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
+
+    def test_sampled_pairs_match_the_inline_loop(self):
+        assert list(itertools.islice(_sampled_pairs(0, 24), 10_000)) == _seed_pairs(0, 10_000)
+
+    def test_longer_leaf_edge_fails(self):
+        t = DendriteGraph(4)
+        # build the tour and root tables first, so that only the point
+        # placement sees the longer edge
+        t._break_ticks, t._root_ticks
+        edges = list(t._edge_ticks)
+        edges[t.vertex_count] *= 2
+        t.__dict__["_edge_ticks"] = tuple(edges)
+        assert not check_continuity_modulus(t)
+
+    def test_wrong_root_distance_fails(self):
+        t = DendriteGraph(4)
+        root = list(t._root_ticks)
+        root[2] += 1
+        t.__dict__["_root_ticks"] = tuple(root)
+        assert not check_continuity_modulus(t)
 
 
 class TestFibers:
