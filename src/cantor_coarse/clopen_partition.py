@@ -23,8 +23,17 @@ __all__ = [
 ]
 
 
-def _disjoint(x: ClopenSet, y: ClopenSet) -> bool:
-    return all(cx.disjoint(cy) for cx in x.cylinders for cy in y.cylinders)
+def _overlapping(blocks) -> bool:
+    """Whether any two cylinders of different blocks meet.
+
+    Each block is prefix-free, so two member cylinders meet exactly when one
+    word starts with the other, across blocks.  In sorted order every word
+    starting with w follows w before any word that does not, so some pair
+    meets exactly when some word starts with the word just before it; a
+    word repeated across blocks counts as starting with itself.
+    """
+    words = sorted(w for b in blocks for w in b.words)
+    return any(w.startswith(prev) for prev, w in zip(words, words[1:]))
 
 
 @dataclass(frozen=True)
@@ -40,10 +49,8 @@ class Partition:
         for b in self.blocks:
             if b.is_empty:
                 raise ValueError("empty block")
-        for i, b in enumerate(self.blocks):
-            for other in self.blocks[i + 1:]:
-                if not _disjoint(b, other):
-                    raise ValueError("blocks overlap")
+        if _overlapping(self.blocks):
+            raise ValueError("blocks overlap")
         if clopen_union(*self.blocks) != self.carrier:
             raise ValueError("blocks do not cover the carrier")
 

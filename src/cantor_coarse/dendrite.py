@@ -19,6 +19,7 @@ import bisect
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -436,15 +437,94 @@ def check_surjectivity(tree: DendriteGraph, depth: int) -> bool:
     return all(fiber_of(tree, p, depth).cylinders for p in points)
 
 
+# 32-bit generator outputs per bulk draw of ``_sampled_pairs``
+_DRAW_CHUNK = 8192
+
+# the top byte of a 32-bit output -> the symbol ``choice("01")`` makes of
+# it: top bits 00 give "0", 01 give "1", and 1x are redrawn ("x")
+_SYMBOL_OF_TOP_BYTE = bytes(b"01xx"[b >> 6] for b in range(256))
+
+
 def _sampled_pairs(seed: int, max_prefix: int):
-    """Endless seeded pairs of distinct addresses sharing a random prefix."""
-    rng = random.Random(seed)
-    while True:
+    """Endless seeded pairs of distinct addresses sharing a random prefix.
+
+    The pairs are those of the loop
+
+        rng = random.Random(seed)
         shared = "".join(rng.choice("01") for _ in range(rng.randrange(max_prefix)))
-        a = _trusted_address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
-        b = _trusted_address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
+        a = Address(shared + 4 x rng.choice("01"), rng.choice("01"))
+        b = the same as a
+        yield (a, b) unless a == b
+
+    decoded from bulk draws under CPython's draw contract for
+    ``random.Random`` (Mersenne Twister, checked on 3.10 to 3.13):
+
+    - ``getrandbits(k)`` for k <= 32 is the top k bits of the next 32-bit
+      output, and ``getrandbits(32 * c)`` packs the next c outputs, the
+      first one least significant;
+    - ``choice("01")`` is ``getrandbits(2)``, redrawn on 2 or 3;
+    - ``randrange(m)`` is ``getrandbits(m.bit_length())``, redrawn when the
+      value is ``>= m``.
+
+    Each output's top byte becomes its symbol class, and a pair's symbols
+    are the run of ``shared + 10`` accepted outputs that one regex per
+    prefix length finds in that string.  A ``max_prefix`` of more than 32
+    bits would take several outputs per ``randrange`` and is refused.
+    """
+    if max_prefix < 1:
+        raise ValueError("empty range for randrange()")
+    bits = max_prefix.bit_length()
+    if bits > 32:
+        raise ValueError("max_prefix must be below 2**32")
+    rng = random.Random(seed)
+    runs: dict[int, re.Pattern] = {}
+    raw = b""  # undecoded outputs, 4 little-endian bytes each
+    classes = ""  # the symbol class of each output in raw
+    pos = 0  # the next undecoded output
+
+    def refill() -> None:
+        nonlocal raw, classes, pos
+        raw = raw[4 * pos:] + rng.getrandbits(32 * _DRAW_CHUNK).to_bytes(4 * _DRAW_CHUNK, "little")
+        classes = raw[3::4].translate(_SYMBOL_OF_TOP_BYTE).decode("ascii")
+        pos = 0
+
+    while True:
+        while True:  # randrange(max_prefix)
+            if pos == len(classes):
+                refill()
+            shared = int.from_bytes(raw[4 * pos:4 * pos + 4], "little") >> (32 - bits)
+            pos += 1
+            if shared < max_prefix:
+                break
+        run = runs.get(shared)
+        if run is None:  # the shared prefix, then 4 symbols and a tail per address
+            run = runs[shared] = re.compile("(?:x*[01]){%d}" % (shared + 10))
+        while (match := run.match(classes, pos)) is None:
+            refill()
+        symbols = classes[pos:match.end()].replace("x", "")
+        pos = match.end()
+        a = _trusted_address(symbols[:shared + 4], symbols[shared + 4])
+        b = _trusted_address(symbols[:shared] + symbols[shared + 5:-1], symbols[-1])
         if a != b:
             yield a, b
+
+
+def _break_pairs(tree: DendriteGraph):
+    """One pair per tour break: the K-bit dyadic addresses just below and
+    just above its tour time, K = (tour ticks).bit_length() + 2.
+
+    Each pair is a word w with tails 0 and 1, so it agrees on exactly K
+    symbols and the modulus holds it to under a quarter tick: a leaf edge
+    a whole tick off shows at its breaks, however short the edge.
+    """
+    breaks = tree._break_ticks
+    total = breaks[-1]
+    if not total:  # depth 0: the tour never leaves the root
+        return
+    k = total.bit_length() + 2
+    for ticks in breaks:
+        word = format(min((ticks << k) // total, (1 << k) - 1), f"0{k}b")
+        yield _trusted_address(word, "0"), _trusted_address(word, "1")
 
 
 def check_continuity_modulus(
@@ -453,15 +533,18 @@ def check_continuity_modulus(
     seed: int = 0,
     max_prefix: int = 24,
 ) -> bool:
-    """Sampled modulus of continuity: pairs agreeing on their first m symbols
-    land within tour_length * 2**-m of each other on the tree.
+    """Modulus of continuity: pairs agreeing on their first m symbols land
+    within tour_length * 2**-m of each other on the tree.
 
-    Exact, in units of 3**-depth * 2**-K with K the longer prefix: both
-    binary values are whole multiples of 2**-K there, and the bound is
+    Checked on ``pairs`` seeded pairs sharing a prefix shorter than
+    ``max_prefix``, and on one pair straddling each tour break.  Exact, in
+    units of 3**-depth * 2**-K with K the longer prefix: both binary values
+    are whole multiples of 2**-K there, and the bound is
     ``tour ticks << (K - m)``.
     """
     total = tree._break_ticks[-1]
-    for a, b in itertools.islice(_sampled_pairs(seed, max_prefix), pairs):
+    sampled = itertools.islice(_sampled_pairs(seed, max_prefix), pairs)
+    for a, b in itertools.chain(sampled, _break_pairs(tree)):
         m = _first_difference(a, b)
         k = max(len(a.prefix), len(b.prefix), m)
         d = tree._tick_distance(tree._tick_point(a, k), tree._tick_point(b, k), k)

@@ -4,6 +4,7 @@ renderings, schemas and determinism."""
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,18 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cantor_coarse.cli import RunConfig, _dump, load_config, main, run_campaign
+from cantor_coarse import cli
+from cantor_coarse.cli import (
+    RunConfig,
+    _dump,
+    _partition_chain,
+    _partition_checks,
+    load_config,
+    main,
+    run_campaign,
+)
+from cantor_coarse.clopen_partition import build_partition
+from cantor_coarse.code_space import FULL_SPACE
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -137,6 +149,58 @@ class TestVerifyCommand:
         assert run_campaign(cfg) == run_campaign(cfg)
 
 
+class TestPartitionChecks:
+    def test_chain_step_n_is_build_partition_n(self):
+        chain = list(_partition_chain(64))
+        assert len(chain) == 64
+        for n, p in enumerate(chain, start=1):
+            assert p == build_partition(FULL_SPACE, n), n
+
+    def test_laws_pass_at_64(self):
+        laws = _partition_checks(RunConfig())[0]
+        assert (laws.check_id, laws.measured, laws.passed) == ("partition.laws", 64, True)
+
+    @pytest.mark.parametrize("last", [1, 10, 63])
+    def test_failing_step_reports_the_last_n_reached(self, monkeypatch, last):
+        flatten = cli.flatten_refinement
+
+        def failing_after_last(p, index, refinement):
+            if p.size == last:
+                raise ValueError("blocks overlap")
+            return flatten(p, index, refinement)
+
+        monkeypatch.setattr(cli, "flatten_refinement", failing_after_last)
+        laws = _partition_checks(RunConfig())[0]
+        assert (laws.measured, laws.passed) == (last, False)
+
+    def test_step_adding_two_blocks_fails(self, monkeypatch):
+        refine = cli.refine_block
+        monkeypatch.setattr(cli, "refine_block", lambda p, i, n: refine(p, i, 3 if p.size == 5 else n))
+        laws = _partition_checks(RunConfig())[0]
+        assert (laws.measured, laws.passed) == (5, False)
+
+
+class TestDepthCaps:
+    """A cap that clips the configured depth says so in one INFO line."""
+
+    def _cap_lines(self, caplog, depth):
+        caplog.set_level(logging.INFO, logger="cantor_coarse")
+        run_campaign(RunConfig(depth=depth, levels=1, dendrite_depth=2))
+        return [r.getMessage() for r in caplog.records if "caps depth" in r.getMessage()]
+
+    def test_depth_20_hits_both_caps(self, caplog):
+        assert self._cap_lines(caplog, 20) == [
+            "MAX_ENUMERATED_DEPTH=14 caps depth 20 to 14",
+            "MAX_DOCUMENT_DEPTH=10 caps depth 20 to 10",
+        ]
+
+    def test_depth_12_hits_the_document_cap(self, caplog):
+        assert self._cap_lines(caplog, 12) == ["MAX_DOCUMENT_DEPTH=10 caps depth 12 to 10"]
+
+    def test_depth_10_is_not_capped(self, caplog):
+        assert self._cap_lines(caplog, 10) == []
+
+
 class TestHierarchyCommand:
     def test_zero_levels(self, tmp_path):
         result = invoke(["hierarchy", "--levels", "0", "--depth", "4", "--out", str(tmp_path)])
@@ -231,8 +295,8 @@ class TestOtherCommands:
 class TestSubprocessHarness:
     """Exit-status contract as seen by an actual process invocation."""
 
-    def _run(self, *args):
-        env = dict(os.environ)
+    def _run(self, *args, env=None):
+        env = {**os.environ, **(env or {})}
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
             [sys.executable, "-m", "cantor_coarse", *args],
@@ -264,6 +328,18 @@ class TestSubprocessHarness:
         # stdout keeps its one line per check plus the report path
         assert "measured" not in proc.stdout
         assert len(proc.stdout.splitlines()) == len(report["checks"]) + 1
+
+    def test_caps_log_only_when_asked(self, tmp_path):
+        args = ("verify", "--depth", "20", "--levels", "1", "--dendrite-depth", "2", "--out", str(tmp_path))
+        report = tmp_path / "verification_report.json"
+        quiet = self._run(*args)
+        assert (quiet.returncode, quiet.stderr) == (0, "")
+        quiet_report = report.read_bytes()
+        loud = self._run(*args, env={"CANTOR_COARSE_LOG": "INFO"})
+        assert loud.returncode == 0
+        assert "MAX_ENUMERATED_DEPTH=14 caps depth 20 to 14" in loud.stderr
+        assert "MAX_DOCUMENT_DEPTH=10 caps depth 20 to 10" in loud.stderr
+        assert (loud.stdout, report.read_bytes()) == (quiet.stdout, quiet_report)
 
     def test_exit_two_on_usage_error(self, tmp_path):
         proc = self._run("verify", "--mu", "3.9", "--out", str(tmp_path))

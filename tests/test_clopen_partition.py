@@ -8,11 +8,27 @@ from hypothesis import strategies as st
 
 from cantor_coarse.clopen_partition import (
     Partition,
+    _overlapping,
     build_partition,
     flatten_refinement,
     refine_block,
 )
 from cantor_coarse.code_space import Address, ClopenSet, FULL_SPACE, clopen_union
+
+
+def _disjoint(x: ClopenSet, y: ClopenSet) -> bool:
+    """The pairwise disjointness test the sorted scan replaced."""
+    return all(cx.disjoint(cy) for cx in x.cylinders for cy in y.cylinders)
+
+
+def _pairwise_overlapping(blocks) -> bool:
+    return any(not _disjoint(b, other) for i, b in enumerate(blocks) for other in blocks[i + 1:])
+
+
+_words = st.text(alphabet="01", max_size=5)
+_blocks = st.lists(
+    st.lists(_words, min_size=1, max_size=4).map(ClopenSet.from_words), min_size=1, max_size=6
+)
 
 
 def assert_partition_laws(p: Partition) -> None:
@@ -133,3 +149,48 @@ class TestPartitionType:
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError, match="empty block"):
             Partition(FULL_SPACE, (FULL_SPACE, ClopenSet(())))
+
+
+class TestOverlapScan:
+    """The sorted-scan overlap test against the pairwise oracle."""
+
+    @given(blocks=_blocks)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_pairwise_oracle(self, blocks):
+        assert _overlapping(blocks) == _pairwise_overlapping(blocks)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_on_partitions_with_a_planted_overlap(self, data):
+        # a partition's own blocks never overlap; then one block takes a
+        # cylinder from, or inside, another block anywhere in the order
+        p = build_partition(FULL_SPACE, data.draw(st.integers(2, 12)))
+        assert not _overlapping(p.blocks)
+        src, dst = data.draw(st.lists(st.integers(0, p.size - 1), min_size=2, max_size=2, unique=True))
+        word = data.draw(st.sampled_from(p.blocks[src].words)) + data.draw(_words)
+        planted = list(p.blocks)
+        planted[dst] = ClopenSet.from_words(planted[dst].words + (word,))
+        assert _pairwise_overlapping(planted)
+        assert _overlapping(planted)
+
+    def test_overlap_between_non_adjacent_blocks(self):
+        # [0] in the first block meets [011] in the third; the block in
+        # between is disjoint from both
+        blocks = [ClopenSet.from_words(w) for w in (["0"], ["10"], ["011", "11"])]
+        assert _pairwise_overlapping(blocks)
+        assert _overlapping(blocks)
+        with pytest.raises(ValueError, match="overlap"):
+            Partition(FULL_SPACE, tuple(blocks))
+
+    def test_cylinder_duplicated_across_blocks(self):
+        blocks = [ClopenSet.from_words(w) for w in (["00", "1"], ["01"], ["1"])]
+        assert _pairwise_overlapping(blocks)
+        assert _overlapping(blocks)
+        with pytest.raises(ValueError, match="overlap"):
+            Partition(FULL_SPACE, tuple(blocks))
+
+    def test_disjoint_blocks_pass(self):
+        blocks = [ClopenSet.from_words(w) for w in (["00", "11"], ["010"], ["011", "10"])]
+        assert not _pairwise_overlapping(blocks)
+        assert not _overlapping(blocks)
+        assert Partition(FULL_SPACE, tuple(blocks)).size == 3

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cantor_coarse import dendrite
 from cantor_coarse.code_space import Address, _first_difference, random_address
 from cantor_coarse.coarse_graining import build_hierarchy
 from cantor_coarse.dendrite import (
     DendriteGraph,
+    _break_pairs,
     _sampled_pairs,
     binary_expansion,
     check_continuity_modulus,
@@ -291,17 +293,20 @@ class TestTickGeometry:
                 assert _tick_distance(t, a, b) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
 
     def test_sampled_pairs_match_the_inline_loop(self):
-        assert list(itertools.islice(_sampled_pairs(0, 24), 10_000)) == _seed_pairs(0, 10_000)
+        for seed in range(10):
+            assert list(itertools.islice(_sampled_pairs(seed, 24), 30_000)) == _seed_pairs(seed, 30_000), seed
 
     def test_longer_leaf_edge_fails(self):
-        t = DendriteGraph(4)
-        # build the tour and root tables first, so that only the point
-        # placement sees the longer edge
-        t._break_ticks, t._root_ticks
-        edges = list(t._edge_ticks)
-        edges[t.vertex_count] *= 2
-        t.__dict__["_edge_ticks"] = tuple(edges)
-        assert not check_continuity_modulus(t)
+        for depth in (1, 2, 4, 8):
+            for seed in range(5):
+                t = DendriteGraph(depth)
+                # build the tour and root tables first, so that only the
+                # point placement sees the longer edge
+                t._break_ticks, t._root_ticks
+                edges = list(t._edge_ticks)
+                edges[t.vertex_count] *= 2
+                t.__dict__["_edge_ticks"] = tuple(edges)
+                assert not check_continuity_modulus(t, seed=seed), (depth, seed)
 
     def test_wrong_root_distance_fails(self):
         t = DendriteGraph(4)
@@ -309,6 +314,55 @@ class TestTickGeometry:
         root[2] += 1
         t.__dict__["_root_ticks"] = tuple(root)
         assert not check_continuity_modulus(t)
+
+
+class TestBreakPairs:
+    def test_one_pair_straddling_each_break(self):
+        for depth in range(1, 9):
+            t = DendriteGraph(depth)
+            total = t._break_ticks[-1]
+            k = total.bit_length() + 2
+            pairs = list(_break_pairs(t))
+            assert len(pairs) == len(t._break_ticks)
+            for ticks, (a, b) in zip(t._break_ticks, pairs):
+                assert _first_difference(a, b) == k
+                lo, hi = binary_expansion(a), binary_expansion(b)
+                assert hi - lo == Fraction(1, 2**k)
+                assert lo <= Fraction(ticks, total) <= hi
+                assert Fraction(ticks, total) < hi or ticks == total
+
+    def test_no_breaks_on_the_one_vertex_tree(self):
+        assert list(_break_pairs(DendriteGraph(0))) == []
+
+
+class TestSampledPairs:
+    """The bulk decoder against the inline ``rng.choice`` loop, beyond
+    the default ``max_prefix``."""
+
+    @pytest.mark.parametrize("max_prefix", [1, 2, 3, 24, 31, 256])
+    def test_matches_the_loop_for_each_max_prefix(self, max_prefix):
+        for seed in (0, 1):
+            got = list(itertools.islice(_sampled_pairs(seed, max_prefix), 1_000))
+            assert got == _seed_pairs(seed, 1_000, max_prefix), (seed, max_prefix)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_refills_continue_the_stream(self, monkeypatch, chunk):
+        # a pair takes at least 11 outputs, so these chunk sizes end
+        # buffers inside prefix draws, inside symbol runs and between pairs
+        monkeypatch.setattr(dendrite, "_DRAW_CHUNK", chunk)
+        for max_prefix in (3, 256):
+            got = list(itertools.islice(_sampled_pairs(5, max_prefix), 300))
+            assert got == _seed_pairs(5, 300, max_prefix), max_prefix
+
+    @pytest.mark.parametrize("max_prefix", [0, -3])
+    def test_empty_prefix_range_raises(self, max_prefix):
+        with pytest.raises(ValueError, match="empty range"):
+            next(_sampled_pairs(0, max_prefix))
+
+    @pytest.mark.parametrize("max_prefix", [2**32, 2**40])
+    def test_prefix_range_above_32_bits_raises(self, max_prefix):
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            next(_sampled_pairs(0, max_prefix))
 
 
 class TestFibers:
