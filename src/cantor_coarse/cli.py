@@ -54,6 +54,8 @@ log = logging.getLogger("cantor_coarse")
 # enumerate them are capped (the config may still ask for depth up to 30)
 MAX_ENUMERATED_DEPTH = 14
 MAX_DOCUMENT_DEPTH = 10
+# the interval cover a hierarchy document lists
+MAX_COVER_DEPTH = 8
 
 _POLICIES = ("distinct", "merged", "explicit")
 
@@ -347,7 +349,7 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     """Serialize the tower: carriers, homeomorphism rules, moduli, distances."""
     tower = build_hierarchy(QuadraticParams(cfg.mu), cfg.levels, cfg.policy())
     doc_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
-    cover_depth = min(cfg.depth, 8)
+    cover_depth = _capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH")
     cover = invariant_cover(inverse_branches(QuadraticParams(cfg.mu)), cover_depth)
     levels: dict[str, dict] = {}
     for level in tower:

@@ -12,7 +12,7 @@ space, first quotient, quotient of the quotient, and so on.
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -23,13 +23,13 @@ from .code_space import (
     AddressMap,
     ClopenSet,
     FULL_SPACE,
+    _address_stream,
     code_distance,
     compose,
     identity_map,
     map_clopen,
     prepend_map,
     push_word,
-    random_address,
     recode_between,
 )
 from .quadratic_system import (
@@ -431,12 +431,11 @@ def verify_self_similarity(
     cover_next = invariant_cover(level.real_system, depth + 1)
     hausdorff = hausdorff_distance(refine_cover(level.real_system, cover_n), cover_next)
 
-    rng = random.Random(seed)
+    points = _address_stream(seed, 20, carrier)
     max_ratio = [0.0] * level.system.branch_count
     used = 0
     while used < samples:
-        y1 = random_address(rng, 20, carrier)
-        y2 = random_address(rng, 20, carrier)
+        y1, y2 = next(points), next(points)
         if y1 == y2:
             continue
         used += 1
@@ -461,10 +460,8 @@ def check_conjugation(level: HierarchyLevel, prev: HierarchyLevel, samples: int 
     """Pointwise round trip h^-1 o f^k o h = f^(k-1) on sampled points."""
     if level.hom is None:
         raise ValueError("the ground level has no conjugation to check")
-    rng = random.Random(seed)
     inv = level.hom.inverse()
-    for _ in range(samples):
-        x = random_address(rng, 20, prev.carrier)
+    for x in itertools.islice(_address_stream(seed, 20, prev.carrier), samples):
         for p_prev, p_conj in zip(prev.system.maps, level.system.maps):
             if inv(p_conj(level.hom(x))) != p_prev(x):
                 return False
@@ -480,10 +477,9 @@ def check_isometry(
 ) -> bool:
     """Fiber distance equals the expected point distance, exactly."""
     first = q.spec.partition.blocks[0]
-    rng = random.Random(seed)
+    points = _address_stream(seed, max_prefix, first)
     for _ in range(pairs):
-        x1 = random_address(rng, max_prefix, first)
-        x2 = random_address(rng, max_prefix, first)
+        x1, x2 = next(points), next(points)
         if quotient_metric(q, q.fiber(x1), q.fiber(x2)) != expected(x1, x2):
             return False
     return True

@@ -18,8 +18,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,10 +26,10 @@ from .code_space import (
     Address,
     ClopenSet,
     Cylinder,
+    _Draws,
     _first_difference,
     _trusted_address,
     map_clopen,
-    random_address,
 )
 from .coarse_graining import HierarchyLevel
 
@@ -437,14 +435,6 @@ def check_surjectivity(tree: DendriteGraph, depth: int) -> bool:
     return all(fiber_of(tree, p, depth).cylinders for p in points)
 
 
-# 32-bit generator outputs per bulk draw of ``_sampled_pairs``
-_DRAW_CHUNK = 8192
-
-# the top byte of a 32-bit output -> the symbol ``choice("01")`` makes of
-# it: top bits 00 give "0", 01 give "1", and 1x are redrawn ("x")
-_SYMBOL_OF_TOP_BYTE = bytes(b"01xx"[b >> 6] for b in range(256))
-
-
 def _sampled_pairs(seed: int, max_prefix: int):
     """Endless seeded pairs of distinct addresses sharing a random prefix.
 
@@ -456,53 +446,13 @@ def _sampled_pairs(seed: int, max_prefix: int):
         b = the same as a
         yield (a, b) unless a == b
 
-    decoded from bulk draws under CPython's draw contract for
-    ``random.Random`` (Mersenne Twister, checked on 3.10 to 3.13):
-
-    - ``getrandbits(k)`` for k <= 32 is the top k bits of the next 32-bit
-      output, and ``getrandbits(32 * c)`` packs the next c outputs, the
-      first one least significant;
-    - ``choice("01")`` is ``getrandbits(2)``, redrawn on 2 or 3;
-    - ``randrange(m)`` is ``getrandbits(m.bit_length())``, redrawn when the
-      value is ``>= m``.
-
-    Each output's top byte becomes its symbol class, and a pair's symbols
-    are the run of ``shared + 10`` accepted outputs that one regex per
-    prefix length finds in that string.  A ``max_prefix`` of more than 32
-    bits would take several outputs per ``randrange`` and is refused.
+    decoded from bulk draws by ``code_space._Draws``: a pair's symbols are
+    the shared prefix, then 4 symbols and a tail per address.
     """
-    if max_prefix < 1:
-        raise ValueError("empty range for randrange()")
-    bits = max_prefix.bit_length()
-    if bits > 32:
-        raise ValueError("max_prefix must be below 2**32")
-    rng = random.Random(seed)
-    runs: dict[int, re.Pattern] = {}
-    raw = b""  # undecoded outputs, 4 little-endian bytes each
-    classes = ""  # the symbol class of each output in raw
-    pos = 0  # the next undecoded output
-
-    def refill() -> None:
-        nonlocal raw, classes, pos
-        raw = raw[4 * pos:] + rng.getrandbits(32 * _DRAW_CHUNK).to_bytes(4 * _DRAW_CHUNK, "little")
-        classes = raw[3::4].translate(_SYMBOL_OF_TOP_BYTE).decode("ascii")
-        pos = 0
-
+    draws = _Draws(seed)
     while True:
-        while True:  # randrange(max_prefix)
-            if pos == len(classes):
-                refill()
-            shared = int.from_bytes(raw[4 * pos:4 * pos + 4], "little") >> (32 - bits)
-            pos += 1
-            if shared < max_prefix:
-                break
-        run = runs.get(shared)
-        if run is None:  # the shared prefix, then 4 symbols and a tail per address
-            run = runs[shared] = re.compile("(?:x*[01]){%d}" % (shared + 10))
-        while (match := run.match(classes, pos)) is None:
-            refill()
-        symbols = classes[pos:match.end()].replace("x", "")
-        pos = match.end()
+        shared = draws.below(max_prefix)
+        symbols = draws.symbols(shared + 10)
         a = _trusted_address(symbols[:shared + 4], symbols[shared + 4])
         b = _trusted_address(symbols[:shared] + symbols[shared + 5:-1], symbols[-1])
         if a != b:

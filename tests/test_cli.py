@@ -183,9 +183,9 @@ class TestPartitionChecks:
 class TestDepthCaps:
     """A cap that clips the configured depth says so in one INFO line."""
 
-    def _cap_lines(self, caplog, depth):
+    def _cap_lines(self, caplog, depth, run=run_campaign):
         caplog.set_level(logging.INFO, logger="cantor_coarse")
-        run_campaign(RunConfig(depth=depth, levels=1, dendrite_depth=2))
+        run(RunConfig(depth=depth, levels=1, dendrite_depth=2))
         return [r.getMessage() for r in caplog.records if "caps depth" in r.getMessage()]
 
     def test_depth_20_hits_both_caps(self, caplog):
@@ -199,6 +199,15 @@ class TestDepthCaps:
 
     def test_depth_10_is_not_capped(self, caplog):
         assert self._cap_lines(caplog, 10) == []
+
+    def test_document_depth_12_hits_the_document_and_cover_caps(self, caplog):
+        assert self._cap_lines(caplog, 12, cli.hierarchy_document) == [
+            "MAX_DOCUMENT_DEPTH=10 caps depth 12 to 10",
+            "MAX_COVER_DEPTH=8 caps depth 12 to 8",
+        ]
+
+    def test_document_depth_8_is_not_capped(self, caplog):
+        assert self._cap_lines(caplog, 8, cli.hierarchy_document) == []
 
 
 class TestHierarchyCommand:

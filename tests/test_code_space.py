@@ -7,19 +7,26 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantor_coarse import code_space
+from cantor_coarse.clopen_partition import build_partition
+from cantor_coarse.coarse_graining import HierarchyPolicy, build_hierarchy
 from cantor_coarse.code_space import (
     Address,
     ClopenSet,
+    ComposedMap,
     Cylinder,
     FULL_SPACE,
     OutsideDomainError,
     PrefixRewrite,
+    _address_stream,
     _canonical_words,
+    _Draws,
     clopen_complement,
     clopen_union,
     code_distance,
@@ -33,6 +40,7 @@ from cantor_coarse.code_space import (
     recode_between,
     recode_homeomorphism,
 )
+from cantor_coarse.quadratic_system import QuadraticParams
 
 addresses = st.builds(
     Address,
@@ -483,3 +491,186 @@ class TestMaps:
         carrier = ClopenSet.from_words(["01", "10"])
         for _ in range(50):
             assert carrier.contains(random_address(rng, 10, carrier))
+
+
+STREAM_CARRIERS = {
+    "none": None,
+    "full": FULL_SPACE,
+    "one-word": ClopenSet.from_words(["0110"]),
+    "three-words": ClopenSet.from_words(["00", "10", "111"]),
+    "partition-block": build_partition(FULL_SPACE, 64).blocks[-1],
+}
+
+
+class TestAddressStream:
+    """The bulk-decoded stream against the ``random_address`` loop."""
+
+    def test_long_stream_spans_refills(self):
+        # about 16 outputs per address: several full buffers
+        rng = random.Random(0)
+        want = [random_address(rng, 31) for _ in range(5000)]
+        assert list(itertools.islice(_address_stream(0, 31), 5000)) == want
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 7])
+    @pytest.mark.parametrize("carrier", list(STREAM_CARRIERS))
+    def test_matches_the_random_address_loop(self, monkeypatch, carrier, chunk):
+        # 1-, 2- and 7-output buffers end inside the carrier-word draw, the
+        # prefix-length draw and the symbol run, and between addresses
+        if chunk is not None:
+            monkeypatch.setattr(code_space, "_DRAW_CHUNK", chunk)
+        within = STREAM_CARRIERS[carrier]
+        for seed in range(10):
+            for max_prefix in (0, 1, 12, 20, 31):
+                rng = random.Random(seed)
+                want = [random_address(rng, max_prefix, within) for _ in range(60)]
+                got = list(itertools.islice(_address_stream(seed, max_prefix, within), 60))
+                assert [(a.prefix, a.tail) for a in got] == [(a.prefix, a.tail) for a in want], (seed, max_prefix)
+
+    def test_below_is_randrange(self, monkeypatch):
+        monkeypatch.setattr(code_space, "_DRAW_CHUNK", 3)
+        for m in (1, 2, 3, 21, 255, 256, 300, 2**31, 2**32 - 1):
+            rng, draws = random.Random(m), _Draws(m)
+            assert [draws.below(m) for _ in range(50)] == [rng.randrange(m) for _ in range(50)], m
+
+    def test_ranges_wider_than_32_bits_raise(self):
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            _Draws(0).below(2**32)
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            next(_address_stream(0, 2**32 - 1))  # randrange(max_prefix + 1) needs 33 bits
+        wide = SimpleNamespace(is_empty=False, words=range(2**32))  # too many words to build
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            next(_address_stream(0, 20, wide))
+
+    def test_falls_back_to_random_address_when_decoding_disagrees(self, monkeypatch):
+        # a decoder whose symbols come out swapped stands in for a ``random``
+        # that draws otherwise than ``_Draws`` decodes
+        swapped = code_space._SYMBOL_OF_TOP_BYTE.translate(bytes.maketrans(b"01", b"10"))
+        monkeypatch.setattr(code_space, "_SYMBOL_OF_TOP_BYTE", swapped)
+        for seed in range(5):
+            rng = random.Random(seed)
+            want = [random_address(rng, 20, FULL_SPACE) for _ in range(60)]
+            assert list(itertools.islice(_address_stream(seed, 20, FULL_SPACE), 60)) == want, seed
+
+    def test_empty_ranges_raise_like_random_address(self):
+        with pytest.raises(ValueError, match="empty range"):
+            random_address(random.Random(0), -1)
+        with pytest.raises(ValueError, match="empty range"):
+            next(_address_stream(0, -1))
+        with pytest.raises(ValueError, match="empty subspace"):
+            next(_address_stream(0, 20, ClopenSet(())))
+
+
+class _Staged:
+    """A composite applied one stage at a time: the oracle for the
+    flattened rewrite that ``ComposedMap`` evaluates through."""
+
+    def __init__(self, m: ComposedMap) -> None:
+        self.stages = m.stages
+
+    def __call__(self, a: Address) -> Address:
+        for stage in self.stages:
+            a = stage(a)
+        return a
+
+    def word_image(self, word: str) -> str | None:
+        img: str | None = word
+        for stage in self.stages:
+            img = stage.word_image(img)
+            if img is None:
+                return None
+        return img
+
+
+def _assert_matches_stages(m: ComposedMap, points, sets) -> None:
+    oracle = _Staged(m)
+    for a in points:
+        try:
+            want = oracle(a)
+        except OutsideDomainError:
+            with pytest.raises(OutsideDomainError):
+                m(a)
+            continue
+        got = m(a)
+        assert (got.prefix, got.tail) == (want.prefix, want.tail), a
+    for cs in sets:
+        try:
+            want_set = map_clopen(oracle, cs)
+        except OutsideDomainError:
+            with pytest.raises(OutsideDomainError):
+                map_clopen(m, cs)
+            continue
+        assert map_clopen(m, cs) == want_set, cs.words
+
+
+def _tower_maps(level):
+    """Every composite one floor holds, with inverses."""
+    maps = [level.to_base, level.to_base.inverse(), level.hom, level.hom.inverse()]
+    maps += list(level.system.maps) + [b.inverse() for b in level.system.maps]
+    return maps
+
+
+class TestFlatComposites:
+    @pytest.mark.parametrize("n", [2, 3, 5, 64])
+    @pytest.mark.parametrize("policy", ["distinct", "merged", "explicit"])
+    def test_tower_maps_match_their_stages(self, n, policy):
+        params = QuadraticParams(5.0)
+        explicit = None
+        if policy == "explicit":
+            # carriers do not depend on the representatives, so a distinct
+            # tower shows every floor's first block; list them reversed
+            shape = build_hierarchy(params, 8, HierarchyPolicy(blocks_per_level=n))
+            explicit = tuple(tuple(reversed(lv.quotient.spec.representatives)) for lv in shape[1:])
+        tower = build_hierarchy(
+            params,
+            8,
+            HierarchyPolicy(blocks_per_level=n, representative_policy=policy, explicit_representatives=explicit),
+        )
+        rng = random.Random(n)
+        for prev, level in zip(tower, tower[1:]):
+            points = [random_address(rng, 20) for _ in range(15)]
+            points += [random_address(rng, 20, level.carrier) for _ in range(15)]
+            points += [random_address(rng, 20, prev.carrier) for _ in range(15)]
+            sets = [FULL_SPACE, level.carrier, prev.carrier, *level.quotient.spec.partition.blocks[:3]]
+            for m in _tower_maps(level):
+                assert isinstance(m, ComposedMap)
+                _assert_matches_stages(m, points, sets)
+
+    def test_multi_rule_composites_and_inverses(self):
+        three = ClopenSet.from_words(["00", "10", "111"])
+        target = ClopenSet.from_words(["0", "110", "1110"])
+        g = recode_between(three, target)
+        maps = [g, g.inverse(), compose(g.inverse(), prepend_map("0"), g)]
+        points = _all_addresses(7)
+        sets = [FULL_SPACE, three, target, ClopenSet.from_words(["00"]), ClopenSet.from_words(["1110", "0"])]
+        for m in maps:
+            _assert_matches_stages(m, points, sets)
+
+    def test_later_stage_covers_part_of_the_image(self):
+        partial = PrefixRewrite((("00", "1"), ("0111", "01")))
+        maps = [
+            compose(prepend_map("0"), partial),  # [0] lands in "00", [111] in "0111"
+            compose(recode_homeomorphism(ClopenSet.from_words(["00", "10", "111"])), partial),
+            compose(prepend_map("0"), partial).inverse(),
+        ]
+        points = _all_addresses(6)
+        sets = [FULL_SPACE, ClopenSet.from_words(["0"]), ClopenSet.from_words(["0", "111"]), ClopenSet.from_words(["1"])]
+        for m in maps:
+            _assert_matches_stages(m, points, sets)
+        assert maps[0]._flat.rules == (("0", "1"), ("111", "01"))
+
+    def test_empty_domain_and_no_stages(self):
+        nowhere = compose(prepend_map("0"), PrefixRewrite((("1", "1"),)))
+        _assert_matches_stages(nowhere, _all_addresses(3), [FULL_SPACE, ClopenSet.from_words(["01"])])
+        with pytest.raises(OutsideDomainError):
+            nowhere(Address("", "0"))
+        _assert_matches_stages(compose(), _all_addresses(3), [FULL_SPACE, ClopenSet.from_words(["01"])])
+
+    @settings(max_examples=200)
+    @given(
+        rules=st.lists(st.tuples(prefix_free_words, prefix_free_words), min_size=1, max_size=4),
+        words=st.lists(st.text(alphabet="01", max_size=6), min_size=1, max_size=4),
+        points=st.lists(addresses, max_size=8),
+    )
+    def test_random_composites_match_their_stages(self, rules, words, points):
+        stages = tuple(PrefixRewrite(tuple(zip(srcs, dsts))) for srcs, dsts in rules)
+        _assert_matches_stages(ComposedMap(stages), points, [ClopenSet.from_words(words)])

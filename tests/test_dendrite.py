@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantor_coarse import dendrite
+from cantor_coarse import code_space
 from cantor_coarse.code_space import Address, _first_difference, random_address
 from cantor_coarse.coarse_graining import build_hierarchy
 from cantor_coarse.dendrite import (
@@ -349,7 +349,7 @@ class TestSampledPairs:
     def test_refills_continue_the_stream(self, monkeypatch, chunk):
         # a pair takes at least 11 outputs, so these chunk sizes end
         # buffers inside prefix draws, inside symbol runs and between pairs
-        monkeypatch.setattr(dendrite, "_DRAW_CHUNK", chunk)
+        monkeypatch.setattr(code_space, "_DRAW_CHUNK", chunk)
         for max_prefix in (3, 256):
             got = list(itertools.islice(_sampled_pairs(5, max_prefix), 300))
             assert got == _seed_pairs(5, 300, max_prefix), max_prefix
