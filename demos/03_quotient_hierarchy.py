@@ -34,7 +34,7 @@ print("\nstacking three levels over the mu=5 invariant set:")
 tower = build_hierarchy(QuadraticParams(5.0), 3)
 for level in tower:
     name = "S" if level.level == 0 else f"D{level.level}"
-    rep = verify_self_similarity(level, depth=8, samples=200, seed=0)
+    rep = verify_self_similarity(level, samples=200, seed=0)
     print(
         f"  {name:3s} carrier {level.carrier.words}  coverage exact: {rep.coverage_exact}"
         f"  max contraction ratio: {max(rep.max_ratio):.6f} (bound {max(rep.ratio_bound):.6f})"

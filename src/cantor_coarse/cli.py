@@ -38,6 +38,7 @@ from .dendrite import (
 )
 from .quadratic_system import (
     QuadraticParams,
+    WeakContractionSystem,
     hausdorff_distance,
     invariant_cover,
     inverse_branches,
@@ -155,8 +156,7 @@ class CheckRecord:
         }
 
 
-def _statement_checks(cfg: RunConfig) -> tuple[list[CheckRecord], bool]:
-    sys_ = inverse_branches(QuadraticParams(cfg.mu))
+def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list[CheckRecord], bool]:
     report = verify_statement_conditions(sys_)
     records = [
         CheckRecord("statement.i.injective", f"mu={cfg.mu}", report.injective, True, report.injective),
@@ -178,9 +178,11 @@ def _statement_checks(cfg: RunConfig) -> tuple[list[CheckRecord], bool]:
     return records, report.all_pass
 
 
-def _coverage_checks(cfg: RunConfig) -> list[CheckRecord]:
-    sys_ = inverse_branches(QuadraticParams(cfg.mu))
+def _coverage_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list[CheckRecord], list[float]]:
+    """The cover identity and nesting records, and the identity's Hausdorff
+    distance for each n = 0..min(depth, MAX_ENUMERATED_DEPTH), by n."""
     records = []
+    distances = []
     top = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
     cover = invariant_cover(sys_, 0)
     for n in range(top + 1):
@@ -191,8 +193,9 @@ def _coverage_checks(cfg: RunConfig) -> list[CheckRecord]:
             CheckRecord("cover.identity", f"n={n}", dist, cfg.tolerance, dist <= cfg.tolerance)
         )
         records.append(CheckRecord("cover.nested", f"n={n}", nested, True, nested))
+        distances.append(dist)
         cover = next_cover
-    return records
+    return records, distances
 
 
 def _partition_chain(top: int):
@@ -230,10 +233,19 @@ def _partition_checks(cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
-def _hierarchy_checks(cfg: RunConfig) -> list[CheckRecord]:
+def _hierarchy_checks(cfg: RunConfig, identity_distances: list[float]) -> list[CheckRecord]:
+    """Quotient, conjugation and self-similarity records of every floor.
+
+    ``identity_distances`` are the coverage leg's cover-identity distances
+    by n.  Every floor realizes to the same covers, so each floor's
+    coverage record reads the one at the verification depth.
+    """
     tower = build_hierarchy(QuadraticParams(cfg.mu), cfg.levels, cfg.policy())
     records = []
     verify_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
+    # the coverage leg measured n = 0..min(depth, MAX_ENUMERATED_DEPTH), which
+    # reaches verify_depth only while MAX_DOCUMENT_DEPTH <= MAX_ENUMERATED_DEPTH
+    hausdorff = identity_distances[verify_depth]
     for level in tower[1:]:
         quot = level.quotient
         multi = [f for f in quot.multi_fibers if not f.is_singleton]
@@ -252,21 +264,20 @@ def _hierarchy_checks(cfg: RunConfig) -> list[CheckRecord]:
                     len(multi) == expected,
                 )
             )
-        iso = check_isometry(quot, pairs=1000, seed=cfg.seed, expected=tower[level.level - 1].metric)
+        prev = tower[level.level - 1]
+        iso = check_isometry(level, prev, pairs=1000, seed=cfg.seed)
         records.append(CheckRecord("quotient.isometry", f"k={level.level}", iso, True, iso))
-        conj = check_conjugation(level, tower[level.level - 1], seed=cfg.seed)
+        conj = check_conjugation(level, prev, seed=cfg.seed)
         records.append(CheckRecord("hierarchy.conjugation", f"k={level.level}", conj, True, conj))
     for level in tower:
-        rep = verify_self_similarity(
-            level, verify_depth, samples=300, seed=cfg.seed, tolerance=cfg.tolerance
-        )
+        rep = verify_self_similarity(level, samples=300, seed=cfg.seed)
         records.append(
             CheckRecord(
                 "hierarchy.coverage",
                 f"k={level.level} depth={verify_depth}",
-                {"exact": rep.coverage_exact, "hausdorff": rep.hausdorff},
+                {"exact": rep.coverage_exact, "hausdorff": hausdorff},
                 cfg.tolerance,
-                rep.coverage_pass,
+                rep.coverage_exact and hausdorff <= cfg.tolerance,
             )
         )
         records.append(
@@ -322,12 +333,14 @@ def _fiber_soundness(tree: DendriteGraph, depth: int) -> float:
 def run_campaign(cfg: RunConfig) -> dict:
     """Run every verification family and assemble the JSON-ready report."""
     records: list[CheckRecord] = []
-    statement, statement_ok = _statement_checks(cfg)
+    sys_ = inverse_branches(QuadraticParams(cfg.mu))
+    statement, statement_ok = _statement_checks(cfg, sys_)
     records.extend(statement)
-    records.extend(_coverage_checks(cfg))
+    coverage, identity_distances = _coverage_checks(cfg, sys_)
+    records.extend(coverage)
     records.extend(_partition_checks(cfg))
     if statement_ok and cfg.levels >= 1:
-        records.extend(_hierarchy_checks(cfg))
+        records.extend(_hierarchy_checks(cfg, identity_distances))
     elif not statement_ok:
         log.info("statement conditions failed; skipping hierarchy checks")
     records.extend(_dendrite_checks(cfg))
@@ -350,21 +363,25 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     tower = build_hierarchy(QuadraticParams(cfg.mu), cfg.levels, cfg.policy())
     doc_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     cover_depth = _capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH")
-    cover = invariant_cover(inverse_branches(QuadraticParams(cfg.mu)), cover_depth)
+    sys_ = inverse_branches(QuadraticParams(cfg.mu))
+    cover = invariant_cover(sys_, cover_depth)
+    # the realized point set is the same at every floor: labels pull back to
+    # ground addresses, and those realize to these covers
+    hausdorff = hausdorff_distance(
+        refine_cover(sys_, invariant_cover(sys_, doc_depth)), invariant_cover(sys_, doc_depth + 1)
+    )
     levels: dict[str, dict] = {}
     for level in tower:
         name = "S" if level.level == 0 else f"D{level.level}"
         base_len = max((len(w) for w in level.carrier.words), default=0)
-        rep = verify_self_similarity(level, doc_depth, samples=100, seed=cfg.seed, tolerance=cfg.tolerance)
+        rep = verify_self_similarity(level, samples=100, seed=cfg.seed)
         entry: dict = {
             "carrier": list(level.carrier.words),
             "cylinders": list(level.carrier.refine(base_len + doc_depth)) if doc_depth else list(level.carrier.words),
-            # the realized point set is the same at every floor: labels pull
-            # back to ground addresses, and those realize to the cover
             "interval_cover": {"depth": cover_depth, "intervals": cover.intervals.tolist()},
             "modulus_bound": list(level.system.modulus_bound),
             "coverage_exact": rep.coverage_exact,
-            "coverage_hausdorff": rep.hausdorff,
+            "coverage_hausdorff": hausdorff,
             "max_contraction_ratio": list(rep.max_ratio),
         }
         if level.quotient is not None:

@@ -24,22 +24,18 @@ from .code_space import (
     ClopenSet,
     FULL_SPACE,
     _address_stream,
+    clopen_union,
     code_distance,
     compose,
     identity_map,
     map_clopen,
     prepend_map,
-    push_word,
     recode_between,
 )
 from .quadratic_system import (
-    IDENTITY_TOL,
     QuadraticParams,
     WeakContractionSystem,
-    hausdorff_distance,
-    invariant_cover,
     inverse_branches,
-    refine_cover,
     verify_statement_conditions,
 )
 
@@ -167,15 +163,6 @@ class QuotientSpace:
                 return f
         return Fiber(label, (), self.spec)
 
-    def fiber_of_point(self, y: Address) -> Fiber:
-        """The fiber containing an arbitrary carrier point."""
-        return self.fiber(quotient_map(self.spec, y))
-
-    def label_of(self, fiber: Fiber) -> Address:
-        """Inverse of ``fiber``: recover the first-block label."""
-        self.check_member(fiber)
-        return fiber.label
-
     def check_member(self, fiber: Fiber) -> None:
         if fiber.spec != self.spec:
             raise ValueError("foreign fiber")
@@ -257,7 +244,10 @@ class HierarchyLevel:
     ``hom`` recodes the previous carrier onto this one (composing it with
     the fiber map of ``quotient`` gives the floor-to-floor homeomorphism),
     and ``to_base`` pulls label coordinates all the way back to the ground
-    space, which is how the transported metric is evaluated.
+    space, which is how the transported metric is evaluated.  A floor is
+    purely symbolic: labels pull back to ground addresses, so every floor
+    realizes to the same interval covers of the quadratic system, and
+    callers build those once rather than per floor.
     """
 
     level: int
@@ -265,7 +255,6 @@ class HierarchyLevel:
     quotient: QuotientSpace | None
     hom: AddressMap | None
     to_base: AddressMap
-    real_system: WeakContractionSystem = field(repr=False, compare=False)
 
     @property
     def carrier(self) -> ClopenSet:
@@ -284,19 +273,17 @@ class HierarchyLevel:
 
 @dataclass(frozen=True)
 class HierarchyPolicy:
-    """How each floor of the tower is built.
+    """How each floor of the tower is built: the block count of each
+    floor's partition and how the collapsed blocks pick representatives.
 
-    With ``verify_depth`` set, every floor is checked on construction (exact
-    coverage, interval realization, contraction ratios) and a failure raises;
-    left None, verification stays on demand through verify_self_similarity.
+    Building a tower checks nothing beyond the base system's contraction
+    conditions; floors are verified on demand by verify_self_similarity,
+    check_isometry and check_conjugation.
     """
 
     blocks_per_level: int = 2
     representative_policy: str = "distinct"  # distinct | merged | explicit
     explicit_representatives: tuple[tuple[Address, ...], ...] | None = None
-    verify_depth: int | None = None
-    verify_samples: int = 200
-    seed: int = 0
 
     def representatives_for(self, level: int, partition: Partition) -> tuple[tuple[Address, ...], bool]:
         if self.representative_policy == "explicit":
@@ -341,7 +328,6 @@ def build_hierarchy(
             quotient=None,
             hom=None,
             to_base=identity_map(),
-            real_system=real,
         )
     ]
     for k in range(1, levels + 1):
@@ -358,20 +344,8 @@ def build_hierarchy(
                 quotient=quot,
                 hom=g,
                 to_base=compose(g.inverse(), prev.to_base),
-                real_system=real,
             )
         )
-    if policy.verify_depth is not None:
-        for level in tower:
-            rep = verify_self_similarity(
-                level, policy.verify_depth, samples=policy.verify_samples, seed=policy.seed
-            )
-            if not rep.all_pass:
-                raise AssertionError(
-                    f"level {level.level} fails self-similarity verification: "
-                    f"coverage_exact={rep.coverage_exact} hausdorff={rep.hausdorff} "
-                    f"max_ratio={rep.max_ratio}"
-                )
     return tower
 
 
@@ -380,56 +354,30 @@ class SelfSimilarityReport:
     """Checkable self-similarity content of one floor: coverage + contraction."""
 
     level: int
-    depth: int
     coverage_exact: bool
     cylinders_enumerated: int
-    hausdorff: float
     max_ratio: tuple[float, ...]
     ratio_bound: tuple[float, ...]
     ratio_samples: int
-    tolerance: float
-
-    @property
-    def coverage_pass(self) -> bool:
-        return self.coverage_exact and self.hausdorff <= self.tolerance
 
     @property
     def ratio_pass(self) -> bool:
         return all(r <= b for r, b in zip(self.max_ratio, self.ratio_bound))
 
-    @property
-    def all_pass(self) -> bool:
-        return self.coverage_pass and self.ratio_pass
 
+def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int = 0) -> SelfSimilarityReport:
+    """Machine-check one floor of the tower, symbolically.
 
-def verify_self_similarity(
-    level: HierarchyLevel,
-    depth: int,
-    samples: int = 400,
-    seed: int = 0,
-    tolerance: float = IDENTITY_TOL,
-) -> SelfSimilarityReport:
-    """Machine-check one floor of the tower.
-
-    Coverage is checked twice: the branch images of the carrier, pushed
-    through the composed label maps, must union back to the carrier as an
-    exact cylinder identity; and in the interval realization the branch
-    images of the depth-``depth`` cover must match the next cover in
-    Hausdorff distance.  Contraction is checked by sampling address pairs
-    and measuring the transported metric before and after each branch.
+    Coverage: the branch images of the carrier's canonical words, pushed
+    through the composed label maps (which refine a word only where they
+    must), union back to the carrier as an exact cylinder identity.
+    Contraction: sampled address pairs are measured in the transported
+    metric before and after each branch.  The interval realization is the
+    same on every floor and is checked by the caller, once.
     """
     carrier = level.carrier
-    base_len = max((len(w) for w in carrier.words), default=0)
-    refined = carrier.refine(base_len + max(depth, 1))
-    image_words: list[str] = []
-    for branch in level.system.maps:
-        for w in refined:
-            image_words.extend(push_word(branch, w))
-    coverage_exact = ClopenSet.from_words(image_words) == carrier
-
-    cover_n = invariant_cover(level.real_system, depth)
-    cover_next = invariant_cover(level.real_system, depth + 1)
-    hausdorff = hausdorff_distance(refine_cover(level.real_system, cover_n), cover_next)
+    images = [map_clopen(branch, carrier) for branch in level.system.maps]
+    coverage_exact = clopen_union(*images) == carrier
 
     points = _address_stream(seed, 20, carrier)
     max_ratio = [0.0] * level.system.branch_count
@@ -445,14 +393,11 @@ def verify_self_similarity(
             max_ratio[j] = max(max_ratio[j], float(ratio))
     return SelfSimilarityReport(
         level=level.level,
-        depth=depth,
         coverage_exact=coverage_exact,
-        cylinders_enumerated=len(refined) * level.system.branch_count,
-        hausdorff=hausdorff,
+        cylinders_enumerated=len(carrier.words) * level.system.branch_count,
         max_ratio=tuple(max_ratio),
         ratio_bound=tuple(b + RATIO_SLACK for b in level.system.modulus_bound),
         ratio_samples=used,
-        tolerance=tolerance,
     )
 
 
@@ -468,18 +413,20 @@ def check_conjugation(level: HierarchyLevel, prev: HierarchyLevel, samples: int 
     return True
 
 
-def check_isometry(
-    q: QuotientSpace,
-    pairs: int = 1000,
-    seed: int = 0,
-    max_prefix: int = 12,
-    expected: Metric = code_distance,
-) -> bool:
-    """Fiber distance equals the expected point distance, exactly."""
-    first = q.spec.partition.blocks[0]
-    points = _address_stream(seed, max_prefix, first)
+def check_isometry(level: HierarchyLevel, prev: HierarchyLevel, pairs: int = 1000, seed: int = 0) -> bool:
+    """The floor map is an isometry: d_k(h x1, h x2) = d_(k-1)(x1, x2), exactly.
+
+    Sampled pairs of the previous carrier are recoded by ``hom`` and
+    measured in this floor's metric, which pulls them back through the
+    inverse recoding and the flattened ``to_base``; the result must equal
+    the previous floor's distance, which reaches the ground by its own
+    ``to_base``.  A floor whose pull-back disagrees with its recoding fails.
+    """
+    if level.hom is None:
+        raise ValueError("the ground level has no floor map to check")
+    points = _address_stream(seed, 12, prev.carrier)
     for _ in range(pairs):
         x1, x2 = next(points), next(points)
-        if quotient_metric(q, q.fiber(x1), q.fiber(x2)) != expected(x1, x2):
+        if level.metric(level.hom(x1), level.hom(x2)) != prev.metric(x1, x2):
             return False
     return True

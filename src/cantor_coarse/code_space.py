@@ -166,9 +166,6 @@ class Cylinder:
     def max_address(self) -> Address:
         return Address(self.word, "1")
 
-    def diameter(self) -> Fraction:
-        return Fraction(1, 3 ** len(self.word))
-
 
 def _canonical_words(words) -> tuple[str, ...]:
     """The unique maximal-cylinder form of a union of cylinders, sorted.

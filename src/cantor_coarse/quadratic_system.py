@@ -31,6 +31,7 @@ __all__ = [
     "itinerary_point",
     "logistic",
     "modulus_sum_threshold",
+    "refine_cover",
     "verify_statement_conditions",
 ]
 
@@ -245,12 +246,6 @@ class IntervalCover:
         if np.any(idx < 0):
             return False
         return bool(np.all(hi <= other.intervals[idx, 1]))
-
-    def endpoint_distance(self, other: "IntervalCover") -> float:
-        """Max absolute endpoint difference; requires equal interval counts."""
-        if len(self) != len(other):
-            raise ValueError("covers have different interval counts")
-        return float(np.max(np.abs(self.intervals - other.intervals)))
 
 
 def _branch_images(sys: WeakContractionSystem, intervals: np.ndarray) -> np.ndarray:

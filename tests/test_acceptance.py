@@ -128,14 +128,14 @@ def test_criterion_5_conjugation_at_all_levels():
     ok = True
     worst_ratio = 0.0
     for level in tower:
-        rep = verify_self_similarity(level, 10, samples=400, seed=0)
+        rep = verify_self_similarity(level, samples=400, seed=0)
         ok &= rep.coverage_exact
         worst_ratio = max(worst_ratio, *rep.max_ratio)
         ok &= all(r <= bound for r in rep.max_ratio)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0
     report(
-        "criterion 5 (conjugation, k<=3, depth 10)",
+        "criterion 5 (conjugation, k<=3)",
         ok,
         f"coverage exact at all levels, max ratio={worst_ratio:.6f} <= {bound:.6f}, {elapsed:.2f}s",
     )

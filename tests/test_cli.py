@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cantor_coarse import cli
+from cantor_coarse import cli, coarse_graining
 from cantor_coarse.cli import (
     RunConfig,
     _dump,
@@ -24,7 +24,8 @@ from cantor_coarse.cli import (
     run_campaign,
 )
 from cantor_coarse.clopen_partition import build_partition
-from cantor_coarse.code_space import FULL_SPACE
+from cantor_coarse.code_space import FULL_SPACE, compose, prepend_map
+from cantor_coarse.quadratic_system import IntervalCover
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -178,6 +179,54 @@ class TestPartitionChecks:
         monkeypatch.setattr(cli, "refine_block", lambda p, i, n: refine(p, i, 3 if p.size == 5 else n))
         laws = _partition_checks(RunConfig())[0]
         assert (laws.measured, laws.passed) == (5, False)
+
+
+class TestCoverageRecords:
+    """Each floor's hierarchy.coverage record: the symbolic identity of the
+    floor and the interval identity measured once by the coverage leg."""
+
+    @pytest.mark.parametrize("depth", [0, 3, 10, 12, 20])
+    def test_floors_read_the_identity_at_the_verify_depth(self, monkeypatch, depth):
+        real = cli.refine_cover
+
+        def drifting(sys_, cover):
+            # off by 1e-11 per depth step: every n measures its own distance
+            out = real(sys_, cover)
+            return IntervalCover(out.depth, out.intervals + 1e-11 * out.depth)
+
+        monkeypatch.setattr(cli, "refine_cover", drifting)
+        cfg = RunConfig(depth=depth, dendrite_depth=0)
+        checks = run_campaign(cfg)["checks"]
+        identity = {c["location"]: c["measured"] for c in checks if c["id"] == "cover.identity"}
+        assert len(set(identity.values())) == len(identity)
+        want = identity[f"n={min(depth, 10)}"]
+        coverage = [c for c in checks if c["id"] == "hierarchy.coverage"]
+        assert len(coverage) == cfg.levels + 1
+        for c in coverage:
+            assert c["measured"] == {"exact": True, "hausdorff": want}
+            assert not c["passed"]
+        doc = cli.hierarchy_document(cfg)
+        assert [e["coverage_hausdorff"] for e in doc["levels"].values()] == [want] * (cfg.levels + 1)
+
+    def test_a_branch_missing_its_image_fails_every_floor(self, monkeypatch):
+        real = coarse_graining.base_system
+
+        def broken(sys_):
+            # the second branch lands inside the first one's image
+            good = real(sys_)
+            return coarse_graining.SymbolicSystem(
+                maps=(prepend_map("0"), compose(prepend_map("0"), prepend_map("1"))),
+                carrier=good.carrier,
+                modulus_bound=good.modulus_bound,
+            )
+
+        monkeypatch.setattr(coarse_graining, "base_system", broken)
+        checks = run_campaign(RunConfig(depth=4, dendrite_depth=0))["checks"]
+        coverage = [c for c in checks if c["id"] == "hierarchy.coverage"]
+        assert len(coverage) == 3
+        for c in coverage:
+            assert c["measured"] == {"exact": False, "hausdorff": 0.0}
+            assert not c["passed"]
 
 
 class TestDepthCaps:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,17 +13,21 @@ from cantor_coarse.code_space import (
     Address,
     ClopenSet,
     FULL_SPACE,
+    _address_stream,
     code_distance,
     compose,
     identity_map,
     map_clopen,
     prepend_map,
+    push_word,
     random_address,
     recode_homeomorphism,
 )
 from cantor_coarse.coarse_graining import (
+    HierarchyLevel,
     HierarchyPolicy,
     QuotientSpec,
+    SymbolicSystem,
     base_system,
     build_hierarchy,
     build_quotient,
@@ -133,11 +138,11 @@ class TestQuotientSpace:
     def test_fiber_membership_and_labels(self):
         spec = two_block_spec()
         space = build_quotient(spec)
-        fib = space.fiber_of_point(Address("10", "1"))
+        fib = space.fiber(quotient_map(spec, Address("10", "1")))
         assert fib.contains(Address("1", "0"))
         assert fib.contains(spec.representatives[0])
         assert not fib.contains(Address("00", "0"))
-        assert space.label_of(fib) == spec.representatives[0]
+        assert fib.label == spec.representatives[0]
 
     def test_fiber_requires_first_block_point(self):
         space = build_quotient(two_block_spec())
@@ -175,7 +180,12 @@ class TestQuotientMetric:
             quotient_metric(space2, foreign, foreign)
 
     def test_isometry_on_random_pairs(self):
-        assert check_isometry(build_quotient(two_block_spec()), pairs=1000, seed=0)
+        spec = two_block_spec()
+        space = build_quotient(spec)
+        points = _address_stream(0, 12, spec.partition.blocks[0])
+        for _ in range(1000):
+            x1, x2 = next(points), next(points)
+            assert quotient_metric(space, space.fiber(x1), space.fiber(x2)) == code_distance(x1, x2)
 
 
 class TestConjugateSystem:
@@ -285,13 +295,32 @@ class TestHierarchy:
         )
         assert tower[1].quotient.spec.representatives == reps[0]
 
-    def test_verifying_policy_checks_every_level_on_build(self):
-        tower = build_hierarchy(MU5, 2, HierarchyPolicy(verify_depth=6, verify_samples=50))
-        assert len(tower) == 3  # a failure would have raised
-
     def test_isometry_at_level_one_is_exact(self):
         tower = build_hierarchy(MU5, 1)
-        assert check_isometry(tower[1].quotient, pairs=1000, seed=0, expected=code_distance)
+        space = tower[1].quotient
+        points = _address_stream(0, 12, space.spec.partition.blocks[0])
+        for _ in range(1000):
+            x1, x2 = next(points), next(points)
+            assert quotient_metric(space, space.fiber(x1), space.fiber(x2)) == code_distance(x1, x2)
+
+    @pytest.mark.parametrize("policy", ["distinct", "merged"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_floor_maps_are_isometries(self, n, policy):
+        tower = build_hierarchy(MU5, 3, HierarchyPolicy(blocks_per_level=n, representative_policy=policy))
+        for prev, level in zip(tower, tower[1:]):
+            assert check_isometry(level, prev, pairs=200, seed=level.level)
+
+    def test_isometry_detects_a_wrong_pull_back(self):
+        tower = build_hierarchy(MU5, 2)
+        assert check_isometry(tower[2], tower[1])
+        # floor 2 pulled back by floor 1's map measures a third of the distance
+        broken = dataclasses.replace(tower[2], to_base=tower[1].to_base)
+        assert not check_isometry(broken, tower[1])
+
+    def test_isometry_needs_a_floor_map(self):
+        tower = build_hierarchy(MU5, 1)
+        with pytest.raises(ValueError, match="no floor map"):
+            check_isometry(tower[0], tower[0])
 
     def test_fibers_partition_the_carrier(self):
         tower = build_hierarchy(MU5, 1)
@@ -309,34 +338,61 @@ class TestHierarchy:
         assert multi_labels <= set(seen.values())
 
 
+def refined_coverage(level, extra: int) -> bool:
+    """Reference coverage identity: every branch image of the carrier
+    refined ``extra`` symbols below its deepest word, pushed word by word."""
+    carrier = level.carrier
+    base_len = max(len(w) for w in carrier.words)
+    image_words = []
+    for branch in level.system.maps:
+        for w in carrier.refine(base_len + extra):
+            image_words.extend(push_word(branch, w))
+    return ClopenSet.from_words(image_words) == carrier
+
+
+def broken_level() -> HierarchyLevel:
+    """A ground floor whose second branch misses the carrier's right half."""
+    broken = SymbolicSystem(
+        maps=(prepend_map("0"), compose(prepend_map("0"), prepend_map("1"))),
+        carrier=FULL_SPACE,
+        modulus_bound=(0.45, 0.45),
+    )
+    return HierarchyLevel(level=0, system=broken, quotient=None, hom=None, to_base=identity_map())
+
+
 class TestSelfSimilarity:
     def test_reports_pass_on_all_levels(self):
         tower = build_hierarchy(MU5, 3)
         for level in tower:
-            report = verify_self_similarity(level, 8, samples=150, seed=0)
+            report = verify_self_similarity(level, samples=150, seed=0)
             assert report.coverage_exact
-            assert report.hausdorff <= 1e-12
             assert report.ratio_pass
             assert all(r <= 1.0 / 5.0**0.5 + 1e-9 for r in report.max_ratio)
 
     def test_coverage_detects_a_broken_system(self):
-        from cantor_coarse.coarse_graining import SymbolicSystem, HierarchyLevel
-
-        broken = SymbolicSystem(
-            maps=(prepend_map("0"), compose(prepend_map("0"), prepend_map("1"))),
-            carrier=FULL_SPACE,
-            modulus_bound=(0.45, 0.45),
-        )
-        level = HierarchyLevel(
-            level=0,
-            system=broken,
-            quotient=None,
-            hom=None,
-            to_base=identity_map(),
-            real_system=inverse_branches(MU5),
-        )
-        report = verify_self_similarity(level, 4, samples=30, seed=0)
+        report = verify_self_similarity(broken_level(), samples=30, seed=0)
         assert not report.coverage_exact
+        assert not any(refined_coverage(broken_level(), extra) for extra in range(1, 5))
+
+    @pytest.mark.parametrize("policy", ["distinct", "merged", "explicit"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_canonical_coverage_matches_the_refined_identity(self, n, policy):
+        explicit = None
+        if policy == "explicit":
+            # carriers do not depend on the representatives, so a distinct
+            # tower shows every floor's first block; list them reversed
+            shape = build_hierarchy(MU5, 4, HierarchyPolicy(blocks_per_level=n))
+            explicit = tuple(tuple(reversed(lv.quotient.spec.representatives)) for lv in shape[1:])
+        chosen = HierarchyPolicy(blocks_per_level=n, representative_policy=policy, explicit_representatives=explicit)
+        for levels in range(5):
+            for level in build_hierarchy(MU5, levels, chosen):
+                # the floor itself, and the floor with its first branch twice,
+                # whose images miss the second branch's share of the carrier
+                first_twice = dataclasses.replace(level.system, maps=(level.system.maps[0],) * 2)
+                for floor in (level, dataclasses.replace(level, system=first_twice)):
+                    verdict = verify_self_similarity(floor, samples=1).coverage_exact
+                    for extra in range(1, 5):
+                        assert verdict == refined_coverage(floor, extra), (levels, level.level, extra)
 
     def test_union_of_branch_images_is_the_carrier(self):
         tower = build_hierarchy(MU5, 2)

@@ -197,7 +197,9 @@ class TestInvariantCover:
         cover = invariant_cover(sys5, 0)
         for n in range(15):
             target = invariant_cover(sys5, n + 1)
-            assert refine_cover(sys5, cover).endpoint_distance(target) < 1e-12
+            refined = refine_cover(sys5, cover)
+            assert len(refined) == len(target)
+            assert np.max(np.abs(refined.intervals - target.intervals)) < 1e-12
             cover = target
 
     def test_overlapping_branches_rejected(self):
