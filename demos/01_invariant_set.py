@@ -4,8 +4,6 @@ Run from the repository root after an editable install (pip install -e .),
 or with PYTHONPATH=src.
 """
 
-import numpy as np
-
 from cantor_coarse import (
     QuadraticParams,
     hausdorff_distance,
@@ -42,7 +40,7 @@ print("\nnested interval covers of the invariant set:")
 previous = invariant_cover(system, 0)
 for n in range(1, 7):
     cover = invariant_cover(system, n)
-    width = float(np.max(cover.intervals[:, 1] - cover.intervals[:, 0]))
+    width = max(hi - lo for lo, hi in cover.intervals)
     drift = hausdorff_distance(previous, cover)
     print(f"  depth {n}: {len(cover):3d} intervals, widest {width:.6f}, "
           f"Hausdorff step {drift:.6f}, nested: {cover.subset_of(previous)}")

@@ -378,7 +378,7 @@ def hierarchy_document(cfg: RunConfig) -> dict:
         entry: dict = {
             "carrier": list(level.carrier.words),
             "cylinders": list(level.carrier.refine(base_len + doc_depth)) if doc_depth else list(level.carrier.words),
-            "interval_cover": {"depth": cover_depth, "intervals": cover.intervals.tolist()},
+            "interval_cover": {"depth": cover_depth, "intervals": [list(iv) for iv in cover.intervals]},
             "modulus_bound": list(level.system.modulus_bound),
             "coverage_exact": rep.coverage_exact,
             "coverage_hausdorff": hausdorff,

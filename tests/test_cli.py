@@ -192,7 +192,8 @@ class TestCoverageRecords:
         def drifting(sys_, cover):
             # off by 1e-11 per depth step: every n measures its own distance
             out = real(sys_, cover)
-            return IntervalCover(out.depth, out.intervals + 1e-11 * out.depth)
+            shift = 1e-11 * out.depth
+            return IntervalCover(out.depth, [(lo + shift, hi + shift) for lo, hi in out.intervals])
 
         monkeypatch.setattr(cli, "refine_cover", drifting)
         cfg = RunConfig(depth=depth, dendrite_depth=0)
@@ -363,6 +364,17 @@ class TestSubprocessHarness:
             env=env,
             timeout=300,
         )
+
+    def test_cli_import_leaves_numpy_out(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import cantor_coarse.cli, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_exit_zero_on_pass(self, tmp_path):
         proc = self._run("verify", *FAST, "--out", str(tmp_path))

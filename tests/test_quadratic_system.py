@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 
-import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cantor_coarse.code_space import Address
 from cantor_coarse.quadratic_system import (
     IntervalCover,
     QuadraticParams,
     WeakContractionSystem,
+    _directed_hausdorff,
     hausdorff_distance,
     invariant_cover,
     inverse_branches,
@@ -69,9 +72,8 @@ class TestInverseBranches:
     def test_modulus_matches_grid_maximization(self):
         # oracle: maximize |f'| = 1/(mu*sqrt(1-4y/mu)) over a dense grid
         mu = 5.0
-        ys = np.linspace(0.0, 1.0, 1_000_001)
-        deriv = 1.0 / (mu * np.sqrt(1.0 - 4.0 * ys / mu))
-        observed = float(np.max(deriv))
+        ys = [i / 1_000_000 for i in range(1_000_001)]
+        observed = max(1.0 / (mu * math.sqrt(1.0 - 4.0 * y / mu)) for y in ys)
         closed_form = 1.0 / math.sqrt(mu * (mu - 4.0))
         assert abs(observed - closed_form) < 1e-9
         assert inverse_branches(MU5).modulus_inf == (closed_form, closed_form)
@@ -86,9 +88,9 @@ class TestInverseBranches:
 
     def test_branch_ranges_fix_the_coding_orientation(self):
         sys5 = inverse_branches(MU5)
-        ys = np.linspace(0.0, 1.0, 1001)
-        assert np.all(sys5.branches[0](ys) <= 0.5)
-        assert np.all(sys5.branches[1](ys) >= 0.5)
+        ys = [i / 1000 for i in range(1001)]
+        assert all(sys5.branches[0](y) <= 0.5 for y in ys)
+        assert all(sys5.branches[1](y) >= 0.5 for y in ys)
 
     def test_lipschitz_bound_on_random_pairs(self):
         sys5 = inverse_branches(MU5)
@@ -131,9 +133,27 @@ class TestStatementConditions:
         assert report.not_singleton is False
         assert report.injective is True
 
+    def test_fold_wider_than_one_grid_step_fails_injectivity(self):
+        # a 3e-4 wide fold, a little over the 1/4096 grid step, in an
+        # otherwise increasing branch
+        def folded(y):
+            return 0.25 * y - 0.5 * max(0.0, 3e-4 - abs(y - 0.3))
+
+        def high(y):
+            return 0.75 + 0.25 * y
+
+        def system(low):
+            return toy_system(low, high, (0.0, 1.0), (0.25, 0.25))
+
+        assert verify_statement_conditions(system(lambda y: 0.25 * y)).injective
+        report = verify_statement_conditions(system(folded))
+        assert report.injective is False
+        assert not report.branch_checks[0].strictly_monotone
+        assert report.branch_checks[1].strictly_monotone
+
     def test_non_monotone_branch_fails_injectivity(self):
         sys_ = toy_system(
-            lambda y: 0.25 + 0.1 * np.sin(6.0 * y),
+            lambda y: 0.25 + 0.1 * math.sin(6.0 * y),
             lambda y: 0.75 + 0.2 * (y - 0.5) ** 2,
             (),
             (0.6, 0.4),
@@ -142,21 +162,38 @@ class TestStatementConditions:
         assert report.injective is False
 
 
+class TestSubsetOf:
+    OTHER = IntervalCover(0, [(0.1, 0.4), (0.5, 0.9)])
+
+    def test_interval_straddling_two_intervals(self):
+        assert not IntervalCover(0, [(0.3, 0.6)]).subset_of(self.OTHER)
+
+    def test_interval_starting_before_the_first(self):
+        assert not IntervalCover(0, [(0.0, 0.2)]).subset_of(self.OTHER)
+        assert not IntervalCover(0, [(0.05, 0.08)]).subset_of(self.OTHER)
+
+    def test_shared_endpoints_are_contained(self):
+        assert IntervalCover(0, [(0.1, 0.4), (0.5, 0.5), (0.9, 0.9)]).subset_of(self.OTHER)
+
+    def test_interval_past_the_last(self):
+        assert not IntervalCover(0, [(0.6, 0.95)]).subset_of(self.OTHER)
+        assert not IntervalCover(0, [(0.95, 1.0)]).subset_of(self.OTHER)
+
+
 class TestInvariantCover:
     def test_depth_zero_is_the_carrier(self):
         c = invariant_cover(inverse_branches(MU5), 0)
         assert len(c) == 1
-        assert c.intervals.tolist() == [[0.0, 1.0]]
+        assert c.intervals == ((0.0, 1.0),)
 
     def test_depth_one_endpoints(self):
         c = invariant_cover(inverse_branches(MU5), 1)
         f1_1 = 0.5 * (1.0 - math.sqrt(0.2))
-        assert c.intervals == pytest.approx(
-            np.array([[0.0, f1_1], [1.0 - f1_1, 1.0]]), abs=1e-15
-        )
+        (lo0, hi0), (lo1, hi1) = c.intervals
+        assert [lo0, hi0, lo1, hi1] == pytest.approx([0.0, f1_1, 1.0 - f1_1, 1.0], abs=1e-15)
         # the inner endpoints are the full preimages of 1
-        assert logistic(MU5, c.intervals[0, 1]) == pytest.approx(1.0, abs=1e-9)
-        assert logistic(MU5, c.intervals[1, 0]) == pytest.approx(1.0, abs=1e-9)
+        assert logistic(MU5, hi0) == pytest.approx(1.0, abs=1e-9)
+        assert logistic(MU5, lo1) == pytest.approx(1.0, abs=1e-9)
 
     def test_depth_two_against_word_enumeration(self):
         sys5 = inverse_branches(MU5)
@@ -170,7 +207,7 @@ class TestInvariantCover:
             expected.append((lo, hi))
         expected.sort()
         assert len(c2) == 4
-        assert c2.intervals == pytest.approx(np.array(expected), abs=0.0)
+        assert c2.intervals == tuple(expected)
 
     def test_counts_and_nesting_to_depth_14(self):
         sys5 = inverse_branches(MU5)
@@ -188,9 +225,9 @@ class TestInvariantCover:
         for n in range(0, 9):
             coarse = invariant_cover(sys5, n)
             fine = invariant_cover(sys5, n + 1)
-            idx = np.searchsorted(coarse.intervals[:, 0], fine.intervals[:, 0], side="right") - 1
-            counts = np.bincount(idx, minlength=len(coarse))
-            assert np.all(counts == 2)
+            starts = [lo for lo, _ in coarse.intervals]
+            idx = [bisect_right(starts, lo) - 1 for lo, _ in fine.intervals]
+            assert sorted(idx) == [k for k in range(len(coarse)) for _ in range(2)]
 
     def test_coverage_identity_to_depth_14(self):
         sys5 = inverse_branches(MU5)
@@ -199,7 +236,11 @@ class TestInvariantCover:
             target = invariant_cover(sys5, n + 1)
             refined = refine_cover(sys5, cover)
             assert len(refined) == len(target)
-            assert np.max(np.abs(refined.intervals - target.intervals)) < 1e-12
+            assert max(
+                abs(r - t)
+                for r_iv, t_iv in zip(refined.intervals, target.intervals)
+                for r, t in zip(r_iv, t_iv)
+            ) < 1e-12
             cover = target
 
     def test_overlapping_branches_rejected(self):
@@ -250,23 +291,79 @@ class TestItinerary:
             itinerary_point(inverse_branches(MU5), Address("", "0"), 0)
 
 
-def brute_force_hausdorff(a: np.ndarray, b: np.ndarray, samples: int = 100_000) -> float:
+def brute_force_hausdorff(a, b, samples: int = 100_000) -> float:
     def points_of(ivs):
         pts = []
-        total = float(np.sum(ivs[:, 1] - ivs[:, 0]))
+        total = sum(hi - lo for lo, hi in ivs)
         for lo, hi in ivs:
             count = max(int(samples * (hi - lo) / total) if total else 1, 2)
-            pts.append(np.linspace(lo, hi, count))
-        return np.concatenate(pts)
+            pts.extend(lo + (hi - lo) * i / (count - 1) for i in range(count))
+        return pts
 
     def directed(xs, ivs):
-        best = np.full(xs.shape, np.inf)
+        best = [math.inf] * len(xs)
         for lo, hi in ivs:
-            d = np.where(xs < lo, lo - xs, np.where(xs > hi, xs - hi, 0.0))
-            best = np.minimum(best, d)
-        return float(np.max(best))
+            d = [lo - x if x < lo else (x - hi if x > hi else 0.0) for x in xs]
+            best = list(map(min, best, d))
+        return max(best)
 
     return max(directed(points_of(a), b), directed(points_of(b), a))
+
+
+def reference_distance_to_union(x: float, ivs) -> float:
+    """Distance from x to a sorted disjoint closed interval union, one
+    binary search per point."""
+    flat = [e for iv in ivs for e in iv]
+    idx = bisect_left(flat, x)
+    if idx % 2 == 1 or (idx < len(flat) and flat[idx] == x):
+        return 0.0
+    left = x - flat[idx - 1] if idx > 0 else math.inf
+    right = flat[idx] - x if idx < len(flat) else math.inf
+    return min(left, right)
+
+
+def reference_directed_hausdorff(a, b) -> float:
+    """sup over A of the distance to B, taken over the endpoints of A and
+    the gap midpoints of B that lie in A."""
+    candidates = [e for iv in a for e in iv]
+    mids = [0.5 * (b[k][1] + b[k + 1][0]) for k in range(len(b) - 1)]
+    candidates += [m for m in mids if reference_distance_to_union(m, a) == 0.0]
+    return max(reference_distance_to_union(x, b) for x in candidates)
+
+
+@st.composite
+def grid_unions(draw):
+    """A sorted disjoint closed union with endpoints on the grid k/24, so
+    that two draws often share endpoints; an odd cut count ends in a point."""
+    cuts = sorted(draw(st.sets(st.integers(0, 24), min_size=1, max_size=9)))
+    cuts = [k / 24 for k in cuts]
+    if len(cuts) % 2:
+        cuts.append(cuts[-1])
+    return [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)]
+
+
+class TestHausdorffSweep:
+    @settings(max_examples=400, deadline=None)
+    @given(grid_unions(), grid_unions())
+    @example([(0.0, 1.0)], [(0.0, 0.25), (0.75, 1.0)])
+    @example([(0.4, 0.6)], [(0.0, 0.1), (0.9, 1.0)])
+    @example([(0.0, 0.1), (0.9, 1.0)], [(0.4, 0.6)])
+    @example([(0.2, 0.3), (0.5, 0.7)], [(0.3, 0.5), (0.7, 0.9)])
+    @example([(0.5, 0.5)], [(0.25, 0.25)])
+    def test_sweep_equals_per_point_search(self, a, b):
+        ca, cb = IntervalCover(0, a), IntervalCover(0, b)
+        assert _directed_hausdorff(ca.intervals, cb.intervals) == reference_directed_hausdorff(a, b)
+        assert _directed_hausdorff(cb.intervals, ca.intervals) == reference_directed_hausdorff(b, a)
+        assert hausdorff_distance(ca, cb) == max(
+            reference_directed_hausdorff(a, b), reference_directed_hausdorff(b, a)
+        )
+
+    def test_sweep_equals_per_point_search_on_invariant_covers(self):
+        sys5 = inverse_branches(MU5)
+        for n in range(8):
+            a, b = invariant_cover(sys5, n).intervals, invariant_cover(sys5, n + 1).intervals
+            assert _directed_hausdorff(a, b) == reference_directed_hausdorff(a, b)
+            assert _directed_hausdorff(b, a) == reference_directed_hausdorff(b, a)
 
 
 class TestHausdorff:
@@ -306,7 +403,7 @@ class TestHausdorff:
 
     def test_empty_cover_rejected(self):
         with pytest.raises(ValueError):
-            IntervalCover(0, np.zeros((0, 2)))
+            IntervalCover(0, [])
 
 
 class TestWeakContractionSystemValidation:
