@@ -13,39 +13,20 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from .clopen_partition import build_partition, flatten_refinement, refine_block
-from .coarse_graining import (
-    HierarchyPolicy,
-    build_hierarchy,
-    check_conjugation,
-    check_isometry,
-    verify_self_similarity,
-)
-from .code_space import FULL_SPACE, Address
-from .dendrite import (
-    DendriteGraph,
-    check_continuity_modulus,
-    check_surjectivity,
-    dendrite_map,
-    fiber_of,
-)
-from .quadratic_system import (
-    QuadraticParams,
-    WeakContractionSystem,
-    hausdorff_distance,
-    invariant_cover,
-    inverse_branches,
-    refine_cover,
-    verify_statement_conditions,
-)
-from .svg import cantor_bars_svg, dendrite_svg, hierarchy_svg
+if TYPE_CHECKING:
+    from .code_space import Address
+    from .coarse_graining import HierarchyPolicy
+    from .dendrite import DendriteGraph
+    from .quadratic_system import WeakContractionSystem
 
 __all__ = ["CheckRecord", "RunConfig", "main", "run_campaign"]
 
@@ -86,6 +67,10 @@ class RunConfig:
     def validate(self) -> None:
         if not self.mu > 4:
             raise ValueError("mu must exceed 4")
+        # nan and -inf fail the bound above; math.isfinite would raise
+        # OverflowError on an integer mu too large for a float
+        if self.mu == math.inf:
+            raise ValueError("mu must be finite")
         if not 0 <= self.depth <= 30:
             raise ValueError("depth must lie in 0..30")
         if not 1 <= self.partition_n <= 64:
@@ -100,6 +85,8 @@ class RunConfig:
             raise ValueError(f"representative policy must be one of {_POLICIES}")
 
     def policy(self) -> HierarchyPolicy:
+        from .coarse_graining import HierarchyPolicy
+
         return HierarchyPolicy(
             blocks_per_level=self.partition_n,
             representative_policy=self.representatives,
@@ -128,6 +115,8 @@ def load_config(config_path: str | None, **overrides) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "explicit_representatives" in data and data["explicit_representatives"] is not None:
+            from .code_space import Address
+
             data["explicit_representatives"] = tuple(
                 tuple(Address(a["prefix"], a["tail"]) for a in level)
                 for level in data["explicit_representatives"]
@@ -157,6 +146,8 @@ class CheckRecord:
 
 
 def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list[CheckRecord], bool]:
+    from .quadratic_system import verify_statement_conditions
+
     report = verify_statement_conditions(sys_)
     records = [
         CheckRecord("statement.i.injective", f"mu={cfg.mu}", report.injective, True, report.injective),
@@ -181,6 +172,8 @@ def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list
 def _coverage_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list[CheckRecord], list[float]]:
     """The cover identity and nesting records, and the identity's Hausdorff
     distance for each n = 0..min(depth, MAX_ENUMERATED_DEPTH), by n."""
+    from .quadratic_system import hausdorff_distance, invariant_cover, refine_cover
+
     records = []
     distances = []
     top = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
@@ -204,6 +197,9 @@ def _partition_chain(top: int):
     The induction step of ``build_partition``: splitting the last block of
     the validated n-block partition gives the (n + 1)-block one.
     """
+    from .clopen_partition import build_partition, flatten_refinement, refine_block
+    from .code_space import FULL_SPACE
+
     p = build_partition(FULL_SPACE, 1)
     yield p
     while p.size < top:
@@ -212,6 +208,9 @@ def _partition_chain(top: int):
 
 
 def _partition_checks(cfg: RunConfig) -> list[CheckRecord]:
+    from .clopen_partition import build_partition, flatten_refinement, refine_block
+    from .code_space import FULL_SPACE
+
     records = []
     # worst: the largest n reached before a step fails or adds other than one block
     worst = 0
@@ -240,6 +239,9 @@ def _hierarchy_checks(cfg: RunConfig, identity_distances: list[float]) -> list[C
     by n.  Every floor realizes to the same covers, so each floor's
     coverage record reads the one at the verification depth.
     """
+    from .coarse_graining import build_hierarchy, check_conjugation, check_isometry, verify_self_similarity
+    from .quadratic_system import QuadraticParams
+
     tower = build_hierarchy(QuadraticParams(cfg.mu), cfg.levels, cfg.policy())
     records = []
     verify_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
@@ -293,6 +295,8 @@ def _hierarchy_checks(cfg: RunConfig, identity_distances: list[float]) -> list[C
 
 
 def _dendrite_checks(cfg: RunConfig) -> list[CheckRecord]:
+    from .dendrite import DendriteGraph, check_continuity_modulus, check_surjectivity
+
     tree = DendriteGraph(cfg.dendrite_depth)
     records = []
     conserved = tree.tour_length == 2 * tree.total_edge_length
@@ -322,6 +326,8 @@ def _dendrite_checks(cfg: RunConfig) -> list[CheckRecord]:
 def _fiber_soundness(tree: DendriteGraph, depth: int) -> float:
     from fractions import Fraction
 
+    from .dendrite import dendrite_map, fiber_of
+
     worst = Fraction(0)
     for v in tree.vertices:
         p = tree.vertex_point(v)
@@ -332,6 +338,8 @@ def _fiber_soundness(tree: DendriteGraph, depth: int) -> float:
 
 def run_campaign(cfg: RunConfig) -> dict:
     """Run every verification family and assemble the JSON-ready report."""
+    from .quadratic_system import QuadraticParams, inverse_branches
+
     records: list[CheckRecord] = []
     sys_ = inverse_branches(QuadraticParams(cfg.mu))
     statement, statement_ok = _statement_checks(cfg, sys_)
@@ -360,6 +368,15 @@ def run_campaign(cfg: RunConfig) -> dict:
 
 def hierarchy_document(cfg: RunConfig) -> dict:
     """Serialize the tower: carriers, homeomorphism rules, moduli, distances."""
+    from .coarse_graining import build_hierarchy, verify_self_similarity
+    from .quadratic_system import (
+        QuadraticParams,
+        hausdorff_distance,
+        invariant_cover,
+        inverse_branches,
+        refine_cover,
+    )
+
     tower = build_hierarchy(QuadraticParams(cfg.mu), cfg.levels, cfg.policy())
     doc_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     cover_depth = _capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH")
@@ -489,10 +506,18 @@ def hierarchy(config_path, **overrides) -> None:
 @_config_options
 def render(config_path, **overrides) -> None:
     """Write the Cantor-bar, hierarchy and dendrite SVG renderings."""
+    from .coarse_graining import build_hierarchy
+    from .dendrite import DendriteGraph, fiber_of
+    from .quadratic_system import QuadraticParams, invariant_cover, inverse_branches, refine_cover
+    from .svg import cantor_bars_svg, dendrite_svg, hierarchy_svg
+
     cfg = _build_config(config_path, **overrides)
     sys_ = inverse_branches(QuadraticParams(cfg.mu))
     bar_depth = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
-    covers = [invariant_cover(sys_, n) for n in range(bar_depth + 1)]
+    # refining the depth-n cover gives the floats of invariant_cover(n + 1)
+    covers = [invariant_cover(sys_, 0)]
+    for _ in range(bar_depth):
+        covers.append(refine_cover(sys_, covers[-1]))
     out_dir = Path(cfg.out)
     _write_text(out_dir / "cantor_bars.svg", cantor_bars_svg(covers))
 
@@ -515,6 +540,9 @@ def render(config_path, **overrides) -> None:
 @_config_options
 def partition(config_path, **overrides) -> None:
     """Write the clopen partition of the full space into n blocks."""
+    from .clopen_partition import build_partition
+    from .code_space import FULL_SPACE
+
     cfg = _build_config(config_path, **overrides)
     p = build_partition(FULL_SPACE, cfg.partition_n)
     doc = {
@@ -532,6 +560,8 @@ def partition(config_path, **overrides) -> None:
 @_config_options
 def dendrite(config_path, **overrides) -> None:
     """Write the dendrite structure and per-vertex fiber counts."""
+    from .dendrite import DendriteGraph, fiber_of
+
     cfg = _build_config(config_path, **overrides)
     tree = DendriteGraph(cfg.dendrite_depth)
     fiber_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .code_space import (
     Address,
@@ -31,7 +32,9 @@ from .code_space import (
     _trusted_address,
     map_clopen,
 )
-from .coarse_graining import HierarchyLevel
+
+if TYPE_CHECKING:
+    from .coarse_graining import HierarchyLevel
 
 __all__ = [
     "DendriteFiber",

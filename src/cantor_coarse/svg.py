@@ -6,8 +6,11 @@ fixed precision, so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-from .dendrite import DendriteGraph
-from .quadratic_system import IntervalCover
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .dendrite import DendriteGraph
+    from .quadratic_system import IntervalCover
 
 __all__ = ["cantor_bars_svg", "dendrite_svg", "hierarchy_svg"]
 
@@ -27,16 +30,16 @@ def cantor_bars_svg(covers: list[IntervalCover]) -> str:
         f'height="{_f(height)}" viewBox="0 0 {_f(_W + 2 * margin)} {_f(height)}">',
         f'<rect width="{_f(_W + 2 * margin)}" height="{_f(height)}" fill="white"/>',
     ]
+    bar_h = _f(row_h)
     for n, cover in enumerate(covers):
-        y = margin + n * (row_h + gap)
+        y = _f(margin + n * (row_h + gap))
         lines.append(f'<g class="bar-row" data-depth="{cover.depth}">')
-        for lo, hi in cover.intervals:
-            x = margin + lo * _W
-            w = max((hi - lo) * _W, 0.35)
-            lines.append(
-                f'<rect class="bar" x="{_f(x)}" y="{_f(y)}" '
-                f'width="{_f(w)}" height="{_f(row_h)}" fill="#1f4e79"/>'
-            )
+        # 2**n bars a row: x and width formatted inline, with _f's spec
+        lines.extend(
+            f'<rect class="bar" x="{margin + lo * _W:.4f}" y="{y}" '
+            f'width="{max((hi - lo) * _W, 0.35):.4f}" height="{bar_h}" fill="#1f4e79"/>'
+            for lo, hi in cover.intervals
+        )
         lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

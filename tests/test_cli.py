@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cantor_coarse import cli, coarse_graining
+from cantor_coarse import cli, clopen_partition, coarse_graining, quadratic_system
 from cantor_coarse.cli import (
     RunConfig,
     _dump,
@@ -163,20 +163,20 @@ class TestPartitionChecks:
 
     @pytest.mark.parametrize("last", [1, 10, 63])
     def test_failing_step_reports_the_last_n_reached(self, monkeypatch, last):
-        flatten = cli.flatten_refinement
+        flatten = clopen_partition.flatten_refinement
 
         def failing_after_last(p, index, refinement):
             if p.size == last:
                 raise ValueError("blocks overlap")
             return flatten(p, index, refinement)
 
-        monkeypatch.setattr(cli, "flatten_refinement", failing_after_last)
+        monkeypatch.setattr(clopen_partition, "flatten_refinement", failing_after_last)
         laws = _partition_checks(RunConfig())[0]
         assert (laws.measured, laws.passed) == (last, False)
 
     def test_step_adding_two_blocks_fails(self, monkeypatch):
-        refine = cli.refine_block
-        monkeypatch.setattr(cli, "refine_block", lambda p, i, n: refine(p, i, 3 if p.size == 5 else n))
+        refine = clopen_partition.refine_block
+        monkeypatch.setattr(clopen_partition, "refine_block", lambda p, i, n: refine(p, i, 3 if p.size == 5 else n))
         laws = _partition_checks(RunConfig())[0]
         assert (laws.measured, laws.passed) == (5, False)
 
@@ -187,7 +187,7 @@ class TestCoverageRecords:
 
     @pytest.mark.parametrize("depth", [0, 3, 10, 12, 20])
     def test_floors_read_the_identity_at_the_verify_depth(self, monkeypatch, depth):
-        real = cli.refine_cover
+        real = quadratic_system.refine_cover
 
         def drifting(sys_, cover):
             # off by 1e-11 per depth step: every n measures its own distance
@@ -195,7 +195,7 @@ class TestCoverageRecords:
             shift = 1e-11 * out.depth
             return IntervalCover(out.depth, [(lo + shift, hi + shift) for lo, hi in out.intervals])
 
-        monkeypatch.setattr(cli, "refine_cover", drifting)
+        monkeypatch.setattr(quadratic_system, "refine_cover", drifting)
         cfg = RunConfig(depth=depth, dendrite_depth=0)
         checks = run_campaign(cfg)["checks"]
         identity = {c["location"]: c["measured"] for c in checks if c["id"] == "cover.identity"}
@@ -427,3 +427,33 @@ class TestSubprocessHarness:
         first = (out / "verification_report.json").read_bytes()
         self._run("verify", *FAST, "--out", str(out))
         assert (out / "verification_report.json").read_bytes() == first
+
+
+class TestNonFiniteMu:
+    """``mu`` ranges over (4, inf): an infinite or NaN ``mu`` is a usage
+    error for every command, before any work runs."""
+
+    @pytest.mark.parametrize("command", ["verify", "hierarchy", "render", "partition", "dendrite"])
+    @pytest.mark.parametrize(
+        "mu, message",
+        [("inf", "mu must be finite"), ("-inf", "mu must exceed 4"), ("nan", "mu must exceed 4"), ("3", "mu must exceed 4")],
+    )
+    def test_usage_error(self, tmp_path, command, mu, message):
+        result = invoke([command, "--mu", mu, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert f"invalid configuration: {message}" in result.output
+        assert not list(tmp_path.iterdir())
+
+    def test_validate_rejects_infinity(self):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            RunConfig(mu=float("inf")).validate()
+        # finite however large, and no OverflowError from the check itself
+        RunConfig(mu=10**400).validate()
+
+    def test_config_file_infinity(self, tmp_path):
+        # JSON reads 1e400 as inf
+        config = tmp_path / "cfg.json"
+        config.write_text('{"mu": 1e400}')
+        result = invoke(["partition", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "mu must be finite" in result.output
