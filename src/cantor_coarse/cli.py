@@ -67,10 +67,18 @@ class RunConfig:
     def validate(self) -> None:
         if not self.mu > 4:
             raise ValueError("mu must exceed 4")
-        # nan and -inf fail the bound above; math.isfinite would raise
-        # OverflowError on an integer mu too large for a float
-        if self.mu == math.inf:
+        # nan and -inf fail the bound above; an integer mu too large for a
+        # float, which a JSON config can give, overflows math.isfinite
+        try:
+            finite = math.isfinite(self.mu)
+        except OverflowError:
+            raise ValueError("mu is too large for a float") from None
+        if not finite:
             raise ValueError("mu must be finite")
+        for name in ("depth", "partition_n", "levels", "dendrite_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.depth <= 30:
             raise ValueError("depth must lie in 0..30")
         if not 1 <= self.partition_n <= 64:
@@ -83,6 +91,15 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.representatives not in _POLICIES:
             raise ValueError(f"representative policy must be one of {_POLICIES}")
+        if self.representatives == "explicit":
+            reps = self.explicit_representatives
+            if reps is None:
+                raise ValueError("the explicit policy needs explicit_representatives")
+            if len(reps) < self.levels:
+                raise ValueError(f"explicit_representatives has {len(reps)} lists for {self.levels} levels")
+            for k, level in enumerate(reps[: self.levels], start=1):
+                if len(level) != self.partition_n - 1:
+                    raise ValueError(f"level {k} needs {self.partition_n - 1} representatives, got {len(level)}")
 
     def policy(self) -> HierarchyPolicy:
         from .coarse_graining import HierarchyPolicy

@@ -12,7 +12,7 @@ space, first quotient, quotient of the quotient, and so on.
 
 from __future__ import annotations
 
-import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -23,13 +23,13 @@ from .code_space import (
     AddressMap,
     ClopenSet,
     FULL_SPACE,
-    _address_stream,
     clopen_union,
     code_distance,
     compose,
     identity_map,
     map_clopen,
     prepend_map,
+    random_address,
     recode_between,
 )
 from .quadratic_system import (
@@ -371,19 +371,21 @@ def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int 
     Coverage: the branch images of the carrier's canonical words, pushed
     through the composed label maps (which refine a word only where they
     must), union back to the carrier as an exact cylinder identity.
-    Contraction: sampled address pairs are measured in the transported
-    metric before and after each branch.  The interval realization is the
-    same on every floor and is checked by the caller, once.
+    Contraction: address pairs drawn by ``random_address`` from
+    ``random.Random(seed)`` are measured in the transported metric before
+    and after each branch; each ratio is exact, so no report depends on
+    which pairs are drawn.  The interval realization is the same on every
+    floor and is checked by the caller, once.
     """
     carrier = level.carrier
     images = [map_clopen(branch, carrier) for branch in level.system.maps]
     coverage_exact = clopen_union(*images) == carrier
 
-    points = _address_stream(seed, 20, carrier)
+    rng = random.Random(seed)
     max_ratio = [0.0] * level.system.branch_count
     used = 0
     while used < samples:
-        y1, y2 = next(points), next(points)
+        y1, y2 = random_address(rng, 20, carrier), random_address(rng, 20, carrier)
         if y1 == y2:
             continue
         used += 1
@@ -402,11 +404,15 @@ def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int 
 
 
 def check_conjugation(level: HierarchyLevel, prev: HierarchyLevel, samples: int = 100, seed: int = 0) -> bool:
-    """Pointwise round trip h^-1 o f^k o h = f^(k-1) on sampled points."""
+    """Pointwise round trip h^-1 o f^k o h = f^(k-1), exactly, on ``samples``
+    points of the previous carrier drawn by ``random_address`` from
+    ``random.Random(seed)``."""
     if level.hom is None:
         raise ValueError("the ground level has no conjugation to check")
     inv = level.hom.inverse()
-    for x in itertools.islice(_address_stream(seed, 20, prev.carrier), samples):
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = random_address(rng, 20, prev.carrier)
         for p_prev, p_conj in zip(prev.system.maps, level.system.maps):
             if inv(p_conj(level.hom(x))) != p_prev(x):
                 return False
@@ -416,17 +422,18 @@ def check_conjugation(level: HierarchyLevel, prev: HierarchyLevel, samples: int 
 def check_isometry(level: HierarchyLevel, prev: HierarchyLevel, pairs: int = 1000, seed: int = 0) -> bool:
     """The floor map is an isometry: d_k(h x1, h x2) = d_(k-1)(x1, x2), exactly.
 
-    Sampled pairs of the previous carrier are recoded by ``hom`` and
-    measured in this floor's metric, which pulls them back through the
-    inverse recoding and the flattened ``to_base``; the result must equal
-    the previous floor's distance, which reaches the ground by its own
-    ``to_base``.  A floor whose pull-back disagrees with its recoding fails.
+    Pairs of the previous carrier, drawn by ``random_address`` from
+    ``random.Random(seed)``, are recoded by ``hom`` and measured in this
+    floor's metric, which pulls them back through the inverse recoding and
+    the flattened ``to_base``; the result must equal the previous floor's
+    distance, which reaches the ground by its own ``to_base``.  A floor
+    whose pull-back disagrees with its recoding fails.
     """
     if level.hom is None:
         raise ValueError("the ground level has no floor map to check")
-    points = _address_stream(seed, 12, prev.carrier)
+    rng = random.Random(seed)
     for _ in range(pairs):
-        x1, x2 = next(points), next(points)
+        x1, x2 = random_address(rng, 12, prev.carrier), random_address(rng, 12, prev.carrier)
         if level.metric(level.hom(x1), level.hom(x2)) != prev.metric(x1, x2):
             return False
     return True

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from typing import Iterator
 
 __all__ = [
     "Address",
@@ -492,118 +490,17 @@ def map_clopen(m, cs: ClopenSet) -> ClopenSet:
 
 
 def random_address(rng: random.Random, max_prefix: int = 20, within: ClopenSet | None = None) -> Address:
-    """A random eventually constant address, optionally inside ``within``."""
+    """A random eventually constant address, optionally inside ``within``.
+
+    Draws a word of ``within`` with ``rng.choice``, the body length ``n``
+    with ``rng.randrange(max_prefix + 1)``, then the body and the tail
+    symbol as the ``n + 1`` bits of one ``rng.getrandbits``.
+    """
     base = ""
     if within is not None:
         if within.is_empty:
             raise ValueError("empty subspace")
         base = rng.choice(within.words)
     n = rng.randrange(max_prefix + 1)
-    body = "".join(rng.choice(_SYMBOLS) for _ in range(n))
-    return Address(base + body, rng.choice(_SYMBOLS))
-
-
-# 32-bit generator outputs per bulk draw of ``_Draws``, read when one is
-# made, so a test can shrink it to put refills anywhere
-_DRAW_CHUNK = 8192
-
-# the top byte of a 32-bit output -> the symbol ``choice("01")`` makes of
-# it: top bits 00 give "0", 01 give "1", and 1x are redrawn ("x")
-_SYMBOL_OF_TOP_BYTE = bytes(b"01xx"[b >> 6] for b in range(256))
-
-
-class _Draws:
-    """The draws of ``random.Random(seed)``, decoded from bulk outputs.
-
-    Decoding follows CPython's draw contract for ``random.Random``
-    (Mersenne Twister, checked on 3.10 to 3.13):
-
-    - ``getrandbits(k)`` for k <= 32 is the top k bits of the next 32-bit
-      output, and ``getrandbits(32 * c)`` packs the next c outputs, the
-      first one least significant;
-    - ``randrange(m)`` is ``getrandbits(m.bit_length())``, redrawn when the
-      value is ``>= m``, and ``choice(seq)`` is ``seq[randrange(len(seq))]``;
-    - so ``choice("01")`` is ``getrandbits(2)``, redrawn on 2 or 3.
-
-    ``below(m)`` is ``randrange(m)``.  ``symbols(count)`` is ``count``
-    calls of ``choice("01")``: each output's top byte becomes its symbol
-    class, and one regex per count finds the run of outputs that yields
-    ``count`` accepted symbols.  A range of more than 32 bits would take
-    several outputs per draw and is refused.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._rng = random.Random(seed)
-        self._chunk = _DRAW_CHUNK
-        self._raw = b""  # undecoded outputs, 4 little-endian bytes each
-        self._classes = ""  # the symbol class of each output in _raw
-        self._pos = 0  # the next undecoded output
-        self._runs: dict[int, re.Pattern] = {}
-
-    def _refill(self) -> None:
-        chunk = self._chunk
-        self._raw = self._raw[4 * self._pos:] + self._rng.getrandbits(32 * chunk).to_bytes(4 * chunk, "little")
-        self._classes = self._raw[3::4].translate(_SYMBOL_OF_TOP_BYTE).decode("ascii")
-        self._pos = 0
-
-    def below(self, m: int) -> int:
-        bits = m.bit_length()
-        if m < 1:
-            raise ValueError("empty range for randrange()")
-        if bits > 32:
-            raise ValueError(f"draw range {m} must be below 2**32")
-        small = bits <= 8  # then the output's top byte holds the draw
-        shift = (8 if small else 32) - bits
-        raw, pos = self._raw, self._pos
-        while True:
-            i = 4 * pos
-            if i == len(raw):
-                self._refill()
-                raw, pos, i = self._raw, 0, 0
-            r = (raw[i + 3] if small else int.from_bytes(raw[i:i + 4], "little")) >> shift
-            pos += 1
-            if r < m:
-                self._pos = pos
-                return r
-
-    def symbols(self, count: int) -> str:
-        run = self._runs.get(count)
-        if run is None:
-            run = self._runs[count] = re.compile("(?:x*[01]){%d}" % count)
-        while (match := run.match(self._classes, self._pos)) is None:
-            self._refill()
-        start, self._pos = self._pos, match.end()
-        return self._classes[start:self._pos].replace("x", "")
-
-
-def _address_stream(seed: int, max_prefix: int = 20, within: ClopenSet | None = None) -> Iterator[Address]:
-    """Endless ``random_address(rng, max_prefix, within)`` results for
-    ``rng = random.Random(seed)``, in order, decoded by ``_Draws``.
-
-    The first decoded address is checked against ``random_address`` itself:
-    where ``random`` breaks the contract ``_Draws`` decodes, the stream
-    calls ``random_address`` for every point instead, so the sampled points
-    never depend on that contract.
-    """
-    decoded = _decoded_addresses(seed, max_prefix, within)
-    first = next(decoded)
-    rng = random.Random(seed)
-    reference = random_address(rng, max_prefix, within)
-    if first == reference:
-        return itertools.chain((first,), decoded)
-    return itertools.chain((reference,), iter(lambda: random_address(rng, max_prefix, within), None))
-
-
-def _decoded_addresses(seed: int, max_prefix: int, within: ClopenSet | None):
-    """The addresses of ``_address_stream``, decoded by ``_Draws``."""
-    words = None
-    if within is not None:
-        if within.is_empty:
-            raise ValueError("empty subspace")
-        words = within.words
-    draws = _Draws(seed)
-    below, symbols = draws.below, draws.symbols
-    while True:
-        base = "" if words is None else words[below(len(words))]
-        body = symbols(below(max_prefix + 1) + 1)  # the prefix body, then the tail
-        yield _trusted_address(base + body[:-1], body[-1])
+    symbols = format(rng.getrandbits(n + 1), f"0{n + 1}b")
+    return _trusted_address(base + symbols[:-1], symbols[-1])

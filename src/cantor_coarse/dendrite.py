@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +28,6 @@ from .code_space import (
     Address,
     ClopenSet,
     Cylinder,
-    _Draws,
     _first_difference,
     _trusted_address,
     map_clopen,
@@ -438,24 +438,17 @@ def check_surjectivity(tree: DendriteGraph, depth: int) -> bool:
     return all(fiber_of(tree, p, depth).cylinders for p in points)
 
 
-def _sampled_pairs(seed: int, max_prefix: int):
-    """Endless seeded pairs of distinct addresses sharing a random prefix.
+def _sampled_pairs(rng: random.Random, max_prefix: int):
+    """Endless pairs of distinct addresses sharing a random prefix.
 
-    The pairs are those of the loop
-
-        rng = random.Random(seed)
-        shared = "".join(rng.choice("01") for _ in range(rng.randrange(max_prefix)))
-        a = Address(shared + 4 x rng.choice("01"), rng.choice("01"))
-        b = the same as a
-        yield (a, b) unless a == b
-
-    decoded from bulk draws by ``code_space._Draws``: a pair's symbols are
-    the shared prefix, then 4 symbols and a tail per address.
+    Each pair draws ``shared = rng.randrange(max_prefix)``, then the bits of
+    one ``rng.getrandbits(shared + 10)``: the shared prefix, then 4 prefix
+    symbols and a tail symbol for each address.  A pair that comes out equal
+    is skipped.
     """
-    draws = _Draws(seed)
     while True:
-        shared = draws.below(max_prefix)
-        symbols = draws.symbols(shared + 10)
+        shared = rng.randrange(max_prefix)
+        symbols = format(rng.getrandbits(shared + 10), f"0{shared + 10}b")
         a = _trusted_address(symbols[:shared + 4], symbols[shared + 4])
         b = _trusted_address(symbols[:shared] + symbols[shared + 5:-1], symbols[-1])
         if a != b:
@@ -489,14 +482,15 @@ def check_continuity_modulus(
     """Modulus of continuity: pairs agreeing on their first m symbols land
     within tour_length * 2**-m of each other on the tree.
 
-    Checked on ``pairs`` seeded pairs sharing a prefix shorter than
-    ``max_prefix``, and on one pair straddling each tour break.  Exact, in
+    Checked on ``pairs`` pairs sharing a prefix shorter than ``max_prefix``,
+    drawn from ``random.Random(seed)`` by ``_sampled_pairs``, and on one
+    pair straddling each tour break.  Exact, in
     units of 3**-depth * 2**-K with K the longer prefix: both binary values
     are whole multiples of 2**-K there, and the bound is
     ``tour ticks << (K - m)``.
     """
     total = tree._break_ticks[-1]
-    sampled = itertools.islice(_sampled_pairs(seed, max_prefix), pairs)
+    sampled = itertools.islice(_sampled_pairs(random.Random(seed), max_prefix), pairs)
     for a, b in itertools.chain(sampled, _break_pairs(tree)):
         m = _first_difference(a, b)
         k = max(len(a.prefix), len(b.prefix), m)

@@ -447,8 +447,9 @@ class TestNonFiniteMu:
     def test_validate_rejects_infinity(self):
         with pytest.raises(ValueError, match="mu must be finite"):
             RunConfig(mu=float("inf")).validate()
-        # finite however large, and no OverflowError from the check itself
-        RunConfig(mu=10**400).validate()
+        # an integer too large for a float is a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match="mu is too large for a float"):
+            RunConfig(mu=10**400).validate()
 
     def test_config_file_infinity(self, tmp_path):
         # JSON reads 1e400 as inf
@@ -457,3 +458,60 @@ class TestNonFiniteMu:
         result = invoke(["partition", "--config", str(config), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "mu must be finite" in result.output
+
+
+REP = {"prefix": "000", "tail": "0"}
+MALFORMED_CONFIGS = {
+    "depth-12.5": {"depth": 12.5},
+    "levels-1.0": {"levels": 1.0},
+    "partition_n-2.0": {"partition_n": 2.0},
+    "dendrite_depth-2.0": {"dendrite_depth": 2.0},
+    "depth-true": {"depth": True},
+    "mu-10**400": {"mu": 10**400},
+    "explicit-without-lists": {"representatives": "explicit"},
+    "explicit-one-list-for-two-levels": {"representatives": "explicit", "explicit_representatives": [[REP]]},
+    "explicit-one-rep-for-three-blocks": {
+        "representatives": "explicit",
+        "levels": 1,
+        "partition_n": 3,
+        "explicit_representatives": [[REP]],
+    },
+}
+
+
+class TestMalformedConfig:
+    """A config that names a value of the wrong type, or an explicit policy
+    without a representative list of the right length for every floor, is a
+    usage error for every command, before any work runs."""
+
+    @pytest.mark.parametrize("command", ["verify", "hierarchy", "render", "partition", "dendrite"])
+    @pytest.mark.parametrize("config", list(MALFORMED_CONFIGS))
+    def test_usage_error(self, tmp_path, command, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(MALFORMED_CONFIGS[config]))
+        out = tmp_path / "out"
+        result = invoke([command, "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # a usage error, not an escaped exception
+        assert "invalid configuration" in result.stderr
+        assert not out.exists()
+
+    def test_explicit_flag_without_lists(self, tmp_path):
+        result = invoke(["verify", "--representatives", "explicit", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "invalid configuration: the explicit policy needs explicit_representatives" in result.stderr
+
+    def test_integer_mu_is_echoed(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"mu": 5}')
+        result = invoke(["partition", "--config", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        assert '"mu": 5,' in (tmp_path / "partition.json").read_text()
+
+    def test_explicit_lists_beyond_the_tower_are_not_checked(self):
+        from cantor_coarse.code_space import Address
+
+        reps = ((Address("000", "0"),), ())
+        RunConfig(representatives="explicit", explicit_representatives=reps, levels=1).validate()
+        with pytest.raises(ValueError, match="level 2 needs 1 representatives, got 0"):
+            RunConfig(representatives="explicit", explicit_representatives=reps, levels=2).validate()

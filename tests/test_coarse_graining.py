@@ -13,7 +13,6 @@ from cantor_coarse.code_space import (
     Address,
     ClopenSet,
     FULL_SPACE,
-    _address_stream,
     code_distance,
     compose,
     identity_map,
@@ -182,9 +181,10 @@ class TestQuotientMetric:
     def test_isometry_on_random_pairs(self):
         spec = two_block_spec()
         space = build_quotient(spec)
-        points = _address_stream(0, 12, spec.partition.blocks[0])
+        first = spec.partition.blocks[0]
+        rng = random.Random(0)
         for _ in range(1000):
-            x1, x2 = next(points), next(points)
+            x1, x2 = random_address(rng, 12, first), random_address(rng, 12, first)
             assert quotient_metric(space, space.fiber(x1), space.fiber(x2)) == code_distance(x1, x2)
 
 
@@ -263,6 +263,15 @@ class TestHierarchy:
         for k in range(1, 4):
             assert check_conjugation(tower[k], tower[k - 1], samples=60, seed=k)
 
+    def test_conjugation_detects_a_swapped_branch(self):
+        tower = build_hierarchy(MU5, 2)
+        for k in (1, 2):
+            level = tower[k]
+            maps = level.system.maps
+            broken = dataclasses.replace(level, system=dataclasses.replace(level.system, maps=(maps[1], maps[1])))
+            assert check_conjugation(level, tower[k - 1])
+            assert not check_conjugation(broken, tower[k - 1]), k
+
     def test_floor_map_h_lands_on_fibers(self):
         tower = build_hierarchy(MU5, 1)
         level = tower[1]
@@ -298,9 +307,10 @@ class TestHierarchy:
     def test_isometry_at_level_one_is_exact(self):
         tower = build_hierarchy(MU5, 1)
         space = tower[1].quotient
-        points = _address_stream(0, 12, space.spec.partition.blocks[0])
+        first = space.spec.partition.blocks[0]
+        rng = random.Random(0)
         for _ in range(1000):
-            x1, x2 = next(points), next(points)
+            x1, x2 = random_address(rng, 12, first), random_address(rng, 12, first)
             assert quotient_metric(space, space.fiber(x1), space.fiber(x2)) == code_distance(x1, x2)
 
     @pytest.mark.parametrize("policy", ["distinct", "merged"])

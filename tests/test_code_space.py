@@ -7,13 +7,11 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantor_coarse import code_space
 from cantor_coarse.clopen_partition import build_partition
 from cantor_coarse.coarse_graining import HierarchyPolicy, build_hierarchy
 from cantor_coarse.code_space import (
@@ -24,9 +22,7 @@ from cantor_coarse.code_space import (
     FULL_SPACE,
     OutsideDomainError,
     PrefixRewrite,
-    _address_stream,
     _canonical_words,
-    _Draws,
     clopen_complement,
     clopen_union,
     code_distance,
@@ -493,7 +489,7 @@ class TestMaps:
             assert carrier.contains(random_address(rng, 10, carrier))
 
 
-STREAM_CARRIERS = {
+SAMPLER_CARRIERS = {
     "none": None,
     "full": FULL_SPACE,
     "one-word": ClopenSet.from_words(["0110"]),
@@ -502,62 +498,44 @@ STREAM_CARRIERS = {
 }
 
 
-class TestAddressStream:
-    """The bulk-decoded stream against the ``random_address`` loop."""
+class TestRandomAddress:
+    """``random_address`` draws a carrier word, a body length and then the
+    body and the tail; each draw must reach its whole range."""
 
-    def test_long_stream_spans_refills(self):
-        # about 16 outputs per address: several full buffers
-        rng = random.Random(0)
-        want = [random_address(rng, 31) for _ in range(5000)]
-        assert list(itertools.islice(_address_stream(0, 31), 5000)) == want
-
-    @pytest.mark.parametrize("chunk", [None, 1, 2, 7])
-    @pytest.mark.parametrize("carrier", list(STREAM_CARRIERS))
-    def test_matches_the_random_address_loop(self, monkeypatch, carrier, chunk):
-        # 1-, 2- and 7-output buffers end inside the carrier-word draw, the
-        # prefix-length draw and the symbol run, and between addresses
-        if chunk is not None:
-            monkeypatch.setattr(code_space, "_DRAW_CHUNK", chunk)
-        within = STREAM_CARRIERS[carrier]
-        for seed in range(10):
-            for max_prefix in (0, 1, 12, 20, 31):
-                rng = random.Random(seed)
-                want = [random_address(rng, max_prefix, within) for _ in range(60)]
-                got = list(itertools.islice(_address_stream(seed, max_prefix, within), 60))
-                assert [(a.prefix, a.tail) for a in got] == [(a.prefix, a.tail) for a in want], (seed, max_prefix)
-
-    def test_below_is_randrange(self, monkeypatch):
-        monkeypatch.setattr(code_space, "_DRAW_CHUNK", 3)
-        for m in (1, 2, 3, 21, 255, 256, 300, 2**31, 2**32 - 1):
-            rng, draws = random.Random(m), _Draws(m)
-            assert [draws.below(m) for _ in range(50)] == [rng.randrange(m) for _ in range(50)], m
-
-    def test_ranges_wider_than_32_bits_raise(self):
-        with pytest.raises(ValueError, match="below 2\\*\\*32"):
-            _Draws(0).below(2**32)
-        with pytest.raises(ValueError, match="below 2\\*\\*32"):
-            next(_address_stream(0, 2**32 - 1))  # randrange(max_prefix + 1) needs 33 bits
-        wide = SimpleNamespace(is_empty=False, words=range(2**32))  # too many words to build
-        with pytest.raises(ValueError, match="below 2\\*\\*32"):
-            next(_address_stream(0, 20, wide))
-
-    def test_falls_back_to_random_address_when_decoding_disagrees(self, monkeypatch):
-        # a decoder whose symbols come out swapped stands in for a ``random``
-        # that draws otherwise than ``_Draws`` decodes
-        swapped = code_space._SYMBOL_OF_TOP_BYTE.translate(bytes.maketrans(b"01", b"10"))
-        monkeypatch.setattr(code_space, "_SYMBOL_OF_TOP_BYTE", swapped)
-        for seed in range(5):
+    @pytest.mark.parametrize("max_prefix", [0, 5, 20])
+    @pytest.mark.parametrize("carrier", list(SAMPLER_CARRIERS))
+    def test_draws_cover_words_lengths_and_tails(self, carrier, max_prefix):
+        within = SAMPLER_CARRIERS[carrier]
+        words = within.words if within is not None else ("",)
+        for seed in range(3):
             rng = random.Random(seed)
-            want = [random_address(rng, 20, FULL_SPACE) for _ in range(60)]
-            assert list(itertools.islice(_address_stream(seed, 20, FULL_SPACE), 60)) == want, seed
+            points = [random_address(rng, max_prefix, within) for _ in range(3000)]
+            rng = random.Random(seed)
+            assert [random_address(rng, max_prefix, within) for _ in range(3000)] == points, seed
+            seen_words, lengths = set(), set()
+            for a in points:
+                # the carrier words are prefix-free: one holds the point
+                (w,) = [w for w in words if a.starts_with(w)]
+                seen_words.add(w)
+                # the body adds max_prefix symbols at most; a body ending in
+                # the tail symbol is trimmed, so shorter prefixes also occur
+                lengths.add(len(a.prefix) - len(w))
+            assert seen_words == set(words), seed
+            assert max(lengths) == max_prefix and lengths >= set(range(max_prefix + 1)), seed
+            assert {a.tail for a in points} == {"0", "1"}, seed
 
-    def test_empty_ranges_raise_like_random_address(self):
+    def test_seeds_differ(self):
+        streams = []
+        for seed in range(3):
+            rng = random.Random(seed)
+            streams.append([random_address(rng, 20) for _ in range(50)])
+        assert streams[0] != streams[1] != streams[2] != streams[0]
+
+    def test_empty_ranges_raise(self):
         with pytest.raises(ValueError, match="empty range"):
             random_address(random.Random(0), -1)
-        with pytest.raises(ValueError, match="empty range"):
-            next(_address_stream(0, -1))
         with pytest.raises(ValueError, match="empty subspace"):
-            next(_address_stream(0, 20, ClopenSet(())))
+            random_address(random.Random(0), 20, ClopenSet(()))
 
 
 class _Staged:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantor_coarse import code_space
+from cantor_coarse import dendrite
 from cantor_coarse.code_space import Address, _first_difference, random_address
 from cantor_coarse.coarse_graining import build_hierarchy
 from cantor_coarse.dendrite import (
@@ -41,20 +41,6 @@ def _reference_tour_point(tree: DendriteGraph, t: Fraction):
     if direction == "down":
         return tree.point(child, delta)
     return tree.point(child, tree.edge_length(child) - delta)
-
-
-def _seed_pairs(seed: int, pairs: int, max_prefix: int = 24) -> list[tuple[Address, Address]]:
-    """The continuity check's pairs, drawn by its original inline loop."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < pairs:
-        shared = "".join(rng.choice("01") for _ in range(rng.randrange(max_prefix)))
-        a = Address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
-        b = Address(shared + "".join(rng.choice("01") for _ in range(4)), rng.choice("01"))
-        if a == b:
-            continue
-        out.append((a, b))
-    return out
 
 
 def _tick_distance(tree: DendriteGraph, a: Address, b: Address) -> Fraction:
@@ -267,7 +253,7 @@ class TestTickGeometry:
         rng = random.Random(7)
         for depth in range(9):
             t = DendriteGraph(depth)
-            pairs = _seed_pairs(depth, 200) + [
+            pairs = list(itertools.islice(_sampled_pairs(random.Random(depth), 24), 200)) + [
                 (random_address(rng, 30), random_address(rng, 30)) for _ in range(200)
             ]
             for a, b in pairs:
@@ -292,10 +278,6 @@ class TestTickGeometry:
             for a, b in pairs:
                 assert _tick_distance(t, a, b) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
 
-    def test_sampled_pairs_match_the_inline_loop(self):
-        for seed in range(10):
-            assert list(itertools.islice(_sampled_pairs(seed, 24), 30_000)) == _seed_pairs(seed, 30_000), seed
-
     def test_longer_leaf_edge_fails(self):
         for depth in (1, 2, 4, 8):
             for seed in range(5):
@@ -314,6 +296,24 @@ class TestTickGeometry:
         root[2] += 1
         t.__dict__["_root_ticks"] = tuple(root)
         assert not check_continuity_modulus(t)
+
+    @pytest.mark.parametrize("fault", ["longer-leaf-edge", "wrong-root-distance"])
+    def test_sampled_pairs_alone_catch_a_fault(self, monkeypatch, fault):
+        # without the break pairs the check rests on its seeded pairs
+        monkeypatch.setattr(dendrite, "_break_pairs", lambda tree: iter(()))
+        for seed in range(5):
+            t = DendriteGraph(4)
+            t._break_ticks, t._root_ticks  # built before the fault, as in the tests above
+            if fault == "longer-leaf-edge":
+                edges = list(t._edge_ticks)
+                edges[t.vertex_count] *= 2
+                t.__dict__["_edge_ticks"] = tuple(edges)
+            else:
+                root = list(t._root_ticks)
+                root[2] += 1
+                t.__dict__["_root_ticks"] = tuple(root)
+            assert not check_continuity_modulus(t, seed=seed), seed
+        assert check_continuity_modulus(DendriteGraph(4))
 
 
 class TestBreakPairs:
@@ -335,34 +335,46 @@ class TestBreakPairs:
         assert list(_break_pairs(DendriteGraph(0))) == []
 
 
+class _RecordingRandom:
+    """A seeded generator that keeps every ``randrange`` result."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+        self.ranges: list[int] = []
+
+    def randrange(self, stop: int) -> int:
+        self.ranges.append(self._rng.randrange(stop))
+        return self.ranges[-1]
+
+    def getrandbits(self, k: int) -> int:
+        return self._rng.getrandbits(k)
+
+
 class TestSampledPairs:
-    """The bulk decoder against the inline ``rng.choice`` loop, beyond
-    the default ``max_prefix``."""
+    """Each pair draws its shared prefix length, then its symbols."""
 
-    @pytest.mark.parametrize("max_prefix", [1, 2, 3, 24, 31, 256])
-    def test_matches_the_loop_for_each_max_prefix(self, max_prefix):
-        for seed in (0, 1):
-            got = list(itertools.islice(_sampled_pairs(seed, max_prefix), 1_000))
-            assert got == _seed_pairs(seed, 1_000, max_prefix), (seed, max_prefix)
+    @pytest.mark.parametrize("max_prefix", [1, 2, 24])
+    def test_pairs_share_the_drawn_prefix(self, max_prefix):
+        for seed in range(3):
+            rng = _RecordingRandom(seed)
+            pairs = _sampled_pairs(rng, max_prefix)
+            shares = set()
+            for _ in range(3000):
+                a, b = next(pairs)
+                shared = rng.ranges[-1]  # a pair drawn equal is skipped, so read the last draw
+                shares.add(shared)
+                assert a != b and a.symbols(shared) == b.symbols(shared), (seed, shared, a, b)
+                assert len(a.prefix) <= shared + 4 and len(b.prefix) <= shared + 4, (seed, shared, a, b)
+            assert shares == set(range(max_prefix)), seed
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
-    def test_refills_continue_the_stream(self, monkeypatch, chunk):
-        # a pair takes at least 11 outputs, so these chunk sizes end
-        # buffers inside prefix draws, inside symbol runs and between pairs
-        monkeypatch.setattr(code_space, "_DRAW_CHUNK", chunk)
-        for max_prefix in (3, 256):
-            got = list(itertools.islice(_sampled_pairs(5, max_prefix), 300))
-            assert got == _seed_pairs(5, 300, max_prefix), max_prefix
+    def test_one_seed_repeats_its_pairs(self):
+        first = list(itertools.islice(_sampled_pairs(random.Random(5), 24), 500))
+        assert list(itertools.islice(_sampled_pairs(random.Random(5), 24), 500)) == first
 
     @pytest.mark.parametrize("max_prefix", [0, -3])
     def test_empty_prefix_range_raises(self, max_prefix):
         with pytest.raises(ValueError, match="empty range"):
-            next(_sampled_pairs(0, max_prefix))
-
-    @pytest.mark.parametrize("max_prefix", [2**32, 2**40])
-    def test_prefix_range_above_32_bits_raises(self, max_prefix):
-        with pytest.raises(ValueError, match="below 2\\*\\*32"):
-            next(_sampled_pairs(0, max_prefix))
+            next(_sampled_pairs(random.Random(0), max_prefix))
 
 
 class TestFibers:
