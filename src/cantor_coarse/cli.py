@@ -75,7 +75,7 @@ class RunConfig:
             raise ValueError("mu is too large for a float") from None
         if not finite:
             raise ValueError("mu must be finite")
-        for name in ("depth", "partition_n", "levels", "dendrite_depth"):
+        for name in ("depth", "partition_n", "levels", "dendrite_depth", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -97,9 +97,18 @@ class RunConfig:
                 raise ValueError("the explicit policy needs explicit_representatives")
             if len(reps) < self.levels:
                 raise ValueError(f"explicit_representatives has {len(reps)} lists for {self.levels} levels")
+            from .clopen_partition import build_partition
+            from .code_space import FULL_SPACE
+
+            # each floor partitions the previous floor's first block
+            carrier = FULL_SPACE
             for k, level in enumerate(reps[: self.levels], start=1):
                 if len(level) != self.partition_n - 1:
                     raise ValueError(f"level {k} needs {self.partition_n - 1} representatives, got {len(level)}")
+                carrier = build_partition(carrier, self.partition_n).blocks[0]
+                for q in level:
+                    if not carrier.contains(q):
+                        raise ValueError(f"level {k}: representative {q} lies outside the first block")
 
     def policy(self) -> HierarchyPolicy:
         from .coarse_graining import HierarchyPolicy

@@ -28,8 +28,6 @@ from .code_space import (
     Address,
     ClopenSet,
     Cylinder,
-    _first_difference,
-    _trusted_address,
     map_clopen,
 )
 
@@ -237,15 +235,16 @@ class DendriteGraph:
             dist.append(dist[v // 2] + self._edge_ticks[v])
         return tuple(dist)
 
-    def _tick_point(self, a: Address, k: int) -> tuple[int, int]:
-        """``dendrite_map(self, a)`` as (edge child, offset), the offset in
-        units of 3**-depth * 2**-k; needs ``k >= len(a.prefix)``.
+    def _tick_point(self, num: int, k: int) -> tuple[int, int]:
+        """The tour point at time ``num / 2**k`` as (edge child, offset), the
+        offset in units of 3**-depth * 2**-k; ``num`` is an address's binary
+        value times 2**k, so this is ``dendrite_map`` on integers.
 
         Not canonical: a vertex may come back as offset 0 on one of its
         child edges, which ``_tick_distance`` measures correctly.
         """
         breaks = self._break_ticks
-        arc = (_binary_numerator(a) << (k - len(a.prefix))) * breaks[-1]
+        arc = num * breaks[-1]
         i = bisect.bisect_right(breaks, arc >> k) - 1
         if i >= len(self.tour_segments):  # t == 1 closes the tour (always at depth 0)
             return (1, 0)
@@ -439,25 +438,31 @@ def check_surjectivity(tree: DendriteGraph, depth: int) -> bool:
 
 
 def _sampled_pairs(rng: random.Random, max_prefix: int):
-    """Endless pairs of distinct addresses sharing a random prefix.
+    """Endless pairs of distinct addresses sharing a random prefix, as
+    integers ``(na, nb, k, m)``.
 
     Each pair draws ``shared = rng.randrange(max_prefix)``, then the bits of
-    one ``rng.getrandbits(shared + 10)``: the shared prefix, then 4 prefix
-    symbols and a tail symbol for each address.  A pair that comes out equal
-    is skipped.
+    one ``r = rng.getrandbits(shared + 10)``, read from the top: the shared
+    prefix, then 4 prefix symbols and a tail symbol for each address.  Both
+    prefixes are ``k = shared + 4`` symbols long, ``na`` and ``nb`` are the
+    binary values times 2**k, and ``m`` is the first symbol at which the
+    two sequences differ (``k`` when only the tails do).  A pair that comes
+    out equal is skipped.
     """
     while True:
         shared = rng.randrange(max_prefix)
-        symbols = format(rng.getrandbits(shared + 10), f"0{shared + 10}b")
-        a = _trusted_address(symbols[:shared + 4], symbols[shared + 4])
-        b = _trusted_address(symbols[:shared] + symbols[shared + 5:-1], symbols[-1])
-        if a != b:
-            yield a, b
+        r = rng.getrandbits(shared + 10)
+        pa, ta = r >> 6, (r >> 5) & 1
+        pb, tb = ((r >> 10) << 4) | ((r >> 1) & 15), r & 1
+        if pa != pb or ta != tb:
+            k = shared + 4
+            yield pa + ta, pb + tb, k, k - (pa ^ pb).bit_length()
 
 
 def _break_pairs(tree: DendriteGraph):
-    """One pair per tour break: the K-bit dyadic addresses just below and
-    just above its tour time, K = (tour ticks).bit_length() + 2.
+    """One pair per tour break, as ``_sampled_pairs`` gives them: the K-bit
+    dyadic times just below and just above its tour time, K = (tour
+    ticks).bit_length() + 2.
 
     Each pair is a word w with tails 0 and 1, so it agrees on exactly K
     symbols and the modulus holds it to under a quarter tick: a leaf edge
@@ -469,8 +474,8 @@ def _break_pairs(tree: DendriteGraph):
         return
     k = total.bit_length() + 2
     for ticks in breaks:
-        word = format(min((ticks << k) // total, (1 << k) - 1), f"0{k}b")
-        yield _trusted_address(word, "0"), _trusted_address(word, "1")
+        word = min((ticks << k) // total, (1 << k) - 1)
+        yield word, word + 1, k, k
 
 
 def check_continuity_modulus(
@@ -484,18 +489,15 @@ def check_continuity_modulus(
 
     Checked on ``pairs`` pairs sharing a prefix shorter than ``max_prefix``,
     drawn from ``random.Random(seed)`` by ``_sampled_pairs``, and on one
-    pair straddling each tour break.  Exact, in
-    units of 3**-depth * 2**-K with K the longer prefix: both binary values
-    are whole multiples of 2**-K there, and the bound is
-    ``tour ticks << (K - m)``.
+    pair straddling each tour break.  Exact and on integers throughout, in
+    units of 3**-depth * 2**-k: each pair comes as both binary values times
+    2**k, with k at least m, and the bound is ``tour ticks << (k - m)``.
     """
     total = tree._break_ticks[-1]
+    point, distance = tree._tick_point, tree._tick_distance
     sampled = itertools.islice(_sampled_pairs(random.Random(seed), max_prefix), pairs)
-    for a, b in itertools.chain(sampled, _break_pairs(tree)):
-        m = _first_difference(a, b)
-        k = max(len(a.prefix), len(b.prefix), m)
-        d = tree._tick_distance(tree._tick_point(a, k), tree._tick_point(b, k), k)
-        if d > total << (k - m):
+    for na, nb, k, m in itertools.chain(sampled, _break_pairs(tree)):
+        if distance(point(na, k), point(nb, k), k) > total << (k - m):
             return False
     return True
 

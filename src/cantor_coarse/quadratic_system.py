@@ -255,6 +255,20 @@ class IntervalCover:
         return True
 
 
+def _trusted_cover(depth: int, pieces: list[Interval]) -> IntervalCover:
+    """``IntervalCover(depth, pieces)`` for pieces ``_branch_images`` has
+    already sorted and checked for overlap.
+
+    Skips the second validation pass of ``IntervalCover.__post_init__``;
+    the branches return floats, so the stored pairs are the same.
+    """
+    cover = object.__new__(IntervalCover)
+    fields = cover.__dict__  # the frozen dataclass's own storage
+    fields["depth"] = depth
+    fields["intervals"] = tuple(pieces)
+    return cover
+
+
 def _branch_images(sys: WeakContractionSystem, intervals: tuple[Interval, ...]) -> list[Interval]:
     """Images of the intervals under every branch, sorted and disjoint."""
     pieces = []
@@ -272,15 +286,17 @@ def invariant_cover(sys: WeakContractionSystem, n: int) -> IntervalCover:
     """Depth-n cover of the invariant set: n-fold branch images of the carrier."""
     if n < 0:
         raise ValueError("depth must be non-negative")
+    if n == 0:  # the carrier comes from the caller, so it is validated
+        return IntervalCover(0, (sys.carrier,))
     ivs = (sys.carrier,)
     for _ in range(n):
         ivs = _branch_images(sys, ivs)
-    return IntervalCover(n, ivs)
+    return _trusted_cover(n, ivs)
 
 
 def refine_cover(sys: WeakContractionSystem, cover: IntervalCover) -> IntervalCover:
     """One more branch application: the union of branch images of ``cover``."""
-    return IntervalCover(cover.depth + 1, _branch_images(sys, cover.intervals))
+    return _trusted_cover(cover.depth + 1, _branch_images(sys, cover.intervals))
 
 
 @dataclass(frozen=True)

@@ -468,6 +468,11 @@ MALFORMED_CONFIGS = {
     "dendrite_depth-2.0": {"dendrite_depth": 2.0},
     "depth-true": {"depth": True},
     "mu-10**400": {"mu": 10**400},
+    "seed-[1]": {"seed": [1]},
+    "seed-null": {"seed": None},
+    "seed-1.5": {"seed": 1.5},
+    "seed-'7'": {"seed": "7"},
+    "seed-true": {"seed": True},
     "explicit-without-lists": {"representatives": "explicit"},
     "explicit-one-list-for-two-levels": {"representatives": "explicit", "explicit_representatives": [[REP]]},
     "explicit-one-rep-for-three-blocks": {
@@ -475,6 +480,18 @@ MALFORMED_CONFIGS = {
         "levels": 1,
         "partition_n": 3,
         "explicit_representatives": [[REP]],
+    },
+    # floor 1 partitions the full space into [0] and [1]
+    "explicit-level-1-outside-the-first-block": {
+        "representatives": "explicit",
+        "levels": 1,
+        "explicit_representatives": [[{"prefix": "1", "tail": "0"}]],
+    },
+    # floor 2 partitions [0] into [00] and [01]; 01(0)^inf would do on floor 1
+    "explicit-level-2-outside-the-first-block": {
+        "representatives": "explicit",
+        "levels": 2,
+        "explicit_representatives": [[REP], [{"prefix": "01", "tail": "0"}]],
     },
 }
 
@@ -507,6 +524,39 @@ class TestMalformedConfig:
         result = invoke(["partition", "--config", str(path), "--out", str(tmp_path)])
         assert result.exit_code == 0
         assert '"mu": 5,' in (tmp_path / "partition.json").read_text()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("seed-[1]", "seed must be an integer, got [1]"),
+            ("seed-null", "seed must be an integer, got None"),
+            ("explicit-level-1-outside-the-first-block", "level 1: representative 1(0)^inf lies outside the first block"),
+            ("explicit-level-2-outside-the-first-block", "level 2: representative 01(0)^inf lies outside the first block"),
+        ],
+    )
+    def test_message(self, tmp_path, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(MALFORMED_CONFIGS[config]))
+        result = invoke(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"invalid configuration: {message}" in result.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "hierarchy", "render", "partition", "dendrite"])
+    def test_explicit_representatives_in_every_first_block_run(self, tmp_path, command):
+        # floor 1 splits the full space into [0], [10], [11]; floor 2 splits
+        # [0] into [00], [010], [011]
+        reps = [
+            [{"prefix": "01", "tail": "0"}, {"prefix": "", "tail": "0"}],
+            [{"prefix": "001", "tail": "1"}, {"prefix": "001", "tail": "1"}],
+        ]
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps(
+                {"representatives": "explicit", "partition_n": 3, "levels": 2, "depth": 4, "explicit_representatives": reps}
+            )
+        )
+        result = invoke([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
 
     def test_explicit_lists_beyond_the_tower_are_not_checked(self):
         from cantor_coarse.code_space import Address

@@ -16,6 +16,7 @@ from cantor_coarse.code_space import Address, _first_difference, random_address
 from cantor_coarse.coarse_graining import build_hierarchy
 from cantor_coarse.dendrite import (
     DendriteGraph,
+    _binary_numerator,
     _break_pairs,
     _sampled_pairs,
     binary_expansion,
@@ -43,11 +44,55 @@ def _reference_tour_point(tree: DendriteGraph, t: Fraction):
     return tree.point(child, tree.edge_length(child) - delta)
 
 
-def _tick_distance(tree: DendriteGraph, a: Address, b: Address) -> Fraction:
+def _scaled(a: Address, k: int) -> int:
+    """An address's binary value times 2**k, for k at least its prefix length."""
+    return _binary_numerator(a) << (k - len(a.prefix))
+
+
+def _pair_distance(tree: DendriteGraph, na: int, nb: int, k: int) -> Fraction:
     """The continuity check's integer geodesic, scaled back to length."""
-    k = max(len(a.prefix), len(b.prefix), _first_difference(a, b))
-    d = tree._tick_distance(tree._tick_point(a, k), tree._tick_point(b, k), k)
+    d = tree._tick_distance(tree._tick_point(na, k), tree._tick_point(nb, k), k)
     return Fraction(d, 3**tree.depth * 2**k)
+
+
+def _tick_distance(tree: DendriteGraph, a: Address, b: Address) -> Fraction:
+    """``_pair_distance`` of two distinct addresses."""
+    k = max(len(a.prefix), len(b.prefix), _first_difference(a, b))
+    return _pair_distance(tree, _scaled(a, k), _scaled(b, k), k)
+
+
+def _reference_sampled_pairs(rng: random.Random, max_prefix: int):
+    """``_sampled_pairs`` as addresses: the same draws, read as bit strings."""
+    while True:
+        shared = rng.randrange(max_prefix)
+        symbols = format(rng.getrandbits(shared + 10), f"0{shared + 10}b")
+        a = Address(symbols[: shared + 4], symbols[shared + 4])
+        b = Address(symbols[:shared] + symbols[shared + 5 : -1], symbols[-1])
+        if a != b:
+            yield a, b
+
+
+def _reference_break_pairs(tree: DendriteGraph):
+    """``_break_pairs`` as addresses: the K-bit word below each break with
+    tails 0 and 1."""
+    total = tree._break_ticks[-1]
+    if not total:
+        return
+    k = total.bit_length() + 2
+    for ticks in tree._break_ticks:
+        word = format(min((ticks << k) // total, (1 << k) - 1), f"0{k}b")
+        yield Address(word, "0"), Address(word, "1")
+
+
+def _assert_pairs_match(pairs, reference, count=None):
+    """Each integer pair is its reference address pair: both values at the
+    pair's scale, and the first difference."""
+    pairs = list(itertools.islice(pairs, count))
+    reference = list(itertools.islice(reference, count))
+    assert len(pairs) == len(reference)
+    for (na, nb, k, m), (a, b) in zip(pairs, reference):
+        assert k >= max(len(a.prefix), len(b.prefix)), (a, b, k)
+        assert (na, nb, m) == (_scaled(a, k), _scaled(b, k), _first_difference(a, b)), (a, b, k)
 
 
 def _break_addresses(tree: DendriteGraph) -> list[Address]:
@@ -253,10 +298,14 @@ class TestTickGeometry:
         rng = random.Random(7)
         for depth in range(9):
             t = DendriteGraph(depth)
-            pairs = list(itertools.islice(_sampled_pairs(random.Random(depth), 24), 200)) + [
-                (random_address(rng, 30), random_address(rng, 30)) for _ in range(200)
-            ]
-            for a, b in pairs:
+            sampled = zip(
+                _sampled_pairs(random.Random(depth), 24),
+                _reference_sampled_pairs(random.Random(depth), 24),
+            )
+            for (na, nb, k, _), (a, b) in itertools.islice(sampled, 200):
+                assert _pair_distance(t, na, nb, k) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
+            for _ in range(200):
+                a, b = random_address(rng, 30), random_address(rng, 30)
                 if a != b:
                     assert _tick_distance(t, a, b) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
 
@@ -265,8 +314,8 @@ class TestTickGeometry:
         for depth in range(9):
             t = DendriteGraph(depth)
             assert _tick_distance(t, a, b) == 0
-            assert t._tick_point(a, 0) in ((1, 0), (2, 0))
-            assert t._tick_point(b, 0) == (1, 0)
+            assert t._tick_point(_binary_numerator(a), 0) in ((1, 0), (2, 0))
+            assert t._tick_point(_binary_numerator(b), 0) == (1, 0)
 
     def test_tour_breaks(self):
         # depth 0 has no edges; the constant-address test covers it
@@ -324,15 +373,20 @@ class TestBreakPairs:
             k = total.bit_length() + 2
             pairs = list(_break_pairs(t))
             assert len(pairs) == len(t._break_ticks)
-            for ticks, (a, b) in zip(t._break_ticks, pairs):
-                assert _first_difference(a, b) == k
-                lo, hi = binary_expansion(a), binary_expansion(b)
+            for ticks, (na, nb, scale, m) in zip(t._break_ticks, pairs):
+                assert scale == k and m == k
+                lo, hi = Fraction(na, 2**k), Fraction(nb, 2**k)
                 assert hi - lo == Fraction(1, 2**k)
                 assert lo <= Fraction(ticks, total) <= hi
                 assert Fraction(ticks, total) < hi or ticks == total
 
     def test_no_breaks_on_the_one_vertex_tree(self):
         assert list(_break_pairs(DendriteGraph(0))) == []
+
+    def test_matches_the_address_pairs(self):
+        for depth in range(9):
+            t = DendriteGraph(depth)
+            _assert_pairs_match(_break_pairs(t), _reference_break_pairs(t))
 
 
 class _RecordingRandom:
@@ -360,12 +414,27 @@ class TestSampledPairs:
             pairs = _sampled_pairs(rng, max_prefix)
             shares = set()
             for _ in range(3000):
-                a, b = next(pairs)
+                na, nb, k, m = next(pairs)
                 shared = rng.ranges[-1]  # a pair drawn equal is skipped, so read the last draw
                 shares.add(shared)
-                assert a != b and a.symbols(shared) == b.symbols(shared), (seed, shared, a, b)
-                assert len(a.prefix) <= shared + 4 and len(b.prefix) <= shared + 4, (seed, shared, a, b)
+                # both prefixes have shared + 4 symbols; the sequences agree on
+                # the first shared symbols and differ at symbol m, at the
+                # latest in the tails, where the values differ by one unit
+                assert k == shared + 4, (seed, shared, k)
+                assert shared <= m <= k, (seed, shared, na, nb, m)
+                assert m < k or abs(na - nb) == 1, (seed, shared, na, nb, m)
+                assert 0 <= na <= 1 << k and 0 <= nb <= 1 << k, (seed, shared, na, nb)
+                assert abs(na - nb) <= 1 << (k - shared), (seed, shared, na, nb)
             assert shares == set(range(max_prefix)), seed
+
+    @pytest.mark.parametrize("max_prefix", [1, 2, 24, 40])
+    def test_matches_the_address_pairs(self, max_prefix):
+        for seed in range(10):
+            _assert_pairs_match(
+                _sampled_pairs(random.Random(seed), max_prefix),
+                _reference_sampled_pairs(random.Random(seed), max_prefix),
+                count=2000,
+            )
 
     def test_one_seed_repeats_its_pairs(self):
         first = list(itertools.islice(_sampled_pairs(random.Random(5), 24), 500))

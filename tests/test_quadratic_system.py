@@ -15,6 +15,7 @@ from cantor_coarse.quadratic_system import (
     IntervalCover,
     QuadraticParams,
     WeakContractionSystem,
+    _branch_images,
     _directed_hausdorff,
     hausdorff_distance,
     invariant_cover,
@@ -251,6 +252,44 @@ class TestInvariantCover:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             invariant_cover(inverse_branches(MU5), -1)
+
+    @pytest.mark.parametrize("mu", [5.0, 10.0, 90.0])
+    def test_built_covers_equal_validated_ones(self, mu):
+        # invariant_cover and refine_cover skip IntervalCover's validation of
+        # the branch images; they must store what a validated cover would
+        sys_ = inverse_branches(QuadraticParams(mu))
+        reference = IntervalCover(0, (sys_.carrier,))
+        for n in range(13):
+            built = invariant_cover(sys_, n)
+            assert built.depth == n
+            assert built.intervals == reference.intervals, (mu, n)
+            assert type(built.intervals) is tuple
+            assert all(type(iv) is tuple and len(iv) == 2 for iv in built.intervals)
+            assert all(type(x) is float for iv in built.intervals for x in iv)
+            try:
+                pieces = _branch_images(sys_, reference.intervals)
+            except ValueError as exc:
+                # mu=90 resolves its covers only to depth 9
+                assert (mu, n, str(exc)) == (90.0, 9, "open set condition violated")
+                with pytest.raises(ValueError, match="^open set condition violated$"):
+                    refine_cover(sys_, built)
+                with pytest.raises(ValueError, match="^open set condition violated$"):
+                    invariant_cover(sys_, n + 1)
+                return
+            reference = IntervalCover(n + 1, pieces)
+            refined = refine_cover(sys_, built)
+            assert refined.depth == n + 1
+            assert refined.intervals == reference.intervals, (mu, n + 1)
+            assert type(refined.intervals) is tuple
+
+    def test_direct_covers_are_validated(self):
+        with pytest.raises(ValueError, match="^interval with negative length$"):
+            IntervalCover(0, [(0.5, 0.25)])
+        with pytest.raises(ValueError, match="^intervals overlap or are unsorted$"):
+            IntervalCover(0, [(0.0, 0.5), (0.5, 1.0)])
+        with pytest.raises(ValueError, match="^intervals overlap or are unsorted$"):
+            IntervalCover(0, [(0.6, 1.0), (0.0, 0.5)])
+        assert IntervalCover(0, [[0, 1]]).intervals == ((0.0, 1.0),)
 
 
 class TestItinerary:
