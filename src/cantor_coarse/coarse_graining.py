@@ -23,6 +23,7 @@ from .code_space import (
     AddressMap,
     ClopenSet,
     FULL_SPACE,
+    OutsideDomainError,
     clopen_union,
     code_distance,
     compose,
@@ -277,8 +278,10 @@ class HierarchyPolicy:
     floor's partition and how the collapsed blocks pick representatives.
 
     Building a tower checks nothing beyond the base system's contraction
-    conditions; floors are verified on demand by verify_self_similarity,
-    check_isometry and check_conjugation.
+    conditions; floors are verified on demand: verify_self_similarity
+    checks coverage exactly and samples the contraction ratios, while
+    check_isometry and check_conjugation decide their map equalities
+    exactly, over every point of the previous carrier.
     """
 
     blocks_per_level: int = 2
@@ -403,37 +406,52 @@ def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int 
     )
 
 
-def check_conjugation(level: HierarchyLevel, prev: HierarchyLevel, samples: int = 100, seed: int = 0) -> bool:
-    """Pointwise round trip h^-1 o f^k o h = f^(k-1), exactly, on ``samples``
-    points of the previous carrier drawn by ``random_address`` from
-    ``random.Random(seed)``."""
+def _agree_on(f: AddressMap, g: AddressMap, carrier: ClopenSet) -> bool:
+    """Whether two address maps agree at every point of ``carrier``.
+
+    Each carrier word is refined, as ``push_word`` refines it, until both
+    ``word_image``s are defined.  A prefix rewrite maps [w] onto its image
+    word with the rest of the sequence passed through, so equal image words
+    mean the maps agree on all of [w], and different ones mean they differ
+    at some point of it.  A map undefined on part of the carrier disagrees.
+    """
+    stack = list(carrier.words)
+    while stack:
+        w = stack.pop()
+        try:
+            a, b = f.word_image(w), g.word_image(w)
+        except OutsideDomainError:
+            return False
+        if a is None or b is None:
+            stack.append(w + "1")
+            stack.append(w + "0")
+        elif a != b:
+            return False
+    return True
+
+
+def check_conjugation(level: HierarchyLevel, prev: HierarchyLevel) -> bool:
+    """The branches conjugate back: h^-1 o q_j o h = p_j on the previous
+    carrier, for each branch pair (p_j, q_j) of the previous floor and this
+    one, decided exactly as map equality over every point."""
     if level.hom is None:
         raise ValueError("the ground level has no conjugation to check")
     inv = level.hom.inverse()
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = random_address(rng, 20, prev.carrier)
-        for p_prev, p_conj in zip(prev.system.maps, level.system.maps):
-            if inv(p_conj(level.hom(x))) != p_prev(x):
-                return False
-    return True
+    return all(
+        _agree_on(compose(level.hom, q, inv), p, prev.carrier)
+        for p, q in zip(prev.system.maps, level.system.maps)
+    )
 
 
-def check_isometry(level: HierarchyLevel, prev: HierarchyLevel, pairs: int = 1000, seed: int = 0) -> bool:
+def check_isometry(level: HierarchyLevel, prev: HierarchyLevel) -> bool:
     """The floor map is an isometry: d_k(h x1, h x2) = d_(k-1)(x1, x2), exactly.
 
-    Pairs of the previous carrier, drawn by ``random_address`` from
-    ``random.Random(seed)``, are recoded by ``hom`` and measured in this
-    floor's metric, which pulls them back through the inverse recoding and
-    the flattened ``to_base``; the result must equal the previous floor's
-    distance, which reaches the ground by its own ``to_base``.  A floor
-    whose pull-back disagrees with its recoding fails.
+    Decides ``to_base o hom == prev.to_base`` as map equality over every
+    point of the previous carrier.  Each floor's metric is the ground metric
+    pulled back through its ``to_base``, so the equality gives the isometry
+    for every pair; it is also the invariant ``build_hierarchy`` builds.  A
+    floor whose pull-back disagrees with its recoding fails.
     """
     if level.hom is None:
         raise ValueError("the ground level has no floor map to check")
-    rng = random.Random(seed)
-    for _ in range(pairs):
-        x1, x2 = random_address(rng, 12, prev.carrier), random_address(rng, 12, prev.carrier)
-        if level.metric(level.hom(x1), level.hom(x2)) != prev.metric(x1, x2):
-            return False
-    return True
+    return _agree_on(compose(level.hom, level.to_base), prev.to_base, prev.carrier)

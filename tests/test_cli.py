@@ -473,6 +473,9 @@ MALFORMED_CONFIGS = {
     "seed-1.5": {"seed": 1.5},
     "seed-'7'": {"seed": "7"},
     "seed-true": {"seed": True},
+    "tolerance-true": {"tolerance": True},
+    # json.dumps writes Infinity, which json.loads reads back as inf
+    "tolerance-Infinity": {"tolerance": float("inf")},
     "explicit-without-lists": {"representatives": "explicit"},
     "explicit-one-list-for-two-levels": {"representatives": "explicit", "explicit_representatives": [[REP]]},
     "explicit-one-rep-for-three-blocks": {
@@ -518,6 +521,33 @@ class TestMalformedConfig:
         assert result.exit_code == 2
         assert "invalid configuration: the explicit policy needs explicit_representatives" in result.stderr
 
+    @pytest.mark.parametrize("command", ["verify", "hierarchy", "render", "partition", "dendrite"])
+    def test_infinite_tolerance_flag(self, tmp_path, command):
+        out = tmp_path / "out"
+        result = invoke([command, "--tolerance", "inf", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration: tolerance must be finite and positive, got inf" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "hierarchy", "render", "partition", "dendrite"])
+    def test_out_must_be_a_string(self, tmp_path, monkeypatch, command):
+        # without --out the config's out is the output directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"out": 5}')
+        result = invoke([command, "--config", "cfg.json"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration: out must be a string, got 5" in result.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_integer_tolerance_is_valid(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"tolerance": 1}')
+        result = invoke(["partition", "--config", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        assert '"tolerance": 1,' in (tmp_path / "partition.json").read_text()
+
     def test_integer_mu_is_echoed(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"mu": 5}')
@@ -530,6 +560,8 @@ class TestMalformedConfig:
         [
             ("seed-[1]", "seed must be an integer, got [1]"),
             ("seed-null", "seed must be an integer, got None"),
+            ("tolerance-true", "tolerance must be a number, got True"),
+            ("tolerance-Infinity", "tolerance must be finite and positive, got inf"),
             ("explicit-level-1-outside-the-first-block", "level 1: representative 1(0)^inf lies outside the first block"),
             ("explicit-level-2-outside-the-first-block", "level 2: representative 01(0)^inf lies outside the first block"),
         ],

@@ -13,6 +13,8 @@ from cantor_coarse.code_space import (
     Address,
     ClopenSet,
     FULL_SPACE,
+    OutsideDomainError,
+    PrefixRewrite,
     code_distance,
     compose,
     identity_map,
@@ -261,7 +263,7 @@ class TestHierarchy:
     def test_conjugation_identity_at_every_level(self):
         tower = build_hierarchy(MU5, 3)
         for k in range(1, 4):
-            assert check_conjugation(tower[k], tower[k - 1], samples=60, seed=k)
+            assert check_conjugation(tower[k], tower[k - 1])
 
     def test_conjugation_detects_a_swapped_branch(self):
         tower = build_hierarchy(MU5, 2)
@@ -318,7 +320,7 @@ class TestHierarchy:
     def test_floor_maps_are_isometries(self, n, policy):
         tower = build_hierarchy(MU5, 3, HierarchyPolicy(blocks_per_level=n, representative_policy=policy))
         for prev, level in zip(tower, tower[1:]):
-            assert check_isometry(level, prev, pairs=200, seed=level.level)
+            assert check_isometry(level, prev)
 
     def test_isometry_detects_a_wrong_pull_back(self):
         tower = build_hierarchy(MU5, 2)
@@ -346,6 +348,97 @@ class TestHierarchy:
                 seen[pt] = label
         multi_labels = {f.label for f in level.quotient.multi_fibers}
         assert multi_labels <= set(seen.values())
+
+
+EXACT_TOWERS = [
+    pytest.param(HierarchyPolicy(blocks_per_level=n, representative_policy=policy), id=f"{n}-{policy}")
+    for n in (2, 3, 5, 64)
+    for policy in ("distinct", "merged")
+] + [
+    # coincident representatives on floor 2
+    pytest.param(
+        HierarchyPolicy(
+            blocks_per_level=3,
+            representative_policy="explicit",
+            explicit_representatives=(
+                (Address("01", "0"), Address("", "0")),
+                (Address("001", "1"), Address("001", "1")),
+            ),
+        ),
+        id="3-explicit",
+    )
+]
+
+# a cylinder word no point of ``random_address(rng, 20, ...)`` starts with:
+# a body of at most 20 symbols, then a constant tail, cannot alternate for 30
+DEEP = "10" * 15
+
+
+def deep_swap(word: str) -> PrefixRewrite:
+    """A homeomorphism of the full space that swaps [word 0] and [word 1]
+    and is the identity off [word]."""
+    flip = {"0": "1", "1": "0"}
+    rules = [(word[:i] + flip[word[i]],) * 2 for i in range(len(word))]
+    rules += [(word + "0", word + "1"), (word + "1", word + "0")]
+    return PrefixRewrite(tuple(rules))
+
+
+def sampled_points(prev: HierarchyLevel, count: int, seed: int = 0) -> list[Address]:
+    rng = random.Random(seed)
+    return [random_address(rng, 20, prev.carrier) for _ in range(count)]
+
+
+class TestExactFloorChecks:
+    """check_isometry and check_conjugation decide map equality on the
+    previous carrier, over every point."""
+
+    @pytest.mark.parametrize("policy", EXACT_TOWERS)
+    def test_exact_checks_hold_with_the_pointwise_identities(self, policy):
+        levels = 2 if policy.representative_policy == "explicit" else 8
+        tower = build_hierarchy(MU5, levels, policy)
+        for prev, level in zip(tower, tower[1:]):
+            assert check_isometry(level, prev), level.level
+            assert check_conjugation(level, prev), level.level
+            inv = level.hom.inverse()
+            for x in sampled_points(prev, 500, seed=level.level):
+                assert level.to_base(level.hom(x)) == prev.to_base(x)
+                for p, q in zip(prev.system.maps, level.system.maps):
+                    assert inv(q(level.hom(x))) == p(x)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_isometry_fails_a_pull_back_wrong_only_deep_down(self, k):
+        tower = build_hierarchy(MU5, 3)
+        level, prev = tower[k], tower[k - 1]
+        broken = dataclasses.replace(level, to_base=compose(level.to_base, deep_swap(DEEP)))
+        # the fault lies beyond every sampled point
+        for x in sampled_points(prev, 1000):
+            assert broken.to_base(broken.hom(x)) == prev.to_base(x)
+        assert check_isometry(level, prev)
+        assert not check_isometry(broken, prev)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_conjugation_fails_a_branch_wrong_only_deep_down(self, k, j):
+        tower = build_hierarchy(MU5, 3)
+        level, prev = tower[k], tower[k - 1]
+        maps = list(level.system.maps)
+        # this floor's branch j maps its carrier [0^k] onto [0^k j]
+        maps[j] = compose(maps[j], deep_swap("0" * k + str(j) + DEEP))
+        broken = dataclasses.replace(level, system=dataclasses.replace(level.system, maps=tuple(maps)))
+        inv = level.hom.inverse()
+        for x in sampled_points(prev, 1000):
+            assert inv(maps[j](level.hom(x))) == prev.system.maps[j](x)
+        assert check_conjugation(level, prev)
+        assert not check_conjugation(broken, prev)
+
+    def test_a_floor_map_undefined_on_part_of_the_carrier_fails(self):
+        tower = build_hierarchy(MU5, 2)
+        # floor 2's recoding of [0] onto [00], defined on [00] only
+        partial = dataclasses.replace(tower[2], hom=PrefixRewrite((("00", "000"),)))
+        with pytest.raises(OutsideDomainError):
+            partial.hom(Address("01", "0"))
+        assert check_isometry(partial, tower[1]) is False
+        assert check_conjugation(partial, tower[1]) is False
 
 
 def refined_coverage(level, extra: int) -> bool:
