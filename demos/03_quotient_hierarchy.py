@@ -9,8 +9,8 @@ from cantor_coarse import (
     build_quotient,
     code_distance,
     default_representatives,
+    inverse_branches,
     quotient_map,
-    quotient_metric,
     verify_self_similarity,
 )
 from cantor_coarse.code_space import Address
@@ -25,13 +25,14 @@ for pt in (Address("00", "0"), Address("", "1"), Address("1", "0")):
 
 space = build_quotient(spec)
 print(f"\nmulti-point fibers: {[(str(f.label), f.block_indices) for f in space.multi_fibers]}")
+tower = build_hierarchy(inverse_branches(QuadraticParams(5.0)), 3)
+level1 = tower[1]
 x1, x2 = Address("001", "0"), Address("010", "1")
-print("fiber distance equals point distance, exactly:")
-print(f"  rho(h(x1), h(x2)) = {quotient_metric(space, space.fiber(x1), space.fiber(x2))}")
-print(f"  d(x1, x2)         = {code_distance(x1, x2)}")
+print("the floor map is an isometry for the transported metric, exactly:")
+print(f"  d1(h(x1), h(x2)) = {level1.metric(level1.hom(x1), level1.hom(x2))}")
+print(f"  d(x1, x2)        = {code_distance(x1, x2)}")
 
 print("\nstacking three levels over the mu=5 invariant set:")
-tower = build_hierarchy(QuadraticParams(5.0), 3)
 for level in tower:
     name = "S" if level.level == 0 else f"D{level.level}"
     rep = verify_self_similarity(level, samples=200, seed=0)
@@ -40,7 +41,6 @@ for level in tower:
         f"  max contraction ratio: {max(rep.max_ratio):.6f} (bound {max(rep.ratio_bound):.6f})"
     )
 
-level1 = tower[1]
 x = Address("10", "1")
 fiber = level1.h(x)
 print(f"\nthe floor map h^1 sends {x} to the singleton fiber labeled {fiber.label}")

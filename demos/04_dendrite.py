@@ -4,14 +4,11 @@ from fractions import Fraction
 
 from cantor_coarse import (
     DendriteGraph,
-    QuadraticParams,
     binary_expansion,
-    build_hierarchy,
     check_continuity_modulus,
     check_surjectivity,
     dendrite_map,
     fiber_of,
-    lift_to_level,
 )
 from cantor_coarse.code_space import Address
 
@@ -41,11 +38,3 @@ print(f"\nsurjectivity at depth 10 (all vertices and edge midpoints hit): "
       f"{check_surjectivity(tree, 10)}")
 print(f"continuity modulus on 10^4 sampled pairs: "
       f"{check_continuity_modulus(tree, pairs=10_000, seed=0)}")
-
-print("\nthe same tree arises as a quotient of every hierarchy floor:")
-tower = build_hierarchy(QuadraticParams(5.0), 2)
-for level in tower:
-    lifted = lift_to_level(level, tree)
-    hit = all(lifted.fiber(tree.vertex_point(v), 10) for v in tree.vertices)
-    name = "S" if level.level == 0 else f"D{level.level}"
-    print(f"  {name}: every vertex has a non-empty fiber: {hit}")

@@ -34,7 +34,6 @@ _SUBMODULE_OF = {
             "default_representatives",
             "merged_representatives",
             "quotient_map",
-            "quotient_metric",
             "verify_self_similarity",
         ),
         "coarse_graining",
@@ -67,7 +66,6 @@ _SUBMODULE_OF = {
             "check_surjectivity",
             "dendrite_map",
             "fiber_of",
-            "lift_to_level",
         ),
         "dendrite",
     ),

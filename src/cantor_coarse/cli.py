@@ -24,7 +24,7 @@ import click
 
 if TYPE_CHECKING:
     from .code_space import Address
-    from .coarse_graining import HierarchyPolicy
+    from .coarse_graining import HierarchyLevel, HierarchyPolicy
     from .dendrite import DendriteGraph
     from .quadratic_system import WeakContractionSystem
 
@@ -264,17 +264,19 @@ def _partition_checks(cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
-def _hierarchy_checks(cfg: RunConfig, identity_distances: list[float]) -> list[CheckRecord]:
-    """Quotient, conjugation and self-similarity records of every floor.
+def _hierarchy_checks(
+    cfg: RunConfig, sys_: WeakContractionSystem, identity_distances: list[float]
+) -> list[CheckRecord]:
+    """Quotient, conjugation and self-similarity records of every floor of
+    the tower over ``sys_``, which has passed the statement checks.
 
     ``identity_distances`` are the coverage leg's cover-identity distances
     by n.  Every floor realizes to the same covers, so each floor's
     coverage record reads the one at the verification depth.
     """
     from .coarse_graining import build_hierarchy, check_conjugation, check_isometry, verify_self_similarity
-    from .quadratic_system import QuadraticParams
 
-    tower = build_hierarchy(QuadraticParams(cfg.mu), cfg.levels, cfg.policy())
+    tower = build_hierarchy(sys_, cfg.levels, cfg.policy())
     records = []
     verify_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     # the coverage leg measured n = 0..min(depth, MAX_ENUMERATED_DEPTH), which
@@ -282,7 +284,7 @@ def _hierarchy_checks(cfg: RunConfig, identity_distances: list[float]) -> list[C
     hausdorff = identity_distances[verify_depth]
     for level in tower[1:]:
         quot = level.quotient
-        multi = [f for f in quot.multi_fibers if not f.is_singleton]
+        multi = quot.multi_fibers
         expected = cfg.partition_n - 1 if cfg.representatives == "distinct" else None
         nontrivial = bool(multi)
         records.append(
@@ -380,7 +382,7 @@ def run_campaign(cfg: RunConfig) -> dict:
     records.extend(coverage)
     records.extend(_partition_checks(cfg))
     if statement_ok and cfg.levels >= 1:
-        records.extend(_hierarchy_checks(cfg, identity_distances))
+        records.extend(_hierarchy_checks(cfg, sys_, identity_distances))
     elif not statement_ok:
         log.info("statement conditions failed; skipping hierarchy checks")
     records.extend(_dendrite_checks(cfg))
@@ -398,9 +400,25 @@ def run_campaign(cfg: RunConfig) -> dict:
     }
 
 
+def _document_tower(cfg: RunConfig, sys_: WeakContractionSystem) -> list[HierarchyLevel]:
+    """The configured tower over ``sys_`` for the document commands, which
+    refuse a base system that fails the contraction conditions."""
+    from .coarse_graining import build_hierarchy
+    from .quadratic_system import verify_statement_conditions
+
+    report = verify_statement_conditions(sys_)
+    if not report.all_pass:
+        raise ValueError(
+            "base system fails the contraction conditions: "
+            f"injective={report.injective} fixed_points={report.not_singleton} "
+            f"modulus_sum={report.modulus_sum:.6f}"
+        )
+    return build_hierarchy(sys_, cfg.levels, cfg.policy())
+
+
 def hierarchy_document(cfg: RunConfig) -> dict:
     """Serialize the tower: carriers, homeomorphism rules, moduli, distances."""
-    from .coarse_graining import build_hierarchy, verify_self_similarity
+    from .coarse_graining import verify_self_similarity
     from .quadratic_system import (
         QuadraticParams,
         hausdorff_distance,
@@ -409,10 +427,10 @@ def hierarchy_document(cfg: RunConfig) -> dict:
         refine_cover,
     )
 
-    tower = build_hierarchy(QuadraticParams(cfg.mu), cfg.levels, cfg.policy())
+    sys_ = inverse_branches(QuadraticParams(cfg.mu))
+    tower = _document_tower(cfg, sys_)
     doc_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     cover_depth = _capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH")
-    sys_ = inverse_branches(QuadraticParams(cfg.mu))
     cover = invariant_cover(sys_, cover_depth)
     # the realized point set is the same at every floor: labels pull back to
     # ground addresses, and those realize to these covers
@@ -538,7 +556,6 @@ def hierarchy(config_path, **overrides) -> None:
 @_config_options
 def render(config_path, **overrides) -> None:
     """Write the Cantor-bar, hierarchy and dendrite SVG renderings."""
-    from .coarse_graining import build_hierarchy
     from .dendrite import DendriteGraph, fiber_of
     from .quadratic_system import QuadraticParams, invariant_cover, inverse_branches, refine_cover
     from .svg import cantor_bars_svg, dendrite_svg, hierarchy_svg
@@ -553,7 +570,7 @@ def render(config_path, **overrides) -> None:
     out_dir = Path(cfg.out)
     _write_text(out_dir / "cantor_bars.svg", cantor_bars_svg(covers))
 
-    tower = build_hierarchy(QuadraticParams(cfg.mu), cfg.levels, cfg.policy())
+    tower = _document_tower(cfg, sys_)
     names = ["S"] + [f"D{k}" for k in range(1, cfg.levels + 1)]
     moduli = [max(level.system.modulus_bound) for level in tower]
     _write_text(out_dir / "hierarchy.svg", hierarchy_svg(names, moduli, tower[0].system.branch_count))

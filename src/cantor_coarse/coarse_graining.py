@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from .clopen_partition import Partition, build_partition
 from .code_space import (
@@ -33,12 +33,9 @@ from .code_space import (
     random_address,
     recode_between,
 )
-from .quadratic_system import (
-    QuadraticParams,
-    WeakContractionSystem,
-    inverse_branches,
-    verify_statement_conditions,
-)
+
+if TYPE_CHECKING:
+    from .quadratic_system import WeakContractionSystem
 
 __all__ = [
     "Fiber",
@@ -58,13 +55,10 @@ __all__ = [
     "default_representatives",
     "merged_representatives",
     "quotient_map",
-    "quotient_metric",
     "verify_self_similarity",
 ]
 
 RATIO_SLACK = 1e-9
-
-Metric = Callable[[Address, Address], Fraction]
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,6 @@ class QuotientSpace:
     """
 
     spec: QuotientSpec
-    base_metric: Metric = field(repr=False, compare=False)
     multi_fibers: tuple[Fiber, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -164,33 +157,18 @@ class QuotientSpace:
                 return f
         return Fiber(label, (), self.spec)
 
-    def check_member(self, fiber: Fiber) -> None:
-        if fiber.spec != self.spec:
-            raise ValueError("foreign fiber")
 
-
-def build_quotient(spec: QuotientSpec, base_metric: Metric = code_distance) -> QuotientSpace:
+def build_quotient(spec: QuotientSpec) -> QuotientSpace:
     """Build the decomposition space of the collapse map.
 
     Rejects the one-block case: the collapse would be the identity and the
-    decomposition trivial.
+    decomposition trivial.  Otherwise each of the ``size - 1`` collapsed
+    blocks joins the fiber of its representative, so some fiber has more
+    than one point.
     """
     if spec.partition.size < 2:
         raise ValueError("trivial quotient")
-    q = QuotientSpace(spec, base_metric)
-    if not any(not f.is_singleton for f in q.multi_fibers):
-        raise AssertionError("quotient has no multi-point fiber")
-    return q
-
-
-def quotient_metric(q: QuotientSpace, d1: Fiber, d2: Fiber) -> Fraction:
-    """Distance between fibers: the base distance of their labels.
-
-    This is exactly what makes the labeling an isometry.
-    """
-    q.check_member(d1)
-    q.check_member(d2)
-    return q.base_metric(d1.label, d2.label)
+    return QuotientSpace(spec)
 
 
 @dataclass(frozen=True)
@@ -277,11 +255,11 @@ class HierarchyPolicy:
     """How each floor of the tower is built: the block count of each
     floor's partition and how the collapsed blocks pick representatives.
 
-    Building a tower checks nothing beyond the base system's contraction
-    conditions; floors are verified on demand: verify_self_similarity
-    checks coverage exactly and samples the contraction ratios, while
-    check_isometry and check_conjugation decide their map equalities
-    exactly, over every point of the previous carrier.
+    Building a tower checks nothing; the commands check the base system's
+    contraction conditions first, and floors are verified on demand:
+    verify_self_similarity checks coverage exactly and samples the
+    contraction ratios, while check_isometry and check_conjugation decide
+    their map equalities exactly, over every point of the previous carrier.
     """
 
     blocks_per_level: int = 2
@@ -303,27 +281,19 @@ class HierarchyPolicy:
 
 
 def build_hierarchy(
-    params: QuadraticParams,
+    real: WeakContractionSystem,
     levels: int,
     policy: HierarchyPolicy = HierarchyPolicy(),
 ) -> list[HierarchyLevel]:
-    """Stack ``levels`` coarse grainings over the invariant set of ``params``.
+    """Stack ``levels`` coarse grainings over the invariant set of ``real``.
 
-    The quadratic system must pass the three contraction conditions first.
-    Each new floor partitions the previous carrier, collapses everything
-    onto the first block, and conjugates the branch maps through the
-    recoding onto that block.
+    Checks nothing: the caller decides whether ``real`` passes the three
+    contraction conditions.  Each new floor partitions the previous carrier,
+    collapses everything onto the first block, and conjugates the branch
+    maps through the recoding onto that block.
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    real = inverse_branches(params)
-    report = verify_statement_conditions(real)
-    if not report.all_pass:
-        raise ValueError(
-            "base system fails the contraction conditions: "
-            f"injective={report.injective} fixed_points={report.not_singleton} "
-            f"modulus_sum={report.modulus_sum:.6f}"
-        )
     tower = [
         HierarchyLevel(
             level=0,
@@ -338,7 +308,7 @@ def build_hierarchy(
         partition = build_partition(prev.carrier, policy.blocks_per_level)
         reps, coincident = policy.representatives_for(k, partition)
         spec = QuotientSpec(partition, reps, allow_coincident=coincident)
-        quot = build_quotient(spec, base_metric=prev.metric)
+        quot = build_quotient(spec)
         g = recode_between(prev.carrier, partition.blocks[0])
         tower.append(
             HierarchyLevel(

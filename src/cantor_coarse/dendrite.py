@@ -22,30 +22,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
 
-from .code_space import (
-    Address,
-    ClopenSet,
-    Cylinder,
-    map_clopen,
-)
-
-if TYPE_CHECKING:
-    from .coarse_graining import HierarchyLevel
+from .code_space import Address, Cylinder
 
 __all__ = [
     "DendriteFiber",
     "DendriteGraph",
     "DendritePoint",
-    "LevelDendriteMap",
     "WITNESS_DEPTH",
     "binary_expansion",
     "check_continuity_modulus",
     "check_surjectivity",
     "dendrite_map",
     "fiber_of",
-    "lift_to_level",
 ]
 
 # tour length stays below 4, so 4 * 2**-40 keeps truncated witnesses
@@ -501,29 +490,3 @@ def check_continuity_modulus(
             return False
     return True
 
-
-@dataclass(frozen=True)
-class LevelDendriteMap:
-    """The dendrite surjection carried up to one coarse-graining floor.
-
-    Labels pull back to ground addresses through the tower, then map to the
-    tree; the fibers realize the tree as a decomposition of the floor.
-    """
-
-    tree: DendriteGraph
-    level: HierarchyLevel
-
-    def __call__(self, label: Address) -> DendritePoint:
-        return dendrite_map(self.tree, self.level.to_base(label))
-
-    def fiber(self, p: DendritePoint, depth: int) -> tuple[Cylinder, ...]:
-        """Carrier cylinders over ``p``: the ground fiber pushed up the tower."""
-        ground = fiber_of(self.tree, p, depth)
-        forward = self.level.to_base.inverse()
-        image = map_clopen(forward, ClopenSet(ground.cylinders))
-        return image.cylinders
-
-
-def lift_to_level(level: HierarchyLevel, tree: DendriteGraph) -> LevelDendriteMap:
-    """The dendrite map on a hierarchy floor; floor 0 gives the map itself."""
-    return LevelDendriteMap(tree=tree, level=level)

@@ -21,8 +21,8 @@ from cantor_coarse.code_space import Address, FULL_SPACE, clopen_union, code_dis
 from cantor_coarse.coarse_graining import (
     build_hierarchy,
     build_quotient,
+    check_isometry,
     default_representatives,
-    quotient_metric,
     verify_self_similarity,
     QuotientSpec,
 )
@@ -37,6 +37,7 @@ from cantor_coarse.quadratic_system import (
 )
 
 MU5 = QuadraticParams(5.0)
+SYS5 = inverse_branches(MU5)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -107,23 +108,20 @@ def test_criterion_3_partition_laws():
 
 
 def test_criterion_4_quotient_isometry():
-    partition = build_partition(FULL_SPACE, 2)
-    spec = QuotientSpec(partition, default_representatives(partition))
-    space = build_quotient(spec)
-    first = partition.blocks[0]
+    ground, floor = build_hierarchy(SYS5, 1)
     rng = random.Random(0)
     ok = True
     for _ in range(1000):
-        x1 = random_address(rng, 12, first)
-        x2 = random_address(rng, 12, first)
-        lhs = quotient_metric(space, space.fiber(x1), space.fiber(x2))
-        ok &= lhs == code_distance(x1, x2)
+        x1 = random_address(rng, 12)
+        x2 = random_address(rng, 12)
+        ok &= floor.metric(floor.hom(x1), floor.hom(x2)) == code_distance(x1, x2)
+    ok &= check_isometry(floor, ground)
     report("criterion 4 (quotient isometry)", ok, "1000 pairs, exact rational equality")
 
 
 def test_criterion_5_conjugation_at_all_levels():
     start = time.perf_counter()
-    tower = build_hierarchy(MU5, 3)
+    tower = build_hierarchy(SYS5, 3)
     bound = 1.0 / math.sqrt(5.0) + 1e-9
     ok = True
     worst_ratio = 0.0

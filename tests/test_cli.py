@@ -322,6 +322,56 @@ class TestRenderCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Call counts of the base system's construction and its contraction
+    check, counted in every package module that holds either function."""
+    counts = {}
+    modules = [m for key, m in sys.modules.items() if key.startswith("cantor_coarse.")]
+    for name in ("inverse_branches", "verify_statement_conditions"):
+        original = getattr(quadratic_system, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+class TestContractionGate:
+    """Each command builds the base system and checks its contraction
+    conditions once; the document commands refuse a system that fails them."""
+
+    ONCE = {"inverse_branches": 1, "verify_statement_conditions": 1}
+
+    @pytest.mark.parametrize("command", ["hierarchy", "render"])
+    def test_document_commands_refuse_a_failing_base_system(self, tmp_path, command):
+        result = invoke([command, "--mu", "4.5", *FAST, "--out", str(tmp_path)])
+        assert isinstance(result.exception, ValueError)
+        assert "fails the contraction conditions" in str(result.exception)
+        # render writes the Cantor bars before it builds the tower
+        assert (tmp_path / "cantor_bars.svg").exists() == (command == "render")
+        assert not (tmp_path / "hierarchy.json").exists()
+        assert not (tmp_path / "hierarchy.svg").exists()
+
+    def test_campaign_gates_once(self, gate_calls):
+        run_campaign(RunConfig())
+        assert gate_calls == self.ONCE
+
+    def test_hierarchy_document_gates_once(self, gate_calls):
+        cli.hierarchy_document(RunConfig())
+        assert gate_calls == self.ONCE
+
+    def test_render_gates_once(self, gate_calls, tmp_path):
+        assert invoke(["render", "--out", str(tmp_path)]).exit_code == 0
+        assert gate_calls == self.ONCE
+
+
 class TestOtherCommands:
     def test_partition_document(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

@@ -15,7 +15,6 @@ from cantor_coarse.code_space import (
     FULL_SPACE,
     OutsideDomainError,
     PrefixRewrite,
-    code_distance,
     compose,
     identity_map,
     map_clopen,
@@ -38,12 +37,12 @@ from cantor_coarse.coarse_graining import (
     default_representatives,
     merged_representatives,
     quotient_map,
-    quotient_metric,
     verify_self_similarity,
 )
 from cantor_coarse.quadratic_system import QuadraticParams, inverse_branches
 
 MU5 = QuadraticParams(5.0)
+SYS5 = inverse_branches(MU5)
 
 
 def two_block_spec() -> QuotientSpec:
@@ -151,45 +150,6 @@ class TestQuotientSpace:
             space.fiber(Address("1", "0"))
 
 
-class TestQuotientMetric:
-    def test_zero_on_equal_fibers(self):
-        space = build_quotient(two_block_spec())
-        f = space.fiber(Address("00", "0"))
-        assert quotient_metric(space, f, f) == 0
-
-    def test_matches_code_distance(self):
-        space = build_quotient(two_block_spec())
-        x1, x2 = Address("001", "0"), Address("010", "1")
-        d = quotient_metric(space, space.fiber(x1), space.fiber(x2))
-        assert d == code_distance(x1, x2)
-
-    def test_distance_between_representative_fibers(self):
-        spec = three_block_spec()
-        space = build_quotient(spec)
-        q2, q3 = spec.representatives
-        lhs = quotient_metric(space, space.fiber(q2), space.fiber(q3))
-        # independent evaluation through the embedding
-        from cantor_coarse.code_space import embed_cmts
-
-        assert lhs == abs(embed_cmts(q2) - embed_cmts(q3))
-
-    def test_foreign_fiber_rejected(self):
-        space2 = build_quotient(two_block_spec())
-        space3 = build_quotient(three_block_spec())
-        foreign = space3.fiber(Address("00", "0"))
-        with pytest.raises(ValueError, match="foreign fiber"):
-            quotient_metric(space2, foreign, foreign)
-
-    def test_isometry_on_random_pairs(self):
-        spec = two_block_spec()
-        space = build_quotient(spec)
-        first = spec.partition.blocks[0]
-        rng = random.Random(0)
-        for _ in range(1000):
-            x1, x2 = random_address(rng, 12, first), random_address(rng, 12, first)
-            assert quotient_metric(space, space.fiber(x1), space.fiber(x2)) == code_distance(x1, x2)
-
-
 class TestConjugateSystem:
     def test_identity_hom_keeps_the_maps(self):
         sys_ = base_system(inverse_branches(MU5))
@@ -228,7 +188,7 @@ class TestConjugateSystem:
             conj.maps[0](Address("1", "0"))  # not in the transported carrier
 
     def test_contraction_ratio_in_transported_metric(self):
-        tower = build_hierarchy(MU5, 1)
+        tower = build_hierarchy(SYS5, 1)
         level = tower[1]
         rng = random.Random(4)
         alpha = level.system.modulus_bound[0]
@@ -246,27 +206,23 @@ class TestConjugateSystem:
 
 class TestHierarchy:
     def test_level_zero_only(self):
-        tower = build_hierarchy(MU5, 0)
+        tower = build_hierarchy(SYS5, 0)
         assert len(tower) == 1
         assert tower[0].carrier == FULL_SPACE
         assert tower[0].quotient is None
 
     def test_three_levels(self):
-        tower = build_hierarchy(MU5, 3)
+        tower = build_hierarchy(SYS5, 3)
         assert [lv.level for lv in tower] == [0, 1, 2, 3]
         assert [lv.carrier.words for lv in tower] == [("",), ("0",), ("00",), ("000",)]
 
-    def test_precondition_on_the_base_system(self):
-        with pytest.raises(ValueError, match="contraction conditions"):
-            build_hierarchy(QuadraticParams(4.5), 1)
-
     def test_conjugation_identity_at_every_level(self):
-        tower = build_hierarchy(MU5, 3)
+        tower = build_hierarchy(SYS5, 3)
         for k in range(1, 4):
             assert check_conjugation(tower[k], tower[k - 1])
 
     def test_conjugation_detects_a_swapped_branch(self):
-        tower = build_hierarchy(MU5, 2)
+        tower = build_hierarchy(SYS5, 2)
         for k in (1, 2):
             level = tower[k]
             maps = level.system.maps
@@ -275,7 +231,7 @@ class TestHierarchy:
             assert not check_conjugation(broken, tower[k - 1]), k
 
     def test_floor_map_h_lands_on_fibers(self):
-        tower = build_hierarchy(MU5, 1)
+        tower = build_hierarchy(SYS5, 1)
         level = tower[1]
         x = Address("10", "1")
         fib = level.h(x)
@@ -283,59 +239,50 @@ class TestHierarchy:
         assert level.quotient.spec.partition.blocks[0].contains(fib.label)
 
     def test_base_level_has_no_quotient(self):
-        tower = build_hierarchy(MU5, 1)
+        tower = build_hierarchy(SYS5, 1)
         with pytest.raises(ValueError, match="no quotient"):
             tower[0].h(Address("", "0"))
 
     def test_three_block_policy(self):
-        tower = build_hierarchy(MU5, 2, HierarchyPolicy(blocks_per_level=3))
+        tower = build_hierarchy(SYS5, 2, HierarchyPolicy(blocks_per_level=3))
         for level in tower[1:]:
             assert level.quotient.spec.partition.size == 3
             assert len(level.quotient.multi_fibers) == 2
 
     def test_merged_policy(self):
-        tower = build_hierarchy(MU5, 1, HierarchyPolicy(representative_policy="merged", blocks_per_level=3))
+        tower = build_hierarchy(SYS5, 1, HierarchyPolicy(representative_policy="merged", blocks_per_level=3))
         assert len(tower[1].quotient.multi_fibers) == 1
 
     def test_explicit_policy(self):
         reps = ((Address("000", "0"),),)
         tower = build_hierarchy(
-            MU5,
+            SYS5,
             1,
             HierarchyPolicy(representative_policy="explicit", explicit_representatives=reps),
         )
         assert tower[1].quotient.spec.representatives == reps[0]
 
-    def test_isometry_at_level_one_is_exact(self):
-        tower = build_hierarchy(MU5, 1)
-        space = tower[1].quotient
-        first = space.spec.partition.blocks[0]
-        rng = random.Random(0)
-        for _ in range(1000):
-            x1, x2 = random_address(rng, 12, first), random_address(rng, 12, first)
-            assert quotient_metric(space, space.fiber(x1), space.fiber(x2)) == code_distance(x1, x2)
-
     @pytest.mark.parametrize("policy", ["distinct", "merged"])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_floor_maps_are_isometries(self, n, policy):
-        tower = build_hierarchy(MU5, 3, HierarchyPolicy(blocks_per_level=n, representative_policy=policy))
+        tower = build_hierarchy(SYS5, 3, HierarchyPolicy(blocks_per_level=n, representative_policy=policy))
         for prev, level in zip(tower, tower[1:]):
             assert check_isometry(level, prev)
 
     def test_isometry_detects_a_wrong_pull_back(self):
-        tower = build_hierarchy(MU5, 2)
+        tower = build_hierarchy(SYS5, 2)
         assert check_isometry(tower[2], tower[1])
         # floor 2 pulled back by floor 1's map measures a third of the distance
         broken = dataclasses.replace(tower[2], to_base=tower[1].to_base)
         assert not check_isometry(broken, tower[1])
 
     def test_isometry_needs_a_floor_map(self):
-        tower = build_hierarchy(MU5, 1)
+        tower = build_hierarchy(SYS5, 1)
         with pytest.raises(ValueError, match="no floor map"):
             check_isometry(tower[0], tower[0])
 
     def test_fibers_partition_the_carrier(self):
-        tower = build_hierarchy(MU5, 1)
+        tower = build_hierarchy(SYS5, 1)
         level = tower[1]
         spec = level.quotient.spec
         # every depth-5 endpoint belongs to exactly one fiber, keyed by label
@@ -395,7 +342,7 @@ class TestExactFloorChecks:
     @pytest.mark.parametrize("policy", EXACT_TOWERS)
     def test_exact_checks_hold_with_the_pointwise_identities(self, policy):
         levels = 2 if policy.representative_policy == "explicit" else 8
-        tower = build_hierarchy(MU5, levels, policy)
+        tower = build_hierarchy(SYS5, levels, policy)
         for prev, level in zip(tower, tower[1:]):
             assert check_isometry(level, prev), level.level
             assert check_conjugation(level, prev), level.level
@@ -407,7 +354,7 @@ class TestExactFloorChecks:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_isometry_fails_a_pull_back_wrong_only_deep_down(self, k):
-        tower = build_hierarchy(MU5, 3)
+        tower = build_hierarchy(SYS5, 3)
         level, prev = tower[k], tower[k - 1]
         broken = dataclasses.replace(level, to_base=compose(level.to_base, deep_swap(DEEP)))
         # the fault lies beyond every sampled point
@@ -419,7 +366,7 @@ class TestExactFloorChecks:
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_conjugation_fails_a_branch_wrong_only_deep_down(self, k, j):
-        tower = build_hierarchy(MU5, 3)
+        tower = build_hierarchy(SYS5, 3)
         level, prev = tower[k], tower[k - 1]
         maps = list(level.system.maps)
         # this floor's branch j maps its carrier [0^k] onto [0^k j]
@@ -432,7 +379,7 @@ class TestExactFloorChecks:
         assert not check_conjugation(broken, prev)
 
     def test_a_floor_map_undefined_on_part_of_the_carrier_fails(self):
-        tower = build_hierarchy(MU5, 2)
+        tower = build_hierarchy(SYS5, 2)
         # floor 2's recoding of [0] onto [00], defined on [00] only
         partial = dataclasses.replace(tower[2], hom=PrefixRewrite((("00", "000"),)))
         with pytest.raises(OutsideDomainError):
@@ -465,7 +412,7 @@ def broken_level() -> HierarchyLevel:
 
 class TestSelfSimilarity:
     def test_reports_pass_on_all_levels(self):
-        tower = build_hierarchy(MU5, 3)
+        tower = build_hierarchy(SYS5, 3)
         for level in tower:
             report = verify_self_similarity(level, samples=150, seed=0)
             assert report.coverage_exact
@@ -484,11 +431,11 @@ class TestSelfSimilarity:
         if policy == "explicit":
             # carriers do not depend on the representatives, so a distinct
             # tower shows every floor's first block; list them reversed
-            shape = build_hierarchy(MU5, 4, HierarchyPolicy(blocks_per_level=n))
+            shape = build_hierarchy(SYS5, 4, HierarchyPolicy(blocks_per_level=n))
             explicit = tuple(tuple(reversed(lv.quotient.spec.representatives)) for lv in shape[1:])
         chosen = HierarchyPolicy(blocks_per_level=n, representative_policy=policy, explicit_representatives=explicit)
         for levels in range(5):
-            for level in build_hierarchy(MU5, levels, chosen):
+            for level in build_hierarchy(SYS5, levels, chosen):
                 # the floor itself, and the floor with its first branch twice,
                 # whose images miss the second branch's share of the carrier
                 first_twice = dataclasses.replace(level.system, maps=(level.system.maps[0],) * 2)
@@ -498,7 +445,7 @@ class TestSelfSimilarity:
                         assert verdict == refined_coverage(floor, extra), (levels, level.level, extra)
 
     def test_union_of_branch_images_is_the_carrier(self):
-        tower = build_hierarchy(MU5, 2)
+        tower = build_hierarchy(SYS5, 2)
         for level in tower:
             images = [map_clopen(m, level.carrier) for m in level.system.maps]
             from cantor_coarse.code_space import clopen_union

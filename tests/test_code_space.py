@@ -36,7 +36,7 @@ from cantor_coarse.code_space import (
     recode_between,
     recode_homeomorphism,
 )
-from cantor_coarse.quadratic_system import QuadraticParams
+from cantor_coarse.quadratic_system import QuadraticParams, inverse_branches
 
 addresses = st.builds(
     Address,
@@ -591,15 +591,15 @@ class TestFlatComposites:
     @pytest.mark.parametrize("n", [2, 3, 5, 64])
     @pytest.mark.parametrize("policy", ["distinct", "merged", "explicit"])
     def test_tower_maps_match_their_stages(self, n, policy):
-        params = QuadraticParams(5.0)
+        real = inverse_branches(QuadraticParams(5.0))
         explicit = None
         if policy == "explicit":
             # carriers do not depend on the representatives, so a distinct
             # tower shows every floor's first block; list them reversed
-            shape = build_hierarchy(params, 8, HierarchyPolicy(blocks_per_level=n))
+            shape = build_hierarchy(real, 8, HierarchyPolicy(blocks_per_level=n))
             explicit = tuple(tuple(reversed(lv.quotient.spec.representatives)) for lv in shape[1:])
         tower = build_hierarchy(
-            params,
+            real,
             8,
             HierarchyPolicy(blocks_per_level=n, representative_policy=policy, explicit_representatives=explicit),
         )

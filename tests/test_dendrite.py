@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from cantor_coarse import dendrite
 from cantor_coarse.code_space import Address, _first_difference, random_address
-from cantor_coarse.coarse_graining import build_hierarchy
 from cantor_coarse.dendrite import (
     DendriteGraph,
     _binary_numerator,
@@ -24,9 +23,7 @@ from cantor_coarse.dendrite import (
     check_surjectivity,
     dendrite_map,
     fiber_of,
-    lift_to_level,
 )
-from cantor_coarse.quadratic_system import QuadraticParams
 
 
 def _reference_tour_point(tree: DendriteGraph, t: Fraction):
@@ -522,35 +519,3 @@ class TestFibers:
         t = DendriteGraph(1)
         with pytest.raises(ValueError, match="off the tree"):
             fiber_of(t, DendritePoint(5, Fraction(1, 7)), 3)
-
-
-class TestLift:
-    def test_level_zero_is_the_plain_map(self):
-        tower = build_hierarchy(QuadraticParams(5.0), 0)
-        t = DendriteGraph(2)
-        lifted = lift_to_level(tower[0], t)
-        rng = random.Random(3)
-        for _ in range(50):
-            a = random_address(rng, 12)
-            assert lifted(a) == dendrite_map(t, a)
-
-    def test_level_one_factors_through_the_recoding(self):
-        tower = build_hierarchy(QuadraticParams(5.0), 1)
-        level = tower[1]
-        t = DendriteGraph(2)
-        lifted = lift_to_level(level, t)
-        rng = random.Random(4)
-        for _ in range(50):
-            label = random_address(rng, 12, level.carrier)
-            assert lifted(label) == dendrite_map(t, level.to_base(label))
-
-    def test_level_one_surjectivity_onto_vertices(self):
-        tower = build_hierarchy(QuadraticParams(5.0), 1)
-        level = tower[1]
-        t = DendriteGraph(4)
-        lifted = lift_to_level(level, t)
-        for v in t.vertices:
-            cylinders = lifted.fiber(t.vertex_point(v), 12)
-            assert cylinders
-            for c in cylinders:
-                assert level.carrier.contains(Address(c.word, "0"))

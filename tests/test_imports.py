@@ -17,8 +17,8 @@ import cantor_coarse
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
-# every name the package root has exported since it imported its
-# submodules eagerly
+# every name the package root exports; it has exported each since it
+# imported its submodules eagerly
 PUBLIC = set(
     """
     Partition build_partition flatten_refinement refine_block
@@ -26,13 +26,12 @@ PUBLIC = set(
     SelfSimilarityReport SymbolicSystem base_system build_hierarchy
     build_quotient check_conjugation check_isometry conjugate_system
     default_representatives merged_representatives quotient_map
-    quotient_metric verify_self_similarity
+    verify_self_similarity
     Address ClopenSet Cylinder FULL_SPACE clopen_complement clopen_union
     code_distance complete_prefix_code embed_cmts map_clopen prepend_map
     recode_between recode_homeomorphism
     DendriteFiber DendriteGraph DendritePoint binary_expansion
     check_continuity_modulus check_surjectivity dendrite_map fiber_of
-    lift_to_level
     IntervalCover PointEstimate QuadraticParams StatementReport
     WeakContractionSystem hausdorff_distance invariant_cover
     inverse_branches itinerary_point logistic modulus_sum_threshold
