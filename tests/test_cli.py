@@ -359,6 +359,15 @@ class TestContractionGate:
         assert not (tmp_path / "hierarchy.json").exists()
         assert not (tmp_path / "hierarchy.svg").exists()
 
+    def test_document_tower_names_the_failing_conditions(self):
+        sys45 = quadratic_system.inverse_branches(quadratic_system.QuadraticParams(4.5))
+        with pytest.raises(ValueError) as info:
+            cli._document_tower(RunConfig(), sys45)
+        assert str(info.value) == (
+            "base system fails the contraction conditions: "
+            "injective=True fixed_points=True modulus_sum=1.333333"
+        )
+
     def test_campaign_gates_once(self, gate_calls):
         run_campaign(RunConfig())
         assert gate_calls == self.ONCE

@@ -15,7 +15,9 @@ from cantor_coarse.code_space import (
     FULL_SPACE,
     OutsideDomainError,
     PrefixRewrite,
+    code_distance,
     compose,
+    embed_cmts,
     identity_map,
     map_clopen,
     prepend_map,
@@ -39,7 +41,7 @@ from cantor_coarse.coarse_graining import (
     quotient_map,
     verify_self_similarity,
 )
-from cantor_coarse.quadratic_system import QuadraticParams, inverse_branches
+from cantor_coarse.quadratic_system import QuadraticParams, inverse_branches, verify_statement_conditions
 
 MU5 = QuadraticParams(5.0)
 SYS5 = inverse_branches(MU5)
@@ -150,6 +152,45 @@ class TestQuotientSpace:
             space.fiber(Address("1", "0"))
 
 
+class TestFloorMetric:
+    """HierarchyLevel.metric: the ground metric pulled back to a floor."""
+
+    def test_zero_on_equal_points(self):
+        level = build_hierarchy(SYS5, 1)[1]
+        y = Address("00", "0")
+        assert level.metric(y, y) == 0
+
+    def test_matches_code_distance_through_the_floor_map(self):
+        level = build_hierarchy(SYS5, 1)[1]
+        x1, x2 = Address("001", "0"), Address("110", "1")
+        assert level.metric(level.hom(x1), level.hom(x2)) == code_distance(x1, x2)
+
+    def test_distance_between_representative_fibers(self):
+        level = build_hierarchy(SYS5, 1, HierarchyPolicy(blocks_per_level=3))[1]
+        q2, q3 = level.quotient.spec.representatives
+        assert {f.label for f in level.quotient.multi_fibers} == {q2, q3}
+        # independent evaluation through the embedding of the ground points
+        ground = level.hom.inverse()
+        expected = abs(embed_cmts(ground(q2)) - embed_cmts(ground(q3)))
+        assert expected > 0
+        assert level.metric(q2, q3) == expected
+
+    def test_point_outside_the_carrier_rejected(self):
+        level = build_hierarchy(SYS5, 1)[1]
+        with pytest.raises(OutsideDomainError):
+            level.metric(Address("1", "0"), Address("0", "0"))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_floor_map_preserves_the_metric_on_random_pairs(self, k):
+        tower = build_hierarchy(SYS5, 3)
+        level, prev = tower[k], tower[k - 1]
+        rng = random.Random(k)
+        for _ in range(300):
+            x1 = random_address(rng, 12, prev.carrier)
+            x2 = random_address(rng, 12, prev.carrier)
+            assert level.metric(level.hom(x1), level.hom(x2)) == prev.metric(x1, x2)
+
+
 class TestConjugateSystem:
     def test_identity_hom_keeps_the_maps(self):
         sys_ = base_system(inverse_branches(MU5))
@@ -215,6 +256,16 @@ class TestHierarchy:
         tower = build_hierarchy(SYS5, 3)
         assert [lv.level for lv in tower] == [0, 1, 2, 3]
         assert [lv.carrier.words for lv in tower] == [("",), ("0",), ("00",), ("000",)]
+
+    def test_builds_over_a_system_failing_the_contraction_conditions(self):
+        # the commands gate the base system; the construction checks nothing
+        sys45 = inverse_branches(QuadraticParams(4.5))
+        assert not verify_statement_conditions(sys45).all_pass
+        tower = build_hierarchy(sys45, 2)
+        assert [lv.carrier.words for lv in tower] == [("",), ("0",), ("00",)]
+        for prev, level in zip(tower, tower[1:]):
+            assert check_isometry(level, prev)
+            assert check_conjugation(level, prev)
 
     def test_conjugation_identity_at_every_level(self):
         tower = build_hierarchy(SYS5, 3)
