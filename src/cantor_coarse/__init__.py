@@ -44,7 +44,6 @@ _SUBMODULE_OF = {
             "ClopenSet",
             "Cylinder",
             "FULL_SPACE",
-            "clopen_complement",
             "clopen_union",
             "code_distance",
             "complete_prefix_code",

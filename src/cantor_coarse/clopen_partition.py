@@ -4,16 +4,27 @@ Any clopen carrier splits into any number of non-empty clopen blocks by
 repeatedly carving a cylinder out of the last block: take the
 lexicographically least and greatest points a and b of the block, then the
 shallowest cylinder inside the block that contains a but not b, and replace
-the block by that cylinder and its complement.  The choice of a, b and the
-cylinder is fixed, so outputs are reproducible, and every step stays inside
-the exact cylinder algebra.
+the block by that cylinder and the rest.  The choice of a, b and the
+cylinder is fixed, so outputs are reproducible.
+
+The block's canonical words w1 < ... < wm fix that cylinder.  Suppose a
+cylinder [p] lies inside the block and no word of the block is a prefix of
+p.  Then the block's words under p form a complete prefix code of [p], and
+the longest of them has its sibling in that code, which canonical form
+forbids; so some word of the block is a prefix of p.  Hence a = w1.0^inf
+lies in no cylinder of the block shallower than [w1].  The words are
+prefix-free, so [w1] excludes b = wm.1^inf exactly when m > 1, and the
+split is ([w1], [w2 ... wm]), the rest still canonical.  When m = 1 the
+next depth gives ([w1.0], [w1.1]).  Prepending a word w to every word of a
+carrier keeps it canonical and prepends w to every block, so
+``build_partition`` of w.V is w.(``build_partition`` of V).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .code_space import ClopenSet, _first_difference, clopen_complement, clopen_union
+from .code_space import ClopenSet, clopen_union
 
 __all__ = [
     "Partition",
@@ -61,21 +72,10 @@ class Partition:
 
 def _split_block(block: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
     """Carve the canonical cylinder v out of ``block``: returns (v, block - v)."""
-    a = block.min_address()
-    b = block.max_address()
-    if a == b:
-        raise ValueError("cannot split singleton")
-    # a prefix of a deep enough to sit inside the block and exclude b
-    # always exists; scan shallowest first so v has minimal depth
-    limit = max(len(w) for w in block.words) + _first_difference(a, b) + 2
-    for depth in range(limit + 1):
-        word = a.symbols(depth)
-        if b.starts_with(word):
-            continue
-        v = ClopenSet.from_words([word])
-        if v.subset_of(block):
-            return v, clopen_complement(v, block)
-    raise AssertionError("no splitting cylinder found")
+    first, *rest = block.words
+    if rest:
+        return ClopenSet.from_words([first]), ClopenSet.from_words(rest)
+    return ClopenSet.from_words([first + "0"]), ClopenSet.from_words([first + "1"])
 
 
 def build_partition(carrier: ClopenSet, n: int) -> Partition:

@@ -26,7 +26,6 @@ __all__ = [
     "FULL_SPACE",
     "OutsideDomainError",
     "PrefixRewrite",
-    "clopen_complement",
     "clopen_union",
     "code_distance",
     "complete_prefix_code",
@@ -158,12 +157,6 @@ class Cylinder:
     def disjoint(self, other: "Cylinder") -> bool:
         return not (self.contains_cylinder(other) or other.contains_cylinder(self))
 
-    def min_address(self) -> Address:
-        return Address(self.word, "0")
-
-    def max_address(self) -> Address:
-        return Address(self.word, "1")
-
 
 def _canonical_words(words) -> tuple[str, ...]:
     """The unique maximal-cylinder form of a union of cylinders, sorted.
@@ -185,19 +178,6 @@ def _canonical_words(words) -> tuple[str, ...]:
             w = w[:-1]
         stack.append(w)
     return tuple(stack)
-
-
-def _subtract(word: str, removal_words) -> list[str]:
-    """Cylinder words covering [word] minus the union of the removals."""
-    related = [r for r in removal_words if r.startswith(word) or word.startswith(r)]
-    if any(word.startswith(r) for r in related):
-        return []
-    if not related:
-        return [word]
-    out: list[str] = []
-    for sym in _SYMBOLS:
-        out.extend(_subtract(word + sym, related))
-    return out
 
 
 @dataclass(frozen=True)
@@ -233,10 +213,6 @@ class ClopenSet:
     def contains(self, a: Address) -> bool:
         return any(c.contains(a) for c in self.cylinders)
 
-    def subset_of(self, other: "ClopenSet") -> bool:
-        ow = other.words
-        return all(not _subtract(w, ow) for w in self.words)
-
     def refine(self, depth: int) -> tuple[str, ...]:
         """All member words expanded to one uniform depth."""
         out: list[str] = []
@@ -245,18 +221,6 @@ class ClopenSet:
                 raise ValueError(f"cylinder [{w}] is deeper than {depth}")
             out.extend(w + "".join(bits) for bits in itertools.product("01", repeat=depth - len(w)))
         return tuple(sorted(out))
-
-    def min_address(self) -> Address:
-        if self.is_empty:
-            raise ValueError("empty set has no points")
-        # canonical words are prefix-free, so plain string order agrees
-        # with the order of the cylinders on the line
-        return Address(min(self.words), "0")
-
-    def max_address(self) -> Address:
-        if self.is_empty:
-            raise ValueError("empty set has no points")
-        return Address(max(self.words), "1")
 
 
 FULL_SPACE = ClopenSet((Cylinder(""),))
@@ -267,17 +231,6 @@ def clopen_union(*sets: ClopenSet) -> ClopenSet:
     for s in sets:
         words.extend(s.words)
     return ClopenSet.from_words(words)
-
-
-def clopen_complement(x: ClopenSet, within: ClopenSet) -> ClopenSet:
-    """The clopen difference ``within - x``; requires ``x`` inside ``within``."""
-    if not x.subset_of(within):
-        raise ValueError("not a subset")
-    xw = x.words
-    remaining: list[str] = []
-    for w in within.words:
-        remaining.extend(_subtract(w, xw))
-    return ClopenSet.from_words(remaining)
 
 
 def complete_prefix_code(count: int) -> tuple[str, ...]:
@@ -353,14 +306,6 @@ class PrefixRewrite:
 
     def inverse(self) -> "PrefixRewrite":
         return PrefixRewrite(tuple((dst, src) for src, dst in self.rules))
-
-    @property
-    def source(self) -> ClopenSet:
-        return ClopenSet.from_words(src for src, _ in self.rules)
-
-    @property
-    def target(self) -> ClopenSet:
-        return ClopenSet.from_words(dst for _, dst in self.rules)
 
 
 def _then(rules, stage: PrefixRewrite) -> tuple[tuple[str, str], ...]:

@@ -98,9 +98,6 @@ class DendriteGraph:
             return ()
         return (2 * v, 2 * v + 1)
 
-    def is_leaf(self, v: int) -> bool:
-        return self.level(v) == self.depth
-
     def edge_length(self, child: int) -> Fraction:
         if not 2 <= child <= self.vertex_count:
             raise ValueError(f"vertex {child} carries no edge")

@@ -134,7 +134,6 @@ def modulus_sum_threshold() -> float:
 class BranchCheck:
     branch: int
     strictly_monotone: bool
-    derivative_sign_constant: bool
     direction: int  # +1 increasing, -1 decreasing, 0 neither
 
 
@@ -176,8 +175,7 @@ def verify_statement_conditions(
     not raised.
 
     Injectivity is decided by strict monotonicity of each branch on the
-    grid ``lo + i*(hi-lo)/(grid-1)``, i = 0..grid-1, together with
-    sign-constant centered difference quotients.  The default grid is
+    grid ``lo + i*(hi-lo)/(grid-1)``, i = 0..grid-1.  The default grid is
     dyadic and exact on [0, 1], with a step of 1/4096 (about 2.4e-4); the
     narrowest fold it is tested to catch is 3e-4 wide.
     """
@@ -189,17 +187,14 @@ def verify_statement_conditions(
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         increasing = all(d > 0 for d in diffs)
         decreasing = all(d < 0 for d in diffs)
-        slopes = [b - a for a, b in zip(vals, vals[2:])]
-        sign_constant = all(s > 0 for s in slopes) or all(s < 0 for s in slopes)
         checks.append(
             BranchCheck(
                 branch=j,
                 strictly_monotone=increasing or decreasing,
-                derivative_sign_constant=sign_constant,
                 direction=1 if increasing else (-1 if decreasing else 0),
             )
         )
-    injective = all(c.strictly_monotone and c.derivative_sign_constant for c in checks)
+    injective = all(c.strictly_monotone for c in checks)
     residual = max(
         (min(abs(float(b(z)) - z) for b in sys.branches) for z in sys.fixed_points),
         default=0.0,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantor_coarse.clopen_partition import (
@@ -29,6 +29,26 @@ _words = st.text(alphabet="01", max_size=5)
 _blocks = st.lists(
     st.lists(_words, min_size=1, max_size=4).map(ClopenSet.from_words), min_size=1, max_size=6
 )
+_carriers = st.lists(st.text(alphabet="01", max_size=7), min_size=1, max_size=6).map(ClopenSet.from_words)
+
+
+def _prepend(word: str, s: ClopenSet) -> ClopenSet:
+    return ClopenSet.from_words(word + w for w in s.words)
+
+
+def _split_from_the_definition(block: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
+    """The shallowest cylinder inside ``block`` that holds its least point
+    but not its greatest, and the rest, found at one uniform depth."""
+    depth = max(len(w) for w in block.words) + 1
+    refined = set(block.refine(depth))
+    least = Address(min(refined), "0")
+    greatest = Address(max(refined), "1")
+    for k in range(depth + 1):
+        v = ClopenSet.from_words([least.symbols(k)])
+        inside = set(v.refine(depth))
+        if inside <= refined and not v.contains(greatest):
+            return v, ClopenSet.from_words(sorted(refined - inside))
+    raise AssertionError("no splitting cylinder above the uniform depth")
 
 
 def assert_partition_laws(p: Partition) -> None:
@@ -73,7 +93,22 @@ class TestBuildPartition:
         # the perfectness witness: a block always holds two distinct points
         p = build_partition(FULL_SPACE, 16)
         for b in p.blocks:
-            assert b.min_address() != b.max_address()
+            least, greatest = Address(b.words[0], "0"), Address(b.words[-1], "1")
+            assert b.contains(least) and b.contains(greatest)
+            assert least != greatest
+
+    @given(carrier=_carriers)
+    @example(carrier=ClopenSet.from_words(["01"]))
+    @example(carrier=ClopenSet.from_words(["0", "10"]))
+    @settings(max_examples=300, deadline=None)
+    def test_split_matches_the_definition(self, carrier):
+        assert build_partition(carrier, 2).blocks == _split_from_the_definition(carrier)
+
+    @given(word=st.text(alphabet="01", max_size=6), carrier=_carriers, n=st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_commutes_with_prepending_a_word(self, word, carrier, n):
+        shifted = build_partition(_prepend(word, carrier), n)
+        assert shifted.blocks == tuple(_prepend(word, b) for b in build_partition(carrier, n).blocks)
 
     @given(n=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)

@@ -23,8 +23,6 @@ from cantor_coarse.code_space import (
     OutsideDomainError,
     PrefixRewrite,
     _canonical_words,
-    clopen_complement,
-    clopen_union,
     code_distance,
     complete_prefix_code,
     compose,
@@ -181,7 +179,7 @@ class TestEmbedding:
     def test_cylinder_diameter(self):
         for word in ("", "0", "10", "0110"):
             c = Cylinder(word)
-            spread = embed_cmts(c.max_address()) - embed_cmts(c.min_address())
+            spread = embed_cmts(Address(c.word, "1")) - embed_cmts(Address(c.word, "0"))
             assert spread == Fraction(1, 3 ** len(word))
 
     @given(a=addresses, b=addresses)
@@ -262,61 +260,16 @@ class TestClopenSet:
         assert set(holed.words) == siblings
         assert elapsed < 2.0, f"{elapsed:.2f}s"
 
-    def test_membership_and_bounds(self):
+    def test_membership(self):
         cs = ClopenSet.from_words(["0", "110"])
         assert cs.contains(Address("01", "0"))
         assert not cs.contains(Address("10", "0"))
-        assert cs.min_address() == Address("", "0")
-        assert cs.max_address() == Address("110", "1")
 
     def test_refine(self):
         assert ClopenSet.from_words(["0"]).refine(2) == ("00", "01")
         assert FULL_SPACE.refine(2) == ("00", "01", "10", "11")
         with pytest.raises(ValueError):
             ClopenSet.from_words(["010"]).refine(2)
-
-    def test_subset(self):
-        assert ClopenSet.from_words(["00", "10"]).subset_of(FULL_SPACE)
-        assert not FULL_SPACE.subset_of(ClopenSet.from_words(["0"]))
-        # a union can cover a cylinder none of its members contains
-        assert ClopenSet.from_words(["0"]).subset_of(ClopenSet.from_words(["00", "01"]))
-
-
-class TestComplement:
-    def test_simple_cases(self):
-        assert clopen_complement(ClopenSet.from_words(["0"]), FULL_SPACE).words == ("1",)
-        assert clopen_complement(
-            ClopenSet.from_words(["10"]), ClopenSet.from_words(["1"])
-        ).words == ("11",)
-
-    def test_two_cylinder_case_against_brute_force(self):
-        x = ClopenSet.from_words(["0", "10"])
-        result = clopen_complement(x, FULL_SPACE)
-        # oracle: classify every depth-2 cylinder
-        expected = [
-            w
-            for w in ("00", "01", "10", "11")
-            if not x.contains(Address(w, "0")) and not x.contains(Address(w, "1"))
-        ]
-        assert result == ClopenSet.from_words(expected)
-        assert result.words == ("11",)
-
-    def test_not_a_subset_is_rejected(self):
-        with pytest.raises(ValueError, match="not a subset"):
-            clopen_complement(ClopenSet.from_words(["1"]), ClopenSet.from_words(["0"]))
-
-    @given(
-        sub=st.lists(st.text(alphabet="01", min_size=2, max_size=5), max_size=5),
-        sup=st.lists(st.text(alphabet="01", max_size=2), min_size=1, max_size=4),
-    )
-    def test_complement_laws(self, sub, sup):
-        within = ClopenSet.from_words(sup)
-        x = ClopenSet.from_words([w for w in sub if ClopenSet.from_words([w]).subset_of(within)])
-        rest = clopen_complement(x, within)
-        assert clopen_union(rest, x) == within
-        for cx in x.cylinders:
-            for cr in rest.cylinders:
-                assert cx.disjoint(cr)
 
 
 class TestPrefixCode:
