@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cantor_coarse.clopen_partition import (
     Partition,
     _overlapping,
+    _split_block,
     build_partition,
     flatten_refinement,
     refine_block,
@@ -122,6 +123,40 @@ class TestBuildPartition:
         }
         carrier = ClopenSet.from_words(words)
         assert_partition_laws(build_partition(carrier, n))
+
+
+class TestSplitBlock:
+    def test_one_word_splits_at_the_next_symbol(self):
+        assert _split_block(FULL_SPACE) == (ClopenSet.from_words(["0"]), ClopenSet.from_words(["1"]))
+        assert _split_block(ClopenSet.from_words(["1"])) == (
+            ClopenSet.from_words(["10"]),
+            ClopenSet.from_words(["11"]),
+        )
+
+    def test_many_words_split_off_the_first_against_brute_force(self):
+        block = ClopenSet.from_words(["0", "10"])
+        piece, rest = _split_block(block)
+        assert piece.words == ("0",)
+        # oracle: the depth-2 cylinders of the block that miss the piece
+        expected = [w for w in block.refine(2) if not piece.contains(Address(w, "0"))]
+        assert rest == ClopenSet.from_words(expected)
+        assert rest.words == ("10",)
+
+    @given(block=_carriers)
+    @settings(max_examples=200, deadline=None)
+    def test_rest_is_the_complement_in_the_block(self, block):
+        piece, rest = _split_block(block)
+        assert len(piece.cylinders) == 1 and not rest.is_empty
+        assert clopen_union(piece, rest) == block
+        assert _disjoint(piece, rest)
+
+    @given(carrier=_carriers, n=st.integers(1, 32))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_run_left_to_right(self, carrier, n):
+        # each split carves the leftmost piece and splits the rest again
+        blocks = build_partition(carrier, n).blocks
+        for left, right in zip(blocks, blocks[1:]):
+            assert Address(left.words[-1], "1") < Address(right.words[0], "0")
 
 
 class TestRefine:

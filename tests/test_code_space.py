@@ -23,6 +23,7 @@ from cantor_coarse.code_space import (
     OutsideDomainError,
     PrefixRewrite,
     _canonical_words,
+    clopen_union,
     code_distance,
     complete_prefix_code,
     compose,
@@ -260,16 +261,32 @@ class TestClopenSet:
         assert set(holed.words) == siblings
         assert elapsed < 2.0, f"{elapsed:.2f}s"
 
-    def test_membership(self):
+    def test_membership_and_bounds(self):
         cs = ClopenSet.from_words(["0", "110"])
         assert cs.contains(Address("01", "0"))
         assert not cs.contains(Address("10", "0"))
+        # canonical words are sorted and prefix-free, so the first and last
+        # words carry the least and greatest points of the set
+        least, greatest = Address(cs.words[0], "0"), Address(cs.words[-1], "1")
+        assert least == Address("", "0")
+        assert greatest == Address("110", "1")
+        assert cs.contains(least) and cs.contains(greatest)
 
     def test_refine(self):
         assert ClopenSet.from_words(["0"]).refine(2) == ("00", "01")
         assert FULL_SPACE.refine(2) == ("00", "01", "10", "11")
         with pytest.raises(ValueError):
             ClopenSet.from_words(["010"]).refine(2)
+
+    def test_subset(self):
+        # canonical form is unique, so x lies inside y exactly when x | y == y
+        def subset(x: ClopenSet, y: ClopenSet) -> bool:
+            return clopen_union(x, y) == y
+
+        assert subset(ClopenSet.from_words(["00", "10"]), FULL_SPACE)
+        assert not subset(FULL_SPACE, ClopenSet.from_words(["0"]))
+        # a union can cover a cylinder none of its members contains
+        assert subset(ClopenSet.from_words(["0"]), ClopenSet.from_words(["00", "01"]))
 
 
 class TestPrefixCode:
