@@ -50,6 +50,8 @@ __all__ = [
     "build_hierarchy",
     "build_quotient",
     "check_conjugation",
+    "check_coverage",
+    "check_intertwining",
     "check_isometry",
     "conjugate_system",
     "default_representatives",
@@ -257,9 +259,11 @@ class HierarchyPolicy:
 
     Building a tower checks nothing; the commands check the base system's
     contraction conditions first, and floors are verified on demand:
-    verify_self_similarity checks coverage exactly and samples the
-    contraction ratios, while check_isometry and check_conjugation decide
-    their map equalities exactly, over every point of the previous carrier.
+    check_coverage decides each floor's coverage identity exactly, and
+    check_isometry, check_conjugation and check_intertwining decide their
+    map equalities exactly, over every point of a carrier.  Only the
+    contraction ratio is sampled, by verify_self_similarity, and a floor
+    that intertwines with the ground floor has the ground's ratios.
     """
 
     blocks_per_level: int = 2
@@ -338,22 +342,29 @@ class SelfSimilarityReport:
         return all(r <= b for r, b in zip(self.max_ratio, self.ratio_bound))
 
 
+def check_coverage(level: HierarchyLevel) -> bool:
+    """The branch images of the carrier union back to the carrier, exactly.
+
+    Each image is the carrier's canonical words pushed through the composed
+    label maps, which refine a word only where they must; canonical form
+    makes the union's equality with the carrier an exact cylinder identity.
+    """
+    carrier = level.carrier
+    return clopen_union(*(map_clopen(branch, carrier) for branch in level.system.maps)) == carrier
+
+
 def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int = 0) -> SelfSimilarityReport:
     """Machine-check one floor of the tower, symbolically.
 
-    Coverage: the branch images of the carrier's canonical words, pushed
-    through the composed label maps (which refine a word only where they
-    must), union back to the carrier as an exact cylinder identity.
-    Contraction: address pairs drawn by ``random_address`` from
-    ``random.Random(seed)`` are measured in the transported metric before
-    and after each branch; each ratio is exact, so no report depends on
-    which pairs are drawn.  The interval realization is the same on every
-    floor and is checked by the caller, once.
+    Coverage is ``check_coverage``.  Contraction: address pairs drawn by
+    ``random_address`` from ``random.Random(seed)`` are measured in the
+    transported metric before and after each branch; each ratio is exact,
+    so no report depends on which pairs are drawn.  ``verify`` samples the
+    ground floor only: a floor that passes ``check_intertwining`` has the
+    ground's ratio at every pair.  The interval realization is the same on
+    every floor and is checked by the caller, once.
     """
     carrier = level.carrier
-    images = [map_clopen(branch, carrier) for branch in level.system.maps]
-    coverage_exact = clopen_union(*images) == carrier
-
     rng = random.Random(seed)
     max_ratio = [0.0] * level.system.branch_count
     used = 0
@@ -368,7 +379,7 @@ def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int 
             max_ratio[j] = max(max_ratio[j], float(ratio))
     return SelfSimilarityReport(
         level=level.level,
-        coverage_exact=coverage_exact,
+        coverage_exact=check_coverage(level),
         cylinders_enumerated=len(carrier.words) * level.system.branch_count,
         max_ratio=tuple(max_ratio),
         ratio_bound=tuple(b + RATIO_SLACK for b in level.system.modulus_bound),
@@ -425,3 +436,22 @@ def check_isometry(level: HierarchyLevel, prev: HierarchyLevel) -> bool:
     if level.hom is None:
         raise ValueError("the ground level has no floor map to check")
     return _agree_on(compose(level.hom, level.to_base), prev.to_base, prev.carrier)
+
+
+def check_intertwining(level: HierarchyLevel, ground: HierarchyLevel) -> bool:
+    """Each branch is the ground's in label coordinates: to_base o q_j =
+    p_j o to_base on this floor's carrier, for each branch pair (p_j, q_j)
+    of the ground floor and this one, decided exactly as map equality over
+    every point.
+
+    The floor's metric is the ground metric pulled back through
+    ``to_base``, so under this identity the floor's contraction ratio at
+    (y1, y2) is the ground's at (to_base y1, to_base y2), and the ground's
+    ratio bounds the floor's.  A floor with another branch count fails.
+    """
+    if level.system.branch_count != ground.system.branch_count:
+        return False
+    return all(
+        _agree_on(compose(q, level.to_base), compose(level.to_base, p), level.carrier)
+        for p, q in zip(ground.system.maps, level.system.maps)
+    )

@@ -24,8 +24,9 @@ from cantor_coarse.cli import (
     run_campaign,
 )
 from cantor_coarse.clopen_partition import build_partition
-from cantor_coarse.code_space import FULL_SPACE, compose, prepend_map
+from cantor_coarse.code_space import FULL_SPACE, ClopenSet, compose, prepend_map
 from cantor_coarse.quadratic_system import IntervalCover
+from test_coarse_graining import deep_broken
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -180,6 +181,39 @@ class TestPartitionChecks:
         laws = _partition_checks(RunConfig())[0]
         assert (laws.measured, laws.passed) == (5, False)
 
+    def test_a_partition_fault_fails_both_records_and_writes_the_report(self, monkeypatch, tmp_path, caplog):
+        def gapped(block):
+            # [w1·11] is in neither part, so no split covers its block
+            first = block.words[0]
+            return ClopenSet.from_words([first + "0"]), ClopenSet.from_words([first + "10"])
+
+        monkeypatch.setattr(clopen_partition, "_split_block", gapped)
+        caplog.set_level(logging.INFO, logger="cantor_coarse")
+        # the tower splits its carriers with the same function, so no floor
+        # is built here: this test is about the partition leg
+        result = invoke(["verify", "--levels", "0", "--depth", "4", "--dendrite-depth", "2", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.exc_info[0] is SystemExit
+        assert "Traceback" not in result.output
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        failing = {c["id"]: c for c in report["checks"] if not c["passed"]}
+        assert set(failing) == {"partition.laws", "partition.refine"}
+        assert failing["partition.laws"]["measured"] == 1
+        assert failing["partition.refine"]["measured"] is None
+        # each failure is logged at INFO with the error that caused it
+        raised = [r for r in caplog.records if "raised" in r.getMessage()]
+        assert [r.getMessage() for r in raised] == [
+            "partition.laws: the step after n=1 raised",
+            "partition.refine: a step raised",
+        ]
+        assert all("blocks do not cover the carrier" in str(r.exc_info[1]) for r in raised)
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(report, json.loads((SCHEMAS / "verification_report.schema.json").read_text()))
+
+    def test_refine_measures_the_six_blocks(self):
+        refine = _partition_checks(RunConfig())[1]
+        assert (refine.check_id, refine.measured, refine.bound, refine.passed) == ("partition.refine", 6, 6, True)
+
 
 class TestCoverageRecords:
     """Each floor's hierarchy.coverage record: the symbolic identity of the
@@ -322,14 +356,13 @@ class TestRenderCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.fixture
-def gate_calls(monkeypatch):
-    """Call counts of the base system's construction and its contraction
-    check, counted in every package module that holds either function."""
+def count_calls(monkeypatch, owner, names) -> dict[str, int]:
+    """Call counts of the functions ``names`` of module ``owner``, counted
+    in every package module that holds one of them."""
     counts = {}
     modules = [m for key, m in sys.modules.items() if key.startswith("cantor_coarse.")]
-    for name in ("inverse_branches", "verify_statement_conditions"):
-        original = getattr(quadratic_system, name)
+    for name in names:
+        original = getattr(owner, name)
         counts[name] = 0
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -341,6 +374,12 @@ def gate_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Call counts of the base system's construction and its contraction check."""
+    return count_calls(monkeypatch, quadratic_system, ("inverse_branches", "verify_statement_conditions"))
 
 
 class TestContractionGate:
@@ -379,6 +418,40 @@ class TestContractionGate:
     def test_render_gates_once(self, gate_calls, tmp_path):
         assert invoke(["render", "--out", str(tmp_path)]).exit_code == 0
         assert gate_calls == self.ONCE
+
+
+class TestGroundRatio:
+    """verify samples the contraction ratio on the ground floor only, and
+    every higher floor's hierarchy.ratio record cites it when the floor
+    intertwines with the ground."""
+
+    def test_one_sampling_per_campaign(self, monkeypatch):
+        calls = count_calls(monkeypatch, coarse_graining, ("verify_self_similarity", "check_intertwining"))
+        run_campaign(RunConfig(levels=8, partition_n=5))
+        assert calls == {"verify_self_similarity": 1, "check_intertwining": 8}
+
+    @pytest.mark.parametrize("part", ["branch", "to_base"])
+    def test_a_floor_that_does_not_intertwine_fails_its_ratio(self, monkeypatch, part):
+        build = coarse_graining.build_hierarchy
+
+        def broken_at_2(*args, **kwargs):
+            tower = build(*args, **kwargs)
+            tower[2] = deep_broken(tower[2], part)
+            return tower
+
+        monkeypatch.setattr(coarse_graining, "build_hierarchy", broken_at_2)
+        checks = run_campaign(RunConfig(depth=4, dendrite_depth=0))["checks"]
+        ratio = {c["location"]: c for c in checks if c["id"] == "hierarchy.ratio"}
+        assert {loc: c["passed"] for loc, c in ratio.items()} == {"k=0": True, "k=1": True, "k=2": False}
+        # every floor cites the ground's sampled ratio and bound
+        assert {(c["measured"], c["bound"]) for c in ratio.values()} == {(ratio["k=0"]["measured"], ratio["k=0"]["bound"])}
+
+    def test_a_failing_ground_ratio_fails_every_floor(self):
+        checks = run_campaign(RunConfig(mu=12.0, depth=4, levels=3, dendrite_depth=0))["checks"]
+        ratio = [c for c in checks if c["id"] == "hierarchy.ratio"]
+        assert [c["location"] for c in ratio] == ["k=0", "k=1", "k=2", "k=3"]
+        assert not any(c["passed"] for c in ratio)
+        assert {c["measured"] for c in ratio} == {1 / 3}
 
 
 class TestOtherCommands:

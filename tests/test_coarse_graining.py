@@ -34,6 +34,8 @@ from cantor_coarse.coarse_graining import (
     build_hierarchy,
     build_quotient,
     check_conjugation,
+    check_coverage,
+    check_intertwining,
     check_isometry,
     conjugate_system,
     default_representatives,
@@ -439,6 +441,61 @@ class TestExactFloorChecks:
         assert check_conjugation(partial, tower[1]) is False
 
 
+def deep_broken(level: HierarchyLevel, part: str) -> HierarchyLevel:
+    """A floor of the default tower with its branch 0 (``part="branch"``)
+    or its pull-back to the ground (``part="to_base"``) wrong only on a
+    cylinder at least 31 symbols deep, where no sampled point reaches."""
+    if part == "to_base":
+        return dataclasses.replace(level, to_base=compose(level.to_base, deep_swap(DEEP)))
+    maps = list(level.system.maps)
+    # floor k's branch 0 maps its carrier [0^k] onto [0^k 0]
+    maps[0] = compose(maps[0], deep_swap("0" * (level.level + 1) + DEEP))
+    return dataclasses.replace(level, system=dataclasses.replace(level.system, maps=tuple(maps)))
+
+
+class TestIntertwining:
+    """check_intertwining decides to_base o q_j == p_j o to_base on the
+    floor's carrier, over every point; under it a floor's contraction
+    ratios are the ground's."""
+
+    @pytest.mark.parametrize("policy", EXACT_TOWERS)
+    def test_holds_on_every_floor_with_the_pointwise_identity(self, policy):
+        levels = 2 if policy.representative_policy == "explicit" else 8
+        tower = build_hierarchy(SYS5, levels, policy)
+        ground = tower[0]
+        for level in tower:
+            assert check_intertwining(level, ground), level.level
+            ys = sampled_points(level, 60, seed=level.level)
+            for y1, y2 in zip(ys, ys[1:]):
+                x1, x2 = level.to_base(y1), level.to_base(y2)
+                for p, q in zip(ground.system.maps, level.system.maps):
+                    assert level.to_base(q(y1)) == p(x1)
+                    if y1 != y2:
+                        # the floor's ratio at (y1, y2) is the ground's at (x1, x2)
+                        floor_ratio = level.metric(q(y1), q(y2)) / level.metric(y1, y2)
+                        assert floor_ratio == ground.metric(p(x1), p(x2)) / ground.metric(x1, x2)
+
+    @pytest.mark.parametrize("part", ["branch", "to_base"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fails_a_floor_wrong_only_deep_down(self, k, part):
+        tower = build_hierarchy(SYS5, 3)
+        broken = deep_broken(tower[k], part)
+        # the fault lies beyond every sampled point: the pointwise identity
+        # holds there, and the floor's sampled ratios still pass
+        for y in sampled_points(broken, 1000):
+            for p, q in zip(tower[0].system.maps, broken.system.maps):
+                assert broken.to_base(q(y)) == p(broken.to_base(y))
+        assert verify_self_similarity(broken, samples=300).ratio_pass
+        assert check_intertwining(tower[k], tower[0])
+        assert not check_intertwining(broken, tower[0])
+
+    def test_fails_another_branch_count(self):
+        tower = build_hierarchy(SYS5, 1)
+        level = tower[1]
+        three = dataclasses.replace(level.system, maps=level.system.maps + level.system.maps[:1])
+        assert not check_intertwining(dataclasses.replace(level, system=three), tower[0])
+
+
 def refined_coverage(level, extra: int) -> bool:
     """Reference coverage identity: every branch image of the carrier
     refined ``extra`` symbols below its deepest word, pushed word by word."""
@@ -473,6 +530,7 @@ class TestSelfSimilarity:
     def test_coverage_detects_a_broken_system(self):
         report = verify_self_similarity(broken_level(), samples=30, seed=0)
         assert not report.coverage_exact
+        assert not check_coverage(broken_level())
         assert not any(refined_coverage(broken_level(), extra) for extra in range(1, 5))
 
     @pytest.mark.parametrize("policy", ["distinct", "merged", "explicit"])
