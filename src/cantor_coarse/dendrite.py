@@ -5,14 +5,24 @@ length 3**-l, walked by the closed depth-first tour that descends and
 reascends every edge.  Composing binary expansion of an address with arc
 length along the tour gives a continuous map of the whole code space onto
 the whole tree; the point fibers of that map realize the tree as a
-decomposition of the code space.  The public point API (``tour_point``,
-``point``, ``distance``, ``dendrite_map``) is exact ``Fraction``
-arithmetic, so dyadic tour times invert exactly.  The sampled continuity
-check runs the same geometry in whole ticks: every edge length and tour
-break is a whole number of units of 3**-depth, and a dyadic tour time
-k/2**K lands on a whole number of units of 3**-depth * 2**-K.
-"""
+decomposition of the code space.
 
+The geometry is kept in whole ticks, units of 3**-depth (the shortest
+edge): every edge length, tour break and vertex visit is a whole number
+of ticks.  The kernels run on those integers:
+
+- ``tour_point`` bisects the break ticks and builds one ``Fraction``,
+  the offset along its edge;
+- ``fiber_of`` takes a point's tour times as integer pairs ``(a, q)``
+  for ``a / q`` and places each in its cylinder by ``divmod`` and its
+  witnesses by ``gcd`` and shifts;
+- the sampled continuity check measures a dyadic tour time k/2**K as a
+  whole number of units of 3**-depth * 2**-K.
+
+The public point API (``tour_point``, ``tour_parameters``, ``point``,
+``distance``, ``dendrite_map``, ``edge_length``, ``tour_length``) still
+returns exact ``Fraction``s, so dyadic tour times invert exactly.
+"""
 from __future__ import annotations
 
 import bisect
@@ -53,6 +63,9 @@ class DendritePoint:
 
     edge_child: int
     offset: Fraction
+
+
+_ROOT = DendritePoint(1, Fraction(0))
 
 
 def _common_ancestor(a: int, b: int) -> int:
@@ -101,7 +114,14 @@ class DendriteGraph:
     def edge_length(self, child: int) -> Fraction:
         if not 2 <= child <= self.vertex_count:
             raise ValueError(f"vertex {child} carries no edge")
-        return Fraction(1, 3 ** self.level(child))
+        return self._edge_lengths[child]
+
+    @cached_property
+    def _edge_lengths(self) -> tuple[Fraction | None, ...]:
+        """Edge lengths indexed by child vertex, one ``Fraction`` per level;
+        the root and the unused index 0 carry no edge."""
+        by_level = [Fraction(1, 3**level) for level in range(self.depth + 1)]
+        return (None, None) + tuple(by_level[self.level(v)] for v in range(2, self.vertex_count + 1))
 
     @cached_property
     def total_edge_length(self) -> Fraction:
@@ -125,7 +145,7 @@ class DendriteGraph:
         if edge_child == 1:
             if off != 0:
                 raise ValueError("the root carries no edge")
-            return DendritePoint(1, Fraction(0))
+            return _ROOT
         length = self.edge_length(edge_child)
         if not 0 <= off <= length:
             raise ValueError(f"offset {off} off the edge into {edge_child}")
@@ -135,7 +155,7 @@ class DendriteGraph:
 
     def vertex_point(self, v: int) -> DendritePoint:
         if v == 1:
-            return DendritePoint(1, Fraction(0))
+            return _ROOT
         return DendritePoint(v, self.edge_length(v))
 
     def as_vertex(self, p: DendritePoint) -> int | None:
@@ -193,17 +213,9 @@ class DendriteGraph:
         return tuple(segs)
 
     @cached_property
-    def tour_breaks(self) -> tuple[Fraction, ...]:
-        """Cumulative arc length at the segment boundaries; last entry is the
-        full (unnormalized) tour length."""
-        acc = [Fraction(0)]
-        for child, _ in self.tour_segments:
-            acc.append(acc[-1] + self.edge_length(child))
-        return tuple(acc)
-
-    @cached_property
     def _break_ticks(self) -> tuple[int, ...]:
-        """``tour_breaks`` in whole units of 3**-depth, the shortest edge."""
+        """Cumulative arc length at the segment boundaries, in whole units of
+        3**-depth (the shortest edge); the last entry is the full tour."""
         edges = self._edge_ticks
         return tuple(itertools.accumulate((edges[child] for child, _ in self.tour_segments), initial=0))
 
@@ -257,41 +269,72 @@ class DendriteGraph:
 
     @property
     def tour_length(self) -> Fraction:
-        return self.tour_breaks[-1]
+        """The unnormalized length of the closed tour."""
+        return Fraction(self._break_ticks[-1], 3**self.depth)
 
     def tour_point(self, t) -> DendritePoint:
-        """The point at normalized arc length ``t`` along the closed tour."""
-        t = Fraction(t)
-        if not 0 <= t <= 1:
+        """The point at normalized arc length ``t`` along the closed tour.
+
+        The lookup runs in ticks: the arc ``t * tour ticks`` is the ratio
+        ``num / den``, and its offset past the segment's start break is
+        ``(num - break * den) / den`` ticks, the one ``Fraction`` built.
+        """
+        if not isinstance(t, Fraction):
+            t = Fraction(t)
+        num, den = t.numerator, t.denominator
+        if not 0 <= num <= den:
             raise ValueError("tour parameter outside [0, 1]")
-        if self.depth == 0:
-            return self.vertex_point(1)
-        arc = t * self.tour_length
+        breaks = self._break_ticks
+        num *= breaks[-1]
         # every break is a whole number of ticks, so the breaks at or below
-        # arc are those at or below the whole ticks it contains
-        ticks = arc.numerator * 3**self.depth // arc.denominator
-        i = bisect.bisect_right(self._break_ticks, ticks) - 1
-        if i >= len(self.tour_segments):  # t == 1 closes the tour
+        # the arc are those at or below the whole ticks it contains
+        i = bisect.bisect_right(breaks, num // den) - 1
+        if i >= len(self.tour_segments):  # t == 1 closes the tour (always at depth 0)
             return self.vertex_point(1)
         child, direction = self.tour_segments[i]
-        delta = arc - self.tour_breaks[i]
-        if direction == "down":
-            return self.point(child, delta)
-        return self.point(child, self.edge_length(child) - delta)
+        delta = num - breaks[i] * den
+        if not delta:  # on the break that opens the segment
+            return self.vertex_point(child // 2 if direction == "down" else child)
+        if direction == "up":
+            delta = self._edge_ticks[child] * den - delta
+        return DendritePoint(child, Fraction(delta, den * 3**self.depth))
 
     @cached_property
-    def _vertex_visits(self) -> dict[int, tuple[Fraction, ...]]:
-        """Arc values at which the tour sits on each vertex."""
-        visits: dict[int, list[Fraction]] = {v: [] for v in self.vertices}
-        visits[1].append(Fraction(0))
-        for (child, direction), arc in zip(self.tour_segments, self.tour_breaks[1:]):
-            pos = child if direction == "down" else self.parent(child)
-            visits[pos].append(arc)
-        return {v: tuple(a) for v, a in visits.items()}
+    def _visit_ticks(self) -> tuple[tuple[int, ...], ...]:
+        """Break ticks at which the tour sits on each vertex, indexed by vertex
+        (index 0 is unused)."""
+        visits: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
+        visits[1].append(0)
+        for (child, direction), ticks in zip(self.tour_segments, self._break_ticks[1:]):
+            visits[child if direction == "down" else child // 2].append(ticks)
+        return tuple(tuple(v) for v in visits)
 
     @cached_property
     def _segment_index(self) -> dict[tuple[int, str], int]:
         return {seg: i for i, seg in enumerate(self.tour_segments)}
+
+    def _tour_times(self, p: DendritePoint) -> tuple[tuple[int, int], ...]:
+        """All normalized tour times landing on ``p``, in increasing order, as
+        integer pairs ``(a, q)`` for the time ``a / q``, not in lowest terms.
+
+        A vertex's times are its visit ticks over the tour ticks.  An interior
+        point at offset ``n / d`` lies ``n * 3**depth / d`` ticks into its
+        edge, so its down and up times share the denominator ``d * tour ticks``.
+        """
+        self._validate(p)
+        if self.depth == 0:  # the tour never leaves the root
+            return ((0, 1),)
+        total = self._break_ticks[-1]
+        v = self.as_vertex(p)
+        if v is not None:
+            return tuple((ticks, total) for ticks in self._visit_ticks[v])
+        child = p.edge_child
+        n, d = p.offset.numerator, p.offset.denominator
+        n *= 3**self.depth
+        breaks = self._break_ticks
+        down = breaks[self._segment_index[(child, "down")]] * d + n
+        up = breaks[self._segment_index[(child, "up")] + 1] * d - n
+        return ((down, d * total), (up, d * total))
 
     def tour_parameters(self, p: DendritePoint) -> tuple[Fraction, ...]:
         """All normalized tour times landing on ``p``.
@@ -299,18 +342,7 @@ class DendriteGraph:
         Interior edge points are hit twice (down pass and up pass), leaves
         once, and a vertex of out-degree d is hit 1 + d times.
         """
-        self._validate(p)
-        if self.depth == 0:
-            return (Fraction(0),)
-        total = self.tour_length
-        v = self.as_vertex(p)
-        if v is not None:
-            return tuple(arc / total for arc in self._vertex_visits[v])
-        child = p.edge_child
-        down = self.tour_breaks[self._segment_index[(child, "down")]] + p.offset
-        up_start = self.tour_breaks[self._segment_index[(child, "up")]]
-        up = up_start + self.edge_length(child) - p.offset
-        return tuple(sorted((down / total, up / total)))
+        return tuple(Fraction(a, q) for a, q in self._tour_times(p))
 
     # -- planar embedding --------------------------------------------------
 
@@ -367,22 +399,24 @@ class DendriteFiber:
     witnesses: tuple[Address, ...]
 
 
-def _time_addresses(t: Fraction, depth: int) -> list[Address]:
-    if t == 0:
+def _time_addresses(a: int, q: int, depth: int) -> list[Address]:
+    """Addresses at the tour time ``a / q``: both binary expansions of a
+    dyadic time, else its first ``max(depth, WITNESS_DEPTH)`` binary digits."""
+    if a == 0:
         return [Address("", "0")]
-    if t == 1:
+    if a == q:
         return [Address("", "1")]
-    den = t.denominator
+    g = math.gcd(a, q)
+    den = q // g
     if den & (den - 1) == 0:  # dyadic: both exact binary expansions
         m = den.bit_length() - 1
-        num = t.numerator
+        num = a // g
         return [
             Address(format(num, f"0{m}b"), "0"),
             Address(format(num - 1, f"0{m}b"), "1"),
         ]
     w = max(depth, WITNESS_DEPTH)
-    digits = int(t * 2**w)
-    return [Address(format(digits, f"0{w}b"), "0")]
+    return [Address(format((a << w) // q, f"0{w}b"), "0")]
 
 
 def fiber_of(tree: DendriteGraph, p: DendritePoint, depth: int) -> DendriteFiber:
@@ -390,23 +424,23 @@ def fiber_of(tree: DendriteGraph, p: DendritePoint, depth: int) -> DendriteFiber
 
     A cylinder [w] maps to the tour arc over the dyadic interval of width
     2**-len(w) starting at the binary value of w, so membership of each
-    tour time of ``p`` is decided exactly.
+    tour time of ``p`` is decided exactly: the time ``a / q`` lies in the
+    cylinder numbered ``(a << depth) // q``, and on its left boundary too
+    when the division leaves no remainder.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    params = tree.tour_parameters(p)
-    scale = 2**depth
-    words: set[str] = set()
+    scale = 1 << depth
+    words: set[str] = set()  # bin(scale | i)[3:] is i as a depth-digit word
     witnesses: set[Address] = set()
-    for t in params:
-        x = t * scale
-        i = int(x)
-        if i == scale:
+    for a, q in tree._tour_times(p):
+        i, r = divmod(a << depth, q)
+        if i == scale:  # t == 1 lies in the last cylinder only
             i -= 1
-        words.add(format(i, f"0{depth}b") if depth else "")
-        if x == i and i > 0:  # boundary time also belongs to the left cylinder
-            words.add(format(i - 1, f"0{depth}b"))
-        witnesses.update(_time_addresses(t, depth))
+        elif not r and i:  # boundary time also belongs to the left cylinder
+            words.add(bin(scale | (i - 1))[3:])
+        words.add(bin(scale | i)[3:])
+        witnesses.update(_time_addresses(a, q, depth))
     return DendriteFiber(
         target=p,
         cylinders=tuple(Cylinder(w) for w in sorted(words)),

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cantor_coarse import cli, clopen_partition, coarse_graining, quadratic_system
+from cantor_coarse import cli, clopen_partition, coarse_graining, dendrite, quadratic_system
 from cantor_coarse.cli import (
     RunConfig,
     _dump,
@@ -145,6 +145,17 @@ class TestVerifyCommand:
     def test_report_matches_golden_bytes(self, name):
         produced = _dump(run_campaign(VERIFY_GOLDENS[name])).encode("utf-8")
         assert produced == (DATA / name).read_bytes()
+
+    def test_truncated_witnesses_fail_fiber_soundness_alone(self, monkeypatch, tmp_path):
+        # 8 binary digits put a non-dyadic witness up to tour_length * 2**-12
+        # from its target at the default fiber depth 12
+        monkeypatch.setattr(dendrite, "WITNESS_DEPTH", 8)
+        result = invoke(["verify", "--out", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        failing = [c for c in report["checks"] if not c["passed"]]
+        assert [c["id"] for c in failing] == ["dendrite.fiber_soundness"]
+        assert failing[0]["measured"] > 1e-9
 
     def test_campaign_is_deterministic(self):
         cfg = RunConfig(depth=5, levels=1, dendrite_depth=2, out=".")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantor_coarse import dendrite
+from cantor_coarse import cli, dendrite
 from cantor_coarse.code_space import Address, _first_difference, random_address
 from cantor_coarse.dendrite import (
     DendriteGraph,
@@ -26,19 +27,131 @@ from cantor_coarse.dendrite import (
 )
 
 
+def _reference_edge_length(tree: DendriteGraph, child: int) -> Fraction:
+    return Fraction(1, 3 ** tree.level(child))
+
+
+def _reference_breaks(tree: DendriteGraph) -> tuple[Fraction, ...]:
+    """Tour breaks summed from the Fraction edge lengths; the last is the
+    tour length."""
+    return _reference_breaks_at(tree.depth)
+
+
+@functools.cache
+def _reference_breaks_at(depth: int) -> tuple[Fraction, ...]:
+    tree = DendriteGraph(depth)
+    lengths = (_reference_edge_length(tree, child) for child, _ in tree.tour_segments)
+    return tuple(itertools.accumulate(lengths, initial=Fraction(0)))
+
+
 def _reference_tour_point(tree: DendriteGraph, t: Fraction):
     """Tour lookup by bisecting the Fraction breaks directly."""
     if tree.depth == 0:
         return tree.vertex_point(1)
-    arc = t * tree.tour_length
-    i = bisect.bisect_right(tree.tour_breaks, arc) - 1
+    breaks = _reference_breaks(tree)
+    arc = t * breaks[-1]
+    i = bisect.bisect_right(breaks, arc) - 1
     if i >= len(tree.tour_segments):
         return tree.vertex_point(1)
     child, direction = tree.tour_segments[i]
-    delta = arc - tree.tour_breaks[i]
+    delta = arc - breaks[i]
     if direction == "down":
         return tree.point(child, delta)
-    return tree.point(child, tree.edge_length(child) - delta)
+    return tree.point(child, _reference_edge_length(tree, child) - delta)
+
+
+def _reference_tour_parameters(tree: DendriteGraph, p) -> tuple[Fraction, ...]:
+    """Every tour time landing on ``p``, from the Fraction breaks: a vertex
+    at each break the tour reaches it, an interior point once on the way
+    down its edge and once on the way up."""
+    if tree.depth == 0:
+        return (Fraction(0),)
+    breaks = _reference_breaks(tree)
+    total = breaks[-1]
+    v = tree.as_vertex(p)
+    if v is not None:
+        arcs = [Fraction(0)] if v == 1 else []
+        for (child, direction), arc in zip(tree.tour_segments, breaks[1:]):
+            if (child if direction == "down" else tree.parent(child)) == v:
+                arcs.append(arc)
+        return tuple(arc / total for arc in arcs)
+    down = breaks[tree.tour_segments.index((p.edge_child, "down"))] + p.offset
+    up = breaks[tree.tour_segments.index((p.edge_child, "up")) + 1] - p.offset
+    return tuple(sorted((down / total, up / total)))
+
+
+def _reference_time_addresses(t: Fraction, depth: int) -> list[Address]:
+    """Witnesses at tour time ``t``: both binary expansions of a dyadic,
+    else the first ``max(depth, WITNESS_DEPTH)`` digits."""
+    if t == 0:
+        return [Address("", "0")]
+    if t == 1:
+        return [Address("", "1")]
+    den = t.denominator
+    if den & (den - 1) == 0:
+        m = den.bit_length() - 1
+        return [Address(format(t.numerator, f"0{m}b"), "0"), Address(format(t.numerator - 1, f"0{m}b"), "1")]
+    w = max(depth, dendrite.WITNESS_DEPTH)
+    return [Address(format(int(t * 2**w), f"0{w}b"), "0")]
+
+
+def _reference_fiber(tree: DendriteGraph, p, depth: int):
+    """``fiber_of`` as (cylinder words, witnesses), each tour time placed by
+    Fraction arithmetic: the depth-``depth`` cylinders whose closed dyadic
+    interval holds it."""
+    scale = 2**depth
+    words: set[str] = set()
+    witnesses: set[Address] = set()
+    for t in _reference_tour_parameters(tree, p):
+        x = t * scale
+        i = min(int(x), scale - 1)
+        words.add(format(i, f"0{depth}b") if depth else "")
+        if x == i and i > 0:
+            words.add(format(i - 1, f"0{depth}b"))
+        witnesses.update(_reference_time_addresses(t, depth))
+    return sorted(words), sorted(witnesses)
+
+
+def _fiber_points(tree: DendriteGraph, seed: int = 0) -> list:
+    """Every vertex, every edge midpoint and 20 seeded rational interior
+    points, on edges and at offsets drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    points = [tree.vertex_point(v) for v in tree.vertices]
+    edges = range(2, tree.vertex_count + 1)
+    points += [tree.point(v, tree.edge_length(v) / 2) for v in edges]
+    for _ in range(20 if tree.depth else 0):
+        v = rng.choice(edges)
+        den = rng.randrange(2, 10**6)
+        points.append(tree.point(v, tree.edge_length(v) * Fraction(rng.randrange(1, den), den)))
+    return points
+
+
+def _fiber_depths(tree: DendriteGraph) -> list[int]:
+    return sorted({0, 1, 2 * tree.depth + 4, 10, 30})
+
+
+def _fiber_mismatches(tree: DendriteGraph, points, depths) -> list:
+    """The (point, depth) pairs at which ``fiber_of`` differs from
+    ``_reference_fiber`` in its cylinders or its witnesses."""
+    out = []
+    for depth in depths:
+        for p in points:
+            fib = fiber_of(tree, p, depth)
+            got = [c.word for c in fib.cylinders], list(fib.witnesses)
+            if got != _reference_fiber(tree, p, depth):
+                out.append((p, depth))
+    return out
+
+
+def _reference_fiber_soundness(tree: DendriteGraph, depth: int) -> float:
+    """``cli._fiber_soundness`` from the reference fibers and tour lookup."""
+    worst = Fraction(0)
+    for v in tree.vertices:
+        p = tree.vertex_point(v)
+        for wit in _reference_fiber(tree, p, depth)[1]:
+            image = _reference_tour_point(tree, _reference_binary_expansion(wit))
+            worst = max(worst, tree.distance(image, p))
+    return float(worst)
 
 
 def _scaled(a: Address, k: int) -> int:
@@ -135,6 +248,17 @@ class TestTreeStructure:
         assert t.edge_length(2) == Fraction(1, 3)
         assert t.edge_length(4) == Fraction(1, 9)
         assert t.edge_length(8) == Fraction(1, 27)
+        for depth in range(9):
+            t = DendriteGraph(depth)
+            for v in range(2, t.vertex_count + 1):
+                assert t.edge_length(v) == _reference_edge_length(t, v), (depth, v)
+            for v in (0, 1, t.vertex_count + 1):
+                with pytest.raises(ValueError, match="carries no edge"):
+                    t.edge_length(v)
+
+    def test_tour_length_is_the_last_break(self):
+        for depth in range(9):
+            assert DendriteGraph(depth).tour_length == _reference_breaks(DendriteGraph(depth))[-1]
 
     def test_tour_length_depth_one(self):
         assert DendriteGraph(1).tour_length == Fraction(4, 3)
@@ -239,16 +363,33 @@ class TestTour:
             for s in t.tour_parameters(p):
                 assert t.tour_point(s) == p
 
-    def test_integer_lookup_matches_fraction_bisect(self):
-        for depth in range(7):
-            t = DendriteGraph(depth)
-            # every k / 2**m with m <= 10 is some k / 1024; the exact break
-            # times put arc on a segment boundary
-            times = [Fraction(k, 1024) for k in range(1025)]
-            if depth:
-                times += [arc / t.tour_length for arc in t.tour_breaks]
-            for s in times:
-                assert t.tour_point(s) == _reference_tour_point(t, s), (depth, s)
+    @pytest.mark.parametrize("depth", range(9))
+    def test_tick_lookup_matches_the_fraction_definition(self, depth):
+        t = DendriteGraph(depth)
+        rng = random.Random(depth)
+        breaks = _reference_breaks(t)
+        # 0, 1, every exact break time (a segment boundary), every k / 1024,
+        # then seeded dyadic times and times with odd denominators
+        times = [Fraction(0), Fraction(1)] + [arc / breaks[-1] for arc in breaks[1:-1]]
+        times += [Fraction(k, 1024) for k in range(1025)]
+        for _ in range(300):
+            m = rng.randrange(1, 60)
+            times.append(Fraction(rng.randrange(2**m + 1), 2**m))
+            den = rng.randrange(3, 10**9, 2)
+            times.append(Fraction(rng.randrange(den + 1), den))
+        for s in times:
+            assert t.tour_point(s) == _reference_tour_point(t, s), (depth, s)
+
+    def test_lookup_accepts_int_and_float_times(self):
+        t = DendriteGraph(2)
+        assert t.tour_point(0) == t.tour_point(1) == t.vertex_point(1)
+        assert t.tour_point(0.25) == t.tour_point(Fraction(1, 4))
+
+    @pytest.mark.parametrize("depth", range(9))
+    def test_parameters_match_the_fraction_definition(self, depth):
+        t = DendriteGraph(depth)
+        for p in _fiber_points(t, seed=depth):
+            assert t.tour_parameters(p) == _reference_tour_parameters(t, p), (depth, p)
 
     def test_internal_vertex_visit_count(self):
         t = DendriteGraph(2)
@@ -519,3 +660,32 @@ class TestFibers:
         t = DendriteGraph(1)
         with pytest.raises(ValueError, match="off the tree"):
             fiber_of(t, DendritePoint(5, Fraction(1, 7)), 3)
+
+
+class TestTickFibers:
+    """``fiber_of`` and the soundness check against the Fraction definitions."""
+
+    @pytest.mark.parametrize("depth", range(9))
+    def test_fibers_match_the_fraction_definition(self, depth):
+        t = DendriteGraph(depth)
+        assert _fiber_mismatches(t, _fiber_points(t, seed=depth), _fiber_depths(t)) == []
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_a_visit_table_one_tick_off_fails(self, depth, shift):
+        for v in (1, 2, 2**depth - 1, 2 ** (depth + 1) - 1):  # root, first child, an inner vertex, last leaf
+            t = DendriteGraph(depth)
+            visits = list(t._visit_ticks)
+            # clamped to the tour: the root keeps 0 or the full tour, but not both
+            visits[v] = tuple(min(max(ticks + shift, 0), t._break_ticks[-1]) for ticks in visits[v])
+            assert visits[v] != t._visit_ticks[v]
+            t.__dict__["_visit_ticks"] = tuple(visits)
+            failed = _fiber_mismatches(t, [t.vertex_point(v)], _fiber_depths(t))
+            assert [d for _, d in failed] == _fiber_depths(t), (depth, v, shift)
+
+    @pytest.mark.parametrize("depth", range(9))
+    def test_soundness_matches_the_fraction_definition(self, depth):
+        t = DendriteGraph(depth)
+        sound = cli._fiber_soundness(t, 2 * depth + 4)
+        assert sound == _reference_fiber_soundness(t, 2 * depth + 4)
+        assert sound <= 1e-9
