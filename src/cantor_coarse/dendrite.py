@@ -309,10 +309,6 @@ class DendriteGraph:
             visits[child if direction == "down" else child // 2].append(ticks)
         return tuple(tuple(v) for v in visits)
 
-    @cached_property
-    def _segment_index(self) -> dict[tuple[int, str], int]:
-        return {seg: i for i, seg in enumerate(self.tour_segments)}
-
     def _tour_times(self, p: DendritePoint) -> tuple[tuple[int, int], ...]:
         """All normalized tour times landing on ``p``, in increasing order, as
         integer pairs ``(a, q)`` for the time ``a / q``, not in lowest terms.
@@ -320,6 +316,8 @@ class DendriteGraph:
         A vertex's times are its visit ticks over the tour ticks.  An interior
         point at offset ``n / d`` lies ``n * 3**depth / d`` ticks into its
         edge, so its down and up times share the denominator ``d * tour ticks``.
+        The tour enters the edge one edge length before the child's first
+        visit and leaves it one edge length after the child's last.
         """
         self._validate(p)
         if self.depth == 0:  # the tour never leaves the root
@@ -331,9 +329,9 @@ class DendriteGraph:
         child = p.edge_child
         n, d = p.offset.numerator, p.offset.denominator
         n *= 3**self.depth
-        breaks = self._break_ticks
-        down = breaks[self._segment_index[(child, "down")]] * d + n
-        up = breaks[self._segment_index[(child, "up")] + 1] * d - n
+        edge, visits = self._edge_ticks[child], self._visit_ticks[child]
+        down = (visits[0] - edge) * d + n
+        up = (visits[-1] + edge) * d - n
         return ((down, d * total), (up, d * total))
 
     def tour_parameters(self, p: DendritePoint) -> tuple[Fraction, ...]:

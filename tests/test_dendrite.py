@@ -258,7 +258,8 @@ class TestTreeStructure:
 
     def test_tour_length_is_the_last_break(self):
         for depth in range(9):
-            assert DendriteGraph(depth).tour_length == _reference_breaks(DendriteGraph(depth))[-1]
+            t = DendriteGraph(depth)
+            assert t.tour_length == _reference_breaks(t)[-1]
 
     def test_tour_length_depth_one(self):
         assert DendriteGraph(1).tour_length == Fraction(4, 3)
