@@ -23,6 +23,7 @@ The public point API (``tour_point``, ``tour_parameters``, ``point``,
 ``distance``, ``dendrite_map``, ``edge_length``, ``tour_length``) still
 returns exact ``Fraction``s, so dyadic tour times invert exactly.
 """
+
 from __future__ import annotations
 
 import bisect
