@@ -7,6 +7,7 @@ from cantor_coarse import (
     binary_expansion,
     check_continuity_modulus,
     check_surjectivity,
+    check_tour_conservation,
     dendrite_map,
     fiber_of,
 )
@@ -16,7 +17,7 @@ tree = DendriteGraph(3)
 print(f"complete binary tree, depth 3: {tree.vertex_count} vertices, "
       f"{tree.vertex_count - 1} edges")
 print(f"total edge length {tree.total_edge_length}, closed tour length {tree.tour_length}")
-print(f"tour walks every edge twice: {tree.tour_length == 2 * tree.total_edge_length}")
+print(f"tour walks every edge twice, each segment its edge's length: {check_tour_conservation(tree)}")
 
 print("\naddresses land on the tree through value, then arc length:")
 for prefix, tail in (("", "0"), ("", "1"), ("01", "0"), ("11", "0")):
@@ -34,7 +35,7 @@ mid = tree.point(2, Fraction(1, 6))
 print(f"\nan interior point of the first edge is passed twice: "
       f"tour times {tree.tour_parameters(mid)}")
 
-print(f"\nsurjectivity at depth 10 (all vertices and edge midpoints hit): "
-      f"{check_surjectivity(tree, 10)}")
-print(f"continuity modulus on 10^4 sampled pairs: "
-      f"{check_continuity_modulus(tree, pairs=10_000, seed=0)}")
+print(f"\nsurjectivity (every edge run once down, later once up, root to root): "
+      f"{check_surjectivity(tree)}")
+print(f"continuity modulus tour_length * 2**-m on every pair agreeing on m symbols: "
+      f"{check_continuity_modulus(tree)}")

@@ -63,6 +63,7 @@ _SUBMODULE_OF = {
             "binary_expansion",
             "check_continuity_modulus",
             "check_surjectivity",
+            "check_tour_conservation",
             "dendrite_map",
             "fiber_of",
         ),

@@ -16,8 +16,11 @@ of ticks.  The kernels run on those integers:
 - ``fiber_of`` takes a point's tour times as integer pairs ``(a, q)``
   for ``a / q`` and places each in its cylinder by ``divmod`` and its
   witnesses by ``gcd`` and shifts;
-- the sampled continuity check measures a dyadic tour time k/2**K as a
-  whole number of units of 3**-depth * 2**-K.
+- the conservation, surjectivity and continuity checks are decided on
+  the tour's segment table: its edges and break ticks.  The continuity
+  check also runs ``_tick_point`` at one dyadic time k/2**K inside each
+  segment and on each side of each break, measured in whole units of
+  3**-depth * 2**-K.
 
 The public point API (``tour_point``, ``tour_parameters``, ``point``,
 ``distance``, ``dendrite_map``, ``edge_length``, ``tour_length``) still
@@ -29,7 +32,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +46,7 @@ __all__ = [
     "binary_expansion",
     "check_continuity_modulus",
     "check_surjectivity",
+    "check_tour_conservation",
     "dendrite_map",
     "fiber_of",
 ]
@@ -447,45 +450,65 @@ def fiber_of(tree: DendriteGraph, p: DendritePoint, depth: int) -> DendriteFiber
     )
 
 
-def check_surjectivity(tree: DendriteGraph, depth: int) -> bool:
-    """Every vertex and every edge midpoint owns a non-empty fiber."""
-    points = [tree.vertex_point(v) for v in tree.vertices]
-    points += [
-        tree.point(v, tree.edge_length(v) / 2) for v in range(2, tree.vertex_count + 1)
-    ]
-    return all(fiber_of(tree, p, depth).cylinders for p in points)
+def _segment_ends(child: int, direction: str) -> tuple[int, int]:
+    """The vertex a tour segment leaves and the vertex it reaches."""
+    return (child // 2, child) if direction == "down" else (child, child // 2)
 
 
-def _sampled_pairs(rng: random.Random, max_prefix: int):
-    """Endless pairs of distinct addresses sharing a random prefix, as
-    integers ``(na, nb, k, m)``.
+def _segments_run_their_edges(tree: DendriteGraph) -> bool:
+    """The tour starts at tick 0, and each segment runs an edge of the tree
+    and lasts exactly that edge's length in ticks."""
+    segments, breaks, edges = tree.tour_segments, tree._break_ticks, tree._edge_ticks
+    return (
+        len(breaks) == len(segments) + 1
+        and breaks[0] == 0
+        and all(
+            2 <= child < len(edges) and stop - start == edges[child]
+            for (child, _), start, stop in zip(segments, breaks, breaks[1:])
+        )
+    )
 
-    Each pair draws ``shared = rng.randrange(max_prefix)``, then the bits of
-    one ``r = rng.getrandbits(shared + 10)``, read from the top: the shared
-    prefix, then 4 prefix symbols and a tail symbol for each address.  Both
-    prefixes are ``k = shared + 4`` symbols long, ``na`` and ``nb`` are the
-    binary values times 2**k, and ``m`` is the first symbol at which the
-    two sequences differ (``k`` when only the tails do).  A pair that comes
-    out equal is skipped.
+
+def check_tour_conservation(tree: DendriteGraph) -> bool:
+    """The tour spends exactly twice each edge's length on that edge.
+
+    Decided on the segment table in ticks: each segment lasts its edge's
+    length, and each edge has two segments, so a tour that runs one edge
+    three times and skips a run of another of the same length fails,
+    although its total is right.
     """
-    while True:
-        shared = rng.randrange(max_prefix)
-        r = rng.getrandbits(shared + 10)
-        pa, ta = r >> 6, (r >> 5) & 1
-        pb, tb = ((r >> 10) << 4) | ((r >> 1) & 15), r & 1
-        if pa != pb or ta != tb:
-            k = shared + 4
-            yield pa + ta, pb + tb, k, k - (pa ^ pb).bit_length()
+    children = sorted(child for child, _ in tree.tour_segments)
+    twice = [child for child in range(2, tree.vertex_count + 1) for _ in range(2)]
+    return _segments_run_their_edges(tree) and children == twice
+
+
+def check_surjectivity(tree: DendriteGraph) -> bool:
+    """The tour runs every edge exactly once down and later once up, and
+    starts and ends at the root.
+
+    Decided on the segment table.  ``check_continuity_modulus`` shows that
+    each segment runs its whole edge, so with this the tour, and the map
+    from the code space through it, is onto the tree.
+    """
+    segments = tree.tour_segments
+    position = {segment: i for i, segment in enumerate(segments)}
+    edges = range(2, tree.vertex_count + 1)
+    if len(position) != len(segments) or position.keys() != {(c, d) for c in edges for d in ("down", "up")}:
+        return False
+    if any(position[(c, "down")] > position[(c, "up")] for c in edges):
+        return False
+    return not segments or _segment_ends(*segments[0])[0] == 1 == _segment_ends(*segments[-1])[1]
 
 
 def _break_pairs(tree: DendriteGraph):
-    """One pair per tour break, as ``_sampled_pairs`` gives them: the K-bit
-    dyadic times just below and just above its tour time, K = (tour
-    ticks).bit_length() + 2.
+    """One pair of addresses per tour break, as integers ``(na, nb, k, m)``:
+    the binary values times 2**k of the K-bit dyadic times just below and
+    just above its tour time, K = (tour ticks).bit_length() + 2, with
+    k = m = K, the number of symbols the two addresses agree on.
 
-    Each pair is a word w with tails 0 and 1, so it agrees on exactly K
-    symbols and the modulus holds it to under a quarter tick: a leaf edge
-    a whole tick off shows at its breaks, however short the edge.
+    Each pair is a word w with tails 0 and 1, so the modulus holds it to
+    under a quarter tick: a leaf edge a whole tick off shows at its
+    breaks, however short the edge.
     """
     breaks = tree._break_ticks
     total = breaks[-1]
@@ -497,26 +520,44 @@ def _break_pairs(tree: DendriteGraph):
         yield word, word + 1, k, k
 
 
-def check_continuity_modulus(
-    tree: DendriteGraph,
-    pairs: int = 10_000,
-    seed: int = 0,
-    max_prefix: int = 24,
-) -> bool:
-    """Modulus of continuity: pairs agreeing on their first m symbols land
-    within tour_length * 2**-m of each other on the tree.
+def check_continuity_modulus(tree: DendriteGraph) -> bool:
+    """Modulus of continuity: addresses agreeing on their first m symbols
+    land within tour_length * 2**-m of each other on the tree.
 
-    Checked on ``pairs`` pairs sharing a prefix shorter than ``max_prefix``,
-    drawn from ``random.Random(seed)`` by ``_sampled_pairs``, and on one
-    pair straddling each tour break.  Exact and on integers throughout, in
-    units of 3**-depth * 2**-k: each pair comes as both binary values times
-    2**k, with k at least m, and the bound is ``tour ticks << (k - m)``.
+    Two such addresses have binary values within 2**-m, so the claim holds
+    for every pair once the tour runs at unit speed: each segment starts
+    where the one before it stopped (the first at the root, and the last
+    stops there), and lasts exactly its edge's length in ticks.  That is
+    decided on the segment table.
+
+    The evaluation kernel ``_tick_point`` is tied to the table at a K-bit
+    time near the middle of each segment, where it must lie on the
+    segment's edge as far from the vertex the segment left as the tour
+    has run, and across every break by ``_break_pairs``.  Exact and on
+    integers throughout, in units of 3**-depth * 2**-K with
+    ``_break_pairs``' K.
     """
-    total = tree._break_ticks[-1]
+    segments, breaks, edges = tree.tour_segments, tree._break_ticks, tree._edge_ticks
+    ends = [_segment_ends(child, direction) for child, direction in segments]
+    if [start for start, _ in ends] + [1] != [1] + [stop for _, stop in ends]:
+        return False
+    if not _segments_run_their_edges(tree):
+        return False
+    total = breaks[-1]
+    k = total.bit_length() + 2
     point, distance = tree._tick_point, tree._tick_distance
-    sampled = itertools.islice(_sampled_pairs(random.Random(seed), max_prefix), pairs)
-    for na, nb, k, m in itertools.chain(sampled, _break_pairs(tree)):
-        if distance(point(na, k), point(nb, k), k) > total << (k - m):
+    for (child, _), (start, stop), ticks in zip(segments, ends, breaks):
+        # the K-bit time at or just below the middle, under a quarter tick
+        # from it, so inside the segment; ``run`` is the arc since its start
+        num = ((2 * ticks + edges[child]) << (k - 1)) // total
+        run = num * total - (ticks << k)
+        p = point(num, k)
+        # a vertex v sits at full offset on its own edge (the root, edge 1, at 0)
+        if distance(p, (start, edges[start] << k), k) != run:
             return False
-    return True
-
+        if distance(p, (stop, edges[stop] << k), k) != (edges[child] << k) - run:
+            return False
+    return all(
+        distance(point(na, scale), point(nb, scale), scale) <= total << (scale - m)
+        for na, nb, scale, m in _break_pairs(tree)
+    )

@@ -57,16 +57,15 @@ def logistic(p: QuadraticParams, x):
 
 @dataclass(frozen=True)
 class WeakContractionSystem:
-    """Finitely many one-to-one contracting branches of an interval.
+    """Finitely many branches of an interval, each with a Lipschitz bound.
 
-    ``modulus`` holds one function eta -> alpha_j(eta) per branch and
-    ``modulus_inf`` its infimum over eta > 0.  Smooth branches carry their
-    constant Lipschitz bound, which satisfies the eta-dependent form
-    vacuously.
+    ``modulus_inf`` holds one bound per branch: for smooth branches, the
+    supremum of |f_j'|.  The constructor does not judge the bounds;
+    ``verify_statement_conditions`` reports whether they contract and sum
+    below one.
     """
 
     branches: tuple[Callable, ...]
-    modulus: tuple[Callable[[float], float], ...]
     modulus_inf: tuple[float, ...]
     fixed_points: tuple[float, ...]
     carrier: tuple[float, float] = (0.0, 1.0)
@@ -76,15 +75,8 @@ class WeakContractionSystem:
         m = len(self.branches)
         if m < 2:
             raise ValueError("need at least two branches")
-        if not (len(self.modulus) == len(self.modulus_inf) == m):
+        if len(self.modulus_inf) != m:
             raise ValueError("per-branch fields disagree on the branch count")
-        for j in range(m):
-            if not self.modulus_inf[j] > 0.0:
-                raise ValueError(f"branch {j}: infimum modulus must be positive")
-            for eta in (0.5, 1.0, 2.0):
-                alpha = self.modulus[j](eta)
-                if not 0.0 < alpha < 1.0:
-                    raise ValueError(f"branch {j}: modulus {alpha} at eta={eta} not in (0, 1)")
         for z in self.fixed_points:
             residual = min(abs(float(b(z)) - z) for b in self.branches)
             if residual > self.fixed_point_tol:
@@ -101,7 +93,7 @@ def inverse_branches(p: QuadraticParams) -> WeakContractionSystem:
     Solving mu*x*(1-x) = y gives x = (1 -+ sqrt(1 - 4y/mu))/2.  The low
     branch takes values in [0, 1/2] and the high branch in [1/2, 1], which
     fixes the symbolic coding orientation.  |f'| peaks at y = 1 with value
-    1/sqrt(mu*(mu-4)), recorded as the constant modulus; the fixed points
+    1/sqrt(mu*(mu-4)), recorded as each branch's modulus; the fixed points
     are 0 (low branch) and 1 - 1/mu (high branch).
     """
     mu = p.mu
@@ -113,13 +105,8 @@ def inverse_branches(p: QuadraticParams) -> WeakContractionSystem:
         return 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * y / mu))
 
     alpha = 1.0 / math.sqrt(mu * (mu - 4.0))
-
-    def constant_modulus(eta: float, _alpha=alpha) -> float:
-        return _alpha
-
     return WeakContractionSystem(
         branches=(low, high),
-        modulus=(constant_modulus, constant_modulus),
         modulus_inf=(alpha, alpha),
         fixed_points=(0.0, 1.0 - 1.0 / mu),
     )

@@ -161,6 +161,34 @@ class TestVerifyCommand:
         cfg = RunConfig(depth=5, levels=1, dendrite_depth=2, out=".")
         assert run_campaign(cfg) == run_campaign(cfg)
 
+    @pytest.mark.parametrize("args", [[], ["--dendrite-depth", "8"]], ids=["default", "dendrite-depth-8"])
+    def test_checks_do_not_depend_on_the_seed(self, tmp_path, args):
+        checks = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            result = invoke(["verify", *args, "--seed", seed, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            checks.append(json.loads((out / "verification_report.json").read_text())["checks"])
+        assert checks[0] == checks[1]
+
+    def test_a_tower_that_cannot_be_built_fails_each_floor(self, tmp_path, caplog):
+        # one block per floor gives a trivial quotient, which build_quotient refuses
+        caplog.set_level(logging.INFO, logger="cantor_coarse")
+        args = ["--n", "1", "--levels", "3", "--depth", "4", "--dendrite-depth", "2"]
+        result = invoke(["verify", *args, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.exc_info[0] is SystemExit
+        assert "Traceback" not in result.output
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        failing = [(c["id"], c["location"], c["measured"]) for c in report["checks"] if not c["passed"]]
+        assert failing == [("quotient.nontrivial", f"k={k}", None) for k in (1, 2, 3)]
+        # logged at INFO, so a default run prints no traceback
+        (raised,) = [r for r in caplog.records if "raised" in r.getMessage()]
+        assert (raised.getMessage(), raised.levelno) == ("quotient.nontrivial: build_hierarchy raised", logging.INFO)
+        assert "trivial quotient" in str(raised.exc_info[1])
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(report, json.loads((SCHEMAS / "verification_report.schema.json").read_text()))
+
 
 class TestPartitionChecks:
     def test_chain_step_n_is_build_partition_n(self):
@@ -331,6 +359,15 @@ class TestHierarchyCommand:
         # the out path is the only configured difference
         golden["config"]["out"] = produced["config"]["out"]
         assert produced == golden
+
+    def test_levels_do_not_depend_on_the_seed(self, tmp_path):
+        levels = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            result = invoke(["hierarchy", "--seed", seed, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            levels.append(json.loads((out / "hierarchy.json").read_text())["levels"])
+        assert levels[0] == levels[1]
 
     def test_document_validates_against_shipped_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
@@ -553,6 +590,21 @@ class TestSubprocessHarness:
         assert "MAX_ENUMERATED_DEPTH=14 caps depth 20 to 14" in loud.stderr
         assert "MAX_DOCUMENT_DEPTH=10 caps depth 20 to 10" in loud.stderr
         assert (loud.stdout, report.read_bytes()) == (quiet.stdout, quiet_report)
+
+    @pytest.mark.parametrize(
+        ("args", "failing"),
+        [
+            (("--n", "1"), ["quotient.nontrivial", "quotient.nontrivial"]),
+            (("--mu", "4.1"), ["statement.iii.modulus_sum"]),
+        ],
+        ids=["n-1", "mu-4.1"],
+    )
+    def test_exit_one_with_a_report_and_no_traceback(self, tmp_path, args, failing):
+        proc = self._run("verify", *args, "--out", str(tmp_path))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        assert [c["id"] for c in report["checks"] if not c["passed"]] == failing
 
     def test_exit_two_on_usage_error(self, tmp_path):
         proc = self._run("verify", "--mu", "3.9", "--out", str(tmp_path))

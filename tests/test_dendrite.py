@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import logging
 import random
 from fractions import Fraction
 
@@ -18,10 +19,10 @@ from cantor_coarse.dendrite import (
     DendriteGraph,
     _binary_numerator,
     _break_pairs,
-    _sampled_pairs,
     binary_expansion,
     check_continuity_modulus,
     check_surjectivity,
+    check_tour_conservation,
     dendrite_map,
     fiber_of,
 )
@@ -171,17 +172,6 @@ def _tick_distance(tree: DendriteGraph, a: Address, b: Address) -> Fraction:
     return _pair_distance(tree, _scaled(a, k), _scaled(b, k), k)
 
 
-def _reference_sampled_pairs(rng: random.Random, max_prefix: int):
-    """``_sampled_pairs`` as addresses: the same draws, read as bit strings."""
-    while True:
-        shared = rng.randrange(max_prefix)
-        symbols = format(rng.getrandbits(shared + 10), f"0{shared + 10}b")
-        a = Address(symbols[: shared + 4], symbols[shared + 4])
-        b = Address(symbols[:shared] + symbols[shared + 5 : -1], symbols[-1])
-        if a != b:
-            yield a, b
-
-
 def _reference_break_pairs(tree: DendriteGraph):
     """``_break_pairs`` as addresses: the K-bit word below each break with
     tails 0 and 1."""
@@ -194,11 +184,10 @@ def _reference_break_pairs(tree: DendriteGraph):
         yield Address(word, "0"), Address(word, "1")
 
 
-def _assert_pairs_match(pairs, reference, count=None):
+def _assert_pairs_match(pairs, reference):
     """Each integer pair is its reference address pair: both values at the
     pair's scale, and the first difference."""
-    pairs = list(itertools.islice(pairs, count))
-    reference = list(itertools.islice(reference, count))
+    pairs, reference = list(pairs), list(reference)
     assert len(pairs) == len(reference)
     for (na, nb, k, m), (a, b) in zip(pairs, reference):
         assert k >= max(len(a.prefix), len(b.prefix)), (a, b, k)
@@ -236,6 +225,153 @@ def _reference_binary_expansion(a: Address) -> Fraction:
     return total
 
 
+# -- planted faults: each writes a wrong table into one tree -------------
+
+
+def _swap_two_segments(t: DendriteGraph) -> None:
+    """The two segments around the tour's middle break trade places: the
+    run back up to the root from the left subtree and the run down into
+    the right one."""
+    segments = list(t.tour_segments)
+    i = len(segments) // 2
+    segments[i - 1], segments[i] = segments[i], segments[i - 1]
+    t.__dict__["tour_segments"] = tuple(segments)
+
+
+def _swap_the_first_two_segments(t: DendriteGraph) -> None:
+    """The tour opens with its second segment: below the root from depth 2
+    on, and up the first edge before running it down at depth 1."""
+    segments = list(t.tour_segments)
+    segments[0], segments[1] = segments[1], segments[0]
+    t.__dict__["tour_segments"] = tuple(segments)
+
+
+def _run_a_leaf_up_before_down(t: DendriteGraph) -> None:
+    """The tour runs the last leaf's edge up before it runs it down."""
+    segments = list(t.tour_segments)
+    i = segments.index((t.vertex_count, "down"))
+    segments[i], segments[i + 1] = segments[i + 1], segments[i]
+    t.__dict__["tour_segments"] = tuple(segments)
+
+
+def _shift_a_break(shift: int, where: str):
+    def plant(t: DendriteGraph) -> None:
+        """A break moves ``shift`` ticks: the tour's middle one, between the
+        runs of two edges, or the last leaf's turn, between the runs down
+        and up its edge, which keeps that edge's time in the tour."""
+        breaks = list(t._break_ticks)
+        i = len(breaks) // 2 if where == "middle" else t.tour_segments.index((t.vertex_count, "up"))
+        breaks[i] += shift
+        t.__dict__["_break_ticks"] = tuple(breaks)
+
+    return plant
+
+
+def _shift_every_break(t: DendriteGraph) -> None:
+    """Every break one tick late: each segment keeps its length, but the
+    tour opens at tick 1 and its length reads one tick too long."""
+    t.__dict__["_break_ticks"] = tuple(ticks + 1 for ticks in t._break_ticks)
+
+
+def _drop_the_last_break(t: DendriteGraph) -> None:
+    """The break table stops one segment short: the tour's length misses
+    its last run, up the root's second edge."""
+    t.__dict__["_break_ticks"] = t._break_ticks[:-1]
+
+
+def _run_a_leaf_round_trip_twice(t: DendriteGraph) -> None:
+    """The tour runs the last leaf's edge down and up twice over."""
+    segments = list(t.tour_segments)
+    i = segments.index((t.vertex_count, "down"))
+    segments[i:i] = segments[i : i + 2]
+    t.__dict__["tour_segments"] = tuple(segments)
+
+
+def _run_an_edge_three_times(t: DendriteGraph) -> None:
+    """The last two leaves are siblings: the tour runs the first one's edge
+    down, up and down again where it should run the second one's down.
+    Both edges have one length, so the tour's total stays right."""
+    segments = list(t.tour_segments)
+    first, second = t.vertex_count - 1, t.vertex_count
+    segments[segments.index((second, "down"))] = (first, "down")
+    t.__dict__["tour_segments"] = tuple(segments)
+
+
+def _lengthen_a_leaf_edge(t: DendriteGraph) -> None:
+    """The last leaf's edge table entry doubles after the tour and root
+    tables are built, so only the point placement sees the longer edge."""
+    t._break_ticks, t._root_ticks
+    edges = list(t._edge_ticks)
+    edges[t.vertex_count] *= 2
+    t.__dict__["_edge_ticks"] = tuple(edges)
+
+
+def _misplace_a_vertex(t: DendriteGraph) -> None:
+    """The parent of the last leaf (the root at depth 1) sits one tick too
+    far from the root in the kernel's root distances."""
+    root = list(t._root_ticks)
+    root[t.vertex_count // 2] += 1
+    t.__dict__["_root_ticks"] = tuple(root)
+
+
+def _faulty_kernel(wrong):
+    """Plant ``wrong(tree, num, k, point)`` as the tree's ``_tick_point``,
+    ``point`` being the true kernel's answer: a fault of the evaluation
+    kernel that the segment table cannot see."""
+
+    def plant(t: DendriteGraph) -> None:
+        true_point = t._tick_point
+        t.__dict__["_tick_point"] = lambda num, k: wrong(t, num, k, true_point(num, k))
+
+    return plant
+
+
+def _on_the_sibling_edge(direction: str):
+    def wrong(t: DendriteGraph, num: int, k: int, point):
+        """Points of the ``direction`` runs land on the sibling edge."""
+        i = bisect.bisect_right(t._break_ticks, (num * t._break_ticks[-1]) >> k) - 1
+        if i < len(t.tour_segments) and t.tour_segments[i][1] == direction:
+            return (point[0] ^ 1, point[1])
+        return point
+
+    return _faulty_kernel(wrong)
+
+
+@_faulty_kernel
+def _close_the_tour_at_vertex_3(t: DendriteGraph, num: int, k: int, point):
+    """Time 1 lands on vertex 3 instead of the root."""
+    return (3, t._edge_ticks[3] << k) if num == 1 << k else point
+
+
+# planted fault -> the records it must fail
+PLANTED_FAULTS = {
+    "two-segments-swapped": (_swap_two_segments, {"dendrite.continuity"}),
+    "tour-opens-with-its-second-segment": (
+        _swap_the_first_two_segments,
+        {"dendrite.continuity", "dendrite.surjectivity"},
+    ),
+    "leaf-run-up-before-down": (_run_a_leaf_up_before_down, {"dendrite.continuity", "dendrite.surjectivity"}),
+    "middle-break-one-tick-late": (_shift_a_break(1, "middle"), {"dendrite.continuity", "dendrite.tour_conservation"}),
+    "middle-break-one-tick-early": (
+        _shift_a_break(-1, "middle"),
+        {"dendrite.continuity", "dendrite.tour_conservation"},
+    ),
+    "leaf-turn-one-tick-late": (_shift_a_break(1, "leaf-turn"), {"dendrite.continuity", "dendrite.tour_conservation"}),
+    "every-break-one-tick-late": (_shift_every_break, {"dendrite.continuity", "dendrite.tour_conservation"}),
+    "last-break-dropped": (_drop_the_last_break, {"dendrite.tour_conservation"}),
+    "edge-run-three-times": (_run_an_edge_three_times, {"dendrite.tour_conservation", "dendrite.surjectivity"}),
+    "leaf-round-trip-run-twice": (
+        _run_a_leaf_round_trip_twice,
+        {"dendrite.tour_conservation", "dendrite.surjectivity"},
+    ),
+    "longer-leaf-edge": (_lengthen_a_leaf_edge, {"dendrite.continuity"}),
+    "wrong-root-distance": (_misplace_a_vertex, {"dendrite.continuity"}),
+    "kernel-runs-down-on-the-sibling-edge": (_on_the_sibling_edge("down"), {"dendrite.continuity"}),
+    "kernel-runs-up-on-the-sibling-edge": (_on_the_sibling_edge("up"), {"dendrite.continuity"}),
+    "kernel-closes-the-tour-at-vertex-3": (_close_the_tour_at_vertex_3, {"dendrite.continuity"}),
+}
+
+
 class TestTreeStructure:
     def test_counts(self):
         t = DendriteGraph(3)
@@ -265,9 +401,10 @@ class TestTreeStructure:
         assert DendriteGraph(1).tour_length == Fraction(4, 3)
 
     def test_tour_conservation(self):
-        for depth in range(0, 6):
+        for depth in range(9):
             t = DendriteGraph(depth)
             assert t.tour_length == 2 * t.total_edge_length
+            assert check_tour_conservation(t)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -425,9 +562,9 @@ class TestDendriteMap:
         t = DendriteGraph(1)
         assert dendrite_map(t, Address("01", "0")) == t.vertex_point(2)
 
-    def test_continuity_modulus_sampled(self):
-        for seed in range(5):
-            assert check_continuity_modulus(DendriteGraph(4), pairs=10_000, seed=seed)
+    def test_continuity_modulus(self):
+        for depth in range(9):
+            assert check_continuity_modulus(DendriteGraph(depth)), depth
 
 
 class TestTickGeometry:
@@ -437,12 +574,6 @@ class TestTickGeometry:
         rng = random.Random(7)
         for depth in range(9):
             t = DendriteGraph(depth)
-            sampled = zip(
-                _sampled_pairs(random.Random(depth), 24),
-                _reference_sampled_pairs(random.Random(depth), 24),
-            )
-            for (na, nb, k, _), (a, b) in itertools.islice(sampled, 200):
-                assert _pair_distance(t, na, nb, k) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
             for _ in range(200):
                 a, b = random_address(rng, 30), random_address(rng, 30)
                 if a != b:
@@ -466,42 +597,19 @@ class TestTickGeometry:
             for a, b in pairs:
                 assert _tick_distance(t, a, b) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
 
-    def test_longer_leaf_edge_fails(self):
-        for depth in (1, 2, 4, 8):
-            for seed in range(5):
-                t = DendriteGraph(depth)
-                # build the tour and root tables first, so that only the
-                # point placement sees the longer edge
-                t._break_ticks, t._root_ticks
-                edges = list(t._edge_ticks)
-                edges[t.vertex_count] *= 2
-                t.__dict__["_edge_ticks"] = tuple(edges)
-                assert not check_continuity_modulus(t, seed=seed), (depth, seed)
-
-    def test_wrong_root_distance_fails(self):
-        t = DendriteGraph(4)
-        root = list(t._root_ticks)
-        root[2] += 1
-        t.__dict__["_root_ticks"] = tuple(root)
-        assert not check_continuity_modulus(t)
-
-    @pytest.mark.parametrize("fault", ["longer-leaf-edge", "wrong-root-distance"])
-    def test_sampled_pairs_alone_catch_a_fault(self, monkeypatch, fault):
-        # without the break pairs the check rests on its seeded pairs
+    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize(
+        "fault",
+        ["wrong-root-distance", "kernel-runs-down-on-the-sibling-edge", "kernel-runs-up-on-the-sibling-edge"],
+    )
+    def test_the_points_inside_the_segments_alone_catch_a_kernel_fault(self, monkeypatch, depth, fault):
+        # without the break pairs the kernel is checked only inside the
+        # segments; the table is intact, so only the kernel sees the fault
         monkeypatch.setattr(dendrite, "_break_pairs", lambda tree: iter(()))
-        for seed in range(5):
-            t = DendriteGraph(4)
-            t._break_ticks, t._root_ticks  # built before the fault, as in the tests above
-            if fault == "longer-leaf-edge":
-                edges = list(t._edge_ticks)
-                edges[t.vertex_count] *= 2
-                t.__dict__["_edge_ticks"] = tuple(edges)
-            else:
-                root = list(t._root_ticks)
-                root[2] += 1
-                t.__dict__["_root_ticks"] = tuple(root)
-            assert not check_continuity_modulus(t, seed=seed), seed
-        assert check_continuity_modulus(DendriteGraph(4))
+        assert check_continuity_modulus(DendriteGraph(depth))
+        t = DendriteGraph(depth)
+        PLANTED_FAULTS[fault][0](t)
+        assert not check_continuity_modulus(t)
 
 
 class TestBreakPairs:
@@ -526,63 +634,6 @@ class TestBreakPairs:
         for depth in range(9):
             t = DendriteGraph(depth)
             _assert_pairs_match(_break_pairs(t), _reference_break_pairs(t))
-
-
-class _RecordingRandom:
-    """A seeded generator that keeps every ``randrange`` result."""
-
-    def __init__(self, seed: int) -> None:
-        self._rng = random.Random(seed)
-        self.ranges: list[int] = []
-
-    def randrange(self, stop: int) -> int:
-        self.ranges.append(self._rng.randrange(stop))
-        return self.ranges[-1]
-
-    def getrandbits(self, k: int) -> int:
-        return self._rng.getrandbits(k)
-
-
-class TestSampledPairs:
-    """Each pair draws its shared prefix length, then its symbols."""
-
-    @pytest.mark.parametrize("max_prefix", [1, 2, 24])
-    def test_pairs_share_the_drawn_prefix(self, max_prefix):
-        for seed in range(3):
-            rng = _RecordingRandom(seed)
-            pairs = _sampled_pairs(rng, max_prefix)
-            shares = set()
-            for _ in range(3000):
-                na, nb, k, m = next(pairs)
-                shared = rng.ranges[-1]  # a pair drawn equal is skipped, so read the last draw
-                shares.add(shared)
-                # both prefixes have shared + 4 symbols; the sequences agree on
-                # the first shared symbols and differ at symbol m, at the
-                # latest in the tails, where the values differ by one unit
-                assert k == shared + 4, (seed, shared, k)
-                assert shared <= m <= k, (seed, shared, na, nb, m)
-                assert m < k or abs(na - nb) == 1, (seed, shared, na, nb, m)
-                assert 0 <= na <= 1 << k and 0 <= nb <= 1 << k, (seed, shared, na, nb)
-                assert abs(na - nb) <= 1 << (k - shared), (seed, shared, na, nb)
-            assert shares == set(range(max_prefix)), seed
-
-    @pytest.mark.parametrize("max_prefix", [1, 2, 24, 40])
-    def test_matches_the_address_pairs(self, max_prefix):
-        for seed in range(10):
-            _assert_pairs_match(
-                _sampled_pairs(random.Random(seed), max_prefix),
-                _reference_sampled_pairs(random.Random(seed), max_prefix),
-                count=2000,
-            )
-
-    def test_one_seed_repeats_its_pairs(self):
-        first = list(itertools.islice(_sampled_pairs(random.Random(5), 24), 500))
-        assert list(itertools.islice(_sampled_pairs(random.Random(5), 24), 500)) == first
-
-    @pytest.mark.parametrize("max_prefix", [0, -3])
-    def test_empty_prefix_range_raises(self, max_prefix):
-        with pytest.raises(ValueError, match="empty range"):
-            next(_sampled_pairs(random.Random(0), max_prefix))
 
 
 class TestFibers:
@@ -651,9 +702,9 @@ class TestFibers:
         for p, q in itertools.combinations(points, 2):
             assert not (witnesses_by_point[p] & witnesses_by_point[q])
 
-    def test_surjectivity_small_trees(self):
-        for depth in range(0, 7):
-            assert check_surjectivity(DendriteGraph(depth), 2 * depth + 4)
+    def test_surjectivity(self):
+        for depth in range(9):
+            assert check_surjectivity(DendriteGraph(depth)), depth
 
     def test_off_tree_fiber_rejected(self):
         from cantor_coarse.dendrite import DendritePoint
@@ -690,3 +741,57 @@ class TestTickFibers:
         sound = cli._fiber_soundness(t, 2 * depth + 4)
         assert sound == _reference_fiber_soundness(t, 2 * depth + 4)
         assert sound <= 1e-9
+
+
+class TestPlantedFaults:
+    """Each dendrite record fails when the tour table makes its claim false."""
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+    def test_a_fault_fails_its_records(self, monkeypatch, fault, depth):
+        plant, must_fail = PLANTED_FAULTS[fault]
+
+        def faulty_tree(d: int) -> DendriteGraph:
+            t = DendriteGraph(d)
+            plant(t)
+            return t
+
+        monkeypatch.setattr(dendrite, "DendriteGraph", faulty_tree)
+        records = cli._dendrite_checks(cli.RunConfig(dendrite_depth=depth))
+        failing = {r.check_id for r in records if not r.passed}
+        assert must_fail <= failing, (fault, depth, failing)
+
+    def test_a_witness_off_the_tree_fails_fiber_soundness(self, monkeypatch, caplog):
+        # with the last leaf's edge longer in the kernel than on the tree, a
+        # witness maps past the leaf, off the tree, and measuring it raises
+        def faulty_tree(d: int) -> DendriteGraph:
+            t = DendriteGraph(d)
+            _lengthen_a_leaf_edge(t)
+            return t
+
+        monkeypatch.setattr(dendrite, "DendriteGraph", faulty_tree)
+        caplog.set_level(logging.INFO, logger="cantor_coarse")
+        soundness = cli._dendrite_checks(cli.RunConfig())[-1]
+        assert (soundness.check_id, soundness.measured, soundness.passed) == ("dendrite.fiber_soundness", None, False)
+        (raised,) = [r for r in caplog.records if r.exc_info]
+        assert raised.levelno == logging.INFO
+        assert "off the tree" in str(raised.exc_info[1])
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_three_runs_of_one_edge_keep_the_total(self, depth):
+        t = DendriteGraph(depth)
+        _run_an_edge_three_times(t)
+        assert t.tour_length == DendriteGraph(depth).tour_length == 2 * t.total_edge_length
+
+    @pytest.mark.parametrize(
+        ("check_id", "check"),
+        [
+            ("dendrite.tour_conservation", "check_tour_conservation"),
+            ("dendrite.surjectivity", "check_surjectivity"),
+            ("dendrite.continuity", "check_continuity_modulus"),
+        ],
+    )
+    def test_each_record_reads_its_check(self, monkeypatch, check_id, check):
+        monkeypatch.setattr(dendrite, check, lambda tree: False)
+        records = cli._dendrite_checks(cli.RunConfig())
+        assert [r.check_id for r in records if not r.passed] == [check_id]

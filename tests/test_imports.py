@@ -31,7 +31,8 @@ PUBLIC = set(
     code_distance complete_prefix_code embed_cmts map_clopen prepend_map
     recode_between recode_homeomorphism
     DendriteFiber DendriteGraph DendritePoint binary_expansion
-    check_continuity_modulus check_surjectivity dendrite_map fiber_of
+    check_continuity_modulus check_surjectivity check_tour_conservation
+    dendrite_map fiber_of
     IntervalCover PointEstimate QuadraticParams StatementReport
     WeakContractionSystem hausdorff_distance invariant_cover
     inverse_branches itinerary_point logistic modulus_sum_threshold

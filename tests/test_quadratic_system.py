@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cantor_coarse.cli import RunConfig, _statement_checks, run_campaign
 from cantor_coarse.code_space import Address
 from cantor_coarse.quadratic_system import (
     IntervalCover,
@@ -33,7 +34,6 @@ MU5 = QuadraticParams(5.0)
 def toy_system(b1, b2, fixed, moduli):
     return WeakContractionSystem(
         branches=(b1, b2),
-        modulus=(lambda eta: moduli[0], lambda eta: moduli[1]),
         modulus_inf=tuple(moduli),
         fixed_points=tuple(fixed),
     )
@@ -446,14 +446,24 @@ class TestHausdorff:
 
 
 class TestWeakContractionSystemValidation:
-    def test_rejects_modulus_at_least_one(self):
-        with pytest.raises(ValueError, match="not in"):
-            toy_system(lambda y: y / 2, lambda y: y / 2 + 0.5, (0.0,), (1.0, 0.5))
+    """The constructor builds any system; the statement checks judge it."""
 
-    def test_rejects_mu_without_contraction(self):
+    def test_modulus_at_least_one_fails_the_modulus_sum_record(self):
+        sys_ = toy_system(lambda y: y / 2, lambda y: y / 2 + 0.5, (0.0, 1.0), (1.0, 0.5))
+        records, all_pass = _statement_checks(RunConfig(), sys_)
+        assert not all_pass
+        failing = [r for r in records if not r.passed]
+        assert [(r.check_id, r.measured) for r in failing] == [("statement.iii.modulus_sum", 1.5)]
+
+    @pytest.mark.parametrize("mu", [4.1, 4.2])
+    def test_mu_without_contraction_fails_only_the_modulus_sum(self, mu):
         # just above 4 the branch slope at y=1 exceeds 1
-        with pytest.raises(ValueError):
-            inverse_branches(QuadraticParams(4.2))
+        alpha = 1.0 / math.sqrt(mu * (mu - 4.0))
+        assert alpha > 1.0
+        assert inverse_branches(QuadraticParams(mu)).modulus_inf == (alpha, alpha)
+        report = run_campaign(RunConfig(mu=mu))
+        failing = [c for c in report["checks"] if not c["passed"]]
+        assert [(c["id"], c["measured"]) for c in failing] == [("statement.iii.modulus_sum", 2 * alpha)]
 
     def test_rejects_false_fixed_point(self):
         with pytest.raises(ValueError, match="residual"):
