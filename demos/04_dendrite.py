@@ -16,7 +16,7 @@ from cantor_coarse.code_space import Address
 tree = DendriteGraph(3)
 print(f"complete binary tree, depth 3: {tree.vertex_count} vertices, "
       f"{tree.vertex_count - 1} edges")
-print(f"total edge length {tree.total_edge_length}, closed tour length {tree.tour_length}")
+print(f"total edge length {tree.tour_length / 2}, closed tour length {tree.tour_length}")
 print(f"tour walks every edge twice, each segment its edge's length: {check_tour_conservation(tree)}")
 
 print("\naddresses land on the tree through value, then arc length:")

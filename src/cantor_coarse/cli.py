@@ -26,7 +26,7 @@ if TYPE_CHECKING:
     from .code_space import Address
     from .coarse_graining import HierarchyLevel, HierarchyPolicy
     from .dendrite import DendriteGraph
-    from .quadratic_system import WeakContractionSystem
+    from .quadratic_system import QuadraticParams, WeakContractionSystem
 
 __all__ = ["CheckRecord", "RunConfig", "main", "run_campaign"]
 
@@ -201,25 +201,27 @@ def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list
     return records, report.all_pass
 
 
-def _coverage_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list[CheckRecord], list[float]]:
-    """The cover identity and nesting records, and the identity's Hausdorff
-    distance for each n = 0..min(depth, MAX_ENUMERATED_DEPTH), by n."""
-    from .quadratic_system import hausdorff_distance, invariant_cover, refine_cover
+def _coverage_checks(
+    cfg: RunConfig, params: QuadraticParams, sys_: WeakContractionSystem
+) -> tuple[list[CheckRecord], list[float]]:
+    """The forward-map identity and nesting records along one cover chain
+    of ``sys_``, and the identity's distance for each n =
+    0..min(depth, MAX_ENUMERATED_DEPTH), by n.  The forward map is the
+    quadratic map of ``params``."""
+    from .quadratic_system import cover_chain, forward_distance
 
     records = []
     distances = []
     top = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
-    cover = invariant_cover(sys_, 0)
-    for n in range(top + 1):
-        next_cover = invariant_cover(sys_, n + 1)
-        dist = hausdorff_distance(refine_cover(sys_, cover), next_cover)
-        nested = next_cover.subset_of(cover)
+    covers = cover_chain(sys_, top + 1)
+    for n, (cover, finer) in enumerate(zip(covers, covers[1:])):
+        dist = forward_distance(params, finer, cover)
+        nested = finer.subset_of(cover)
         records.append(
             CheckRecord("cover.identity", f"n={n}", dist, cfg.tolerance, dist <= cfg.tolerance)
         )
         records.append(CheckRecord("cover.nested", f"n={n}", nested, True, nested))
         distances.append(dist)
-        cover = next_cover
     return records, distances
 
 
@@ -271,8 +273,8 @@ def _hierarchy_checks(
     """Quotient, conjugation and self-similarity records of every floor of
     the tower over ``sys_``, which has passed the statement checks.
 
-    ``identity_distances`` are the coverage leg's cover-identity distances
-    by n.  Every floor realizes to the same covers, so each floor's
+    ``identity_distances`` are the coverage leg's forward-map identity
+    distances by n.  Every floor realizes to the same covers, so each floor's
     coverage record reads the one at the verification depth.  The
     contraction ratio is sampled once, on the ground floor.  Each higher
     floor's ratio record cites it, and passes when the ground's does and
@@ -392,10 +394,11 @@ def run_campaign(cfg: RunConfig) -> dict:
     from .quadratic_system import QuadraticParams, inverse_branches
 
     records: list[CheckRecord] = []
-    sys_ = inverse_branches(QuadraticParams(cfg.mu))
+    params = QuadraticParams(cfg.mu)
+    sys_ = inverse_branches(params)
     statement, statement_ok = _statement_checks(cfg, sys_)
     records.extend(statement)
-    coverage, identity_distances = _coverage_checks(cfg, sys_)
+    coverage, identity_distances = _coverage_checks(cfg, params, sys_)
     records.extend(coverage)
     records.extend(_partition_checks(cfg))
     if statement_ok and cfg.levels >= 1:
@@ -436,24 +439,19 @@ def _document_tower(cfg: RunConfig, sys_: WeakContractionSystem) -> list[Hierarc
 def hierarchy_document(cfg: RunConfig) -> dict:
     """Serialize the tower: carriers, homeomorphism rules, moduli, distances."""
     from .coarse_graining import verify_self_similarity
-    from .quadratic_system import (
-        QuadraticParams,
-        hausdorff_distance,
-        invariant_cover,
-        inverse_branches,
-        refine_cover,
-    )
+    from .quadratic_system import QuadraticParams, cover_chain, forward_distance, inverse_branches
 
-    sys_ = inverse_branches(QuadraticParams(cfg.mu))
+    params = QuadraticParams(cfg.mu)
+    sys_ = inverse_branches(params)
     tower = _document_tower(cfg, sys_)
     doc_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     cover_depth = _capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH")
-    cover = invariant_cover(sys_, cover_depth)
+    # MAX_COVER_DEPTH <= MAX_DOCUMENT_DEPTH, so the chain reaches cover_depth
+    covers = cover_chain(sys_, doc_depth + 1)
+    cover = covers[cover_depth]
     # the realized point set is the same at every floor: labels pull back to
     # ground addresses, and those realize to these covers
-    hausdorff = hausdorff_distance(
-        refine_cover(sys_, invariant_cover(sys_, doc_depth)), invariant_cover(sys_, doc_depth + 1)
-    )
+    hausdorff = forward_distance(params, covers[doc_depth + 1], covers[doc_depth])
     levels: dict[str, dict] = {}
     for level in tower:
         name = "S" if level.level == 0 else f"D{level.level}"
@@ -574,18 +572,14 @@ def hierarchy(config_path, **overrides) -> None:
 def render(config_path, **overrides) -> None:
     """Write the Cantor-bar, hierarchy and dendrite SVG renderings."""
     from .dendrite import DendriteGraph, fiber_of
-    from .quadratic_system import QuadraticParams, invariant_cover, inverse_branches, refine_cover
+    from .quadratic_system import QuadraticParams, cover_chain, inverse_branches
     from .svg import cantor_bars_svg, dendrite_svg, hierarchy_svg
 
     cfg = _build_config(config_path, **overrides)
     sys_ = inverse_branches(QuadraticParams(cfg.mu))
     bar_depth = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
-    # refining the depth-n cover gives the floats of invariant_cover(n + 1)
-    covers = [invariant_cover(sys_, 0)]
-    for _ in range(bar_depth):
-        covers.append(refine_cover(sys_, covers[-1]))
     out_dir = Path(cfg.out)
-    _write_text(out_dir / "cantor_bars.svg", cantor_bars_svg(covers))
+    _write_text(out_dir / "cantor_bars.svg", cantor_bars_svg(cover_chain(sys_, bar_depth)))
 
     tower = _document_tower(cfg, sys_)
     names = ["S"] + [f"D{k}" for k in range(1, cfg.levels + 1)]

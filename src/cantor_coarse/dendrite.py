@@ -128,10 +128,6 @@ class DendriteGraph:
         return (None, None) + tuple(by_level[self.level(v)] for v in range(2, self.vertex_count + 1))
 
     @cached_property
-    def total_edge_length(self) -> Fraction:
-        return sum((self.edge_length(v) for v in range(2, self.vertex_count + 1)), Fraction(0))
-
-    @cached_property
     def _root_distance(self) -> dict[int, Fraction]:
         dist = {1: Fraction(0)}
         for v in range(2, self.vertex_count + 1):

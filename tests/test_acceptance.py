@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,10 +30,10 @@ from cantor_coarse.coarse_graining import (
 from cantor_coarse.dendrite import DendriteGraph, check_continuity_modulus, fiber_of
 from cantor_coarse.quadratic_system import (
     QuadraticParams,
-    hausdorff_distance,
-    invariant_cover,
+    cover_chain,
+    forward_distance,
     inverse_branches,
-    refine_cover,
+    logistic,
     verify_statement_conditions,
 )
 
@@ -65,24 +66,33 @@ def test_criterion_1_statement_conditions():
 
 
 def test_criterion_2_self_similarity_coverage():
+    # the forward map mu*x*(1-x) takes every depth-(n+1) interval onto a
+    # depth-n interval, and each depth-n interval is hit once from each
+    # side of the critical point 1/2
     start = time.perf_counter()
-    sys5 = inverse_branches(MU5)
+    covers = cover_chain(inverse_branches(MU5), 15)
     worst = 0.0
     ok = True
-    cover = invariant_cover(sys5, 0)
-    for n in range(15):
-        nxt = invariant_cover(sys5, n + 1)
-        dist = hausdorff_distance(refine_cover(sys5, cover), nxt)
-        worst = max(worst, dist)
-        ok &= dist < 1e-12
-        ok &= nxt.subset_of(cover)
-        cover = nxt
+    for cover, finer in zip(covers, covers[1:]):
+        starts = [lo for lo, _ in cover.intervals]
+        hits = [0] * len(cover)
+        moved = 0.0
+        for lo, hi in finer.intervals:
+            a, b = sorted((logistic(MU5, lo), logistic(MU5, hi)))
+            i = bisect_right(starts, 0.5 * (a + b)) - 1  # the interval holding the image's midpoint
+            hits[i] += 1
+            moved = max(moved, abs(a - cover.intervals[i][0]), abs(b - cover.intervals[i][1]))
+        dist = forward_distance(MU5, finer, cover)
+        worst = max(worst, moved)
+        ok &= moved < 1e-12 and hits == [2] * len(cover)
+        ok &= dist == moved  # the gaps are wide, so the distance is the largest move
+        ok &= finer.subset_of(cover)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
     report(
-        "criterion 2 (coverage identity, n<=14)",
+        "criterion 2 (forward-map coverage identity, n<=14)",
         ok,
-        f"max Hausdorff={worst:.2e}, nesting holds, {elapsed:.2f}s",
+        f"max endpoint move={worst:.2e}, each interval hit twice, nesting holds, {elapsed:.2f}s",
     )
 
 

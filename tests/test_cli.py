@@ -296,11 +296,49 @@ class TestCoverageRecords:
 
         monkeypatch.setattr(coarse_graining, "base_system", broken)
         checks = run_campaign(RunConfig(depth=4, dendrite_depth=0))["checks"]
+        (identity,) = [c for c in checks if c["id"] == "cover.identity" and c["location"] == "n=4"]
+        assert identity["passed"]
         coverage = [c for c in checks if c["id"] == "hierarchy.coverage"]
         assert len(coverage) == 3
         for c in coverage:
-            assert c["measured"] == {"exact": False, "hausdorff": 0.0}
+            assert c["measured"] == {"exact": False, "hausdorff": identity["measured"]}
             assert not c["passed"]
+
+
+def _shifted_branches(monkeypatch):
+    """Branches built at mu + 1e-9, while the forward map stays at mu."""
+    real = quadratic_system.inverse_branches
+    monkeypatch.setattr(
+        quadratic_system, "inverse_branches", lambda p: real(quadratic_system.QuadraticParams(p.mu + 1e-9))
+    )
+
+
+def _widened_cover(monkeypatch):
+    """A refine_cover whose first interval reaches past its parent's."""
+    real = quadratic_system.refine_cover
+
+    def widened(sys_, cover):
+        out = real(sys_, cover)
+        (lo, hi), *rest = out.intervals
+        return IntervalCover(out.depth, [(lo - 1e-6, hi), *rest])
+
+    monkeypatch.setattr(quadratic_system, "refine_cover", widened)
+
+
+class TestPlantedFaults:
+    """A planted fault makes a check's claim false; every record of the
+    check must then fail."""
+
+    @pytest.mark.parametrize(
+        ("check_id", "plant"),
+        [("cover.identity", _shifted_branches), ("cover.nested", _widened_cover)],
+    )
+    def test_every_record_fails(self, monkeypatch, check_id, plant):
+        plant(monkeypatch)
+        checks = run_campaign(RunConfig(dendrite_depth=0))["checks"]
+        records = [c for c in checks if c["id"] == check_id]
+        assert [c["location"] for c in records] == [f"n={n}" for n in range(13)]
+        assert not any(c["passed"] for c in records)
 
 
 class TestDepthCaps:
@@ -596,8 +634,9 @@ class TestSubprocessHarness:
         [
             (("--n", "1"), ["quotient.nontrivial", "quotient.nontrivial"]),
             (("--mu", "4.1"), ["statement.iii.modulus_sum"]),
+            (("--tolerance", "1e-17"), ["cover.identity"] * 13 + ["hierarchy.coverage"] * 3),
         ],
-        ids=["n-1", "mu-4.1"],
+        ids=["n-1", "mu-4.1", "tolerance-1e-17"],
     )
     def test_exit_one_with_a_report_and_no_traceback(self, tmp_path, args, failing):
         proc = self._run("verify", *args, "--out", str(tmp_path))
@@ -605,6 +644,8 @@ class TestSubprocessHarness:
         assert "Traceback" not in proc.stderr
         report = json.loads((tmp_path / "verification_report.json").read_text())
         assert [c["id"] for c in report["checks"] if not c["passed"]] == failing
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(report, json.loads((SCHEMAS / "verification_report.schema.json").read_text()))
 
     def test_exit_two_on_usage_error(self, tmp_path):
         proc = self._run("verify", "--mu", "3.9", "--out", str(tmp_path))

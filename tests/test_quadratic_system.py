@@ -7,9 +7,10 @@ import random
 from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cantor_coarse import quadratic_system
 from cantor_coarse.cli import RunConfig, _statement_checks, run_campaign
 from cantor_coarse.code_space import Address
 from cantor_coarse.quadratic_system import (
@@ -18,6 +19,8 @@ from cantor_coarse.quadratic_system import (
     WeakContractionSystem,
     _branch_images,
     _directed_hausdorff,
+    cover_chain,
+    forward_distance,
     hausdorff_distance,
     invariant_cover,
     inverse_branches,
@@ -292,6 +295,65 @@ class TestInvariantCover:
         assert IntervalCover(0, [[0, 1]]).intervals == ((0.0, 1.0),)
 
 
+def _resolved_chain(mu: float, top: int = 14):
+    """The chain of covers of mu to depth ``top``, or to the deepest depth
+    whose branch images double precision still separates."""
+    sys_ = inverse_branches(QuadraticParams(mu))
+    covers = [invariant_cover(sys_, 0)]
+    while len(covers) <= top:
+        try:
+            covers.append(refine_cover(sys_, covers[-1]))
+        except ValueError:
+            break
+    return covers
+
+
+class TestForwardIdentity:
+    """The quadratic map takes the depth-(n + 1) cover onto the depth-n one."""
+
+    @pytest.mark.parametrize("mu", [4.5, 5.0, 12.0, 90.0, 1000.0])
+    def test_holds_along_the_resolved_chain(self, mu):
+        covers = _resolved_chain(mu)
+        assert len(covers) >= 6
+        p = QuadraticParams(mu)
+        for cover, finer in zip(covers, covers[1:]):
+            assert 0.0 <= forward_distance(p, finer, cover) <= 1e-13, (mu, cover.depth)
+
+    @pytest.mark.parametrize("mu", [5.0, 12.0])
+    def test_branches_of_a_nearby_mu_fail_at_every_depth(self, mu):
+        # the images of branches built at mu + 1e-9 miss by about 2e-10
+        sys_ = inverse_branches(QuadraticParams(mu + 1e-9))
+        covers = cover_chain(sys_, 13)
+        p = QuadraticParams(mu)
+        for cover, finer in zip(covers, covers[1:]):
+            assert forward_distance(p, finer, cover) > 1e-11, (mu, cover.depth)
+
+    @pytest.mark.parametrize("side", [0, -1])
+    def test_each_side_is_measured(self, side):
+        sys5 = inverse_branches(MU5)
+        cover, finer = cover_chain(sys5, 5)[4:]
+        ivs = list(finer.intervals)
+        lo, hi = ivs[side]
+        ivs[side] = (lo, hi - 1e-9) if side == 0 else (lo + 1e-9, hi)
+        moved = IntervalCover(finer.depth, ivs)
+        assert forward_distance(MU5, moved, cover) > 1e-9 > forward_distance(MU5, finer, cover)
+
+    def test_each_side_images_the_whole_cover(self):
+        # on each side the images are listed in increasing order and pair
+        # with the depth-n intervals one for one
+        sys5 = inverse_branches(MU5)
+        cover, finer = cover_chain(sys5, 4)[3:]
+        half = len(cover)
+        low = [(logistic(MU5, lo), logistic(MU5, hi)) for lo, hi in finer.intervals[:half]]
+        high = [(logistic(MU5, hi), logistic(MU5, lo)) for lo, hi in reversed(finer.intervals[half:])]
+        for side in (low, high):
+            moves = [abs(x - y) for iv, civ in zip(side, cover.intervals) for x, y in zip(iv, civ)]
+            assert max(moves) <= 1e-13
+        assert forward_distance(MU5, finer, cover) == max(
+            abs(x - y) for side in (low, high) for iv, civ in zip(side, cover.intervals) for x, y in zip(iv, civ)
+        )
+
+
 class TestItinerary:
     def test_constant_addresses_land_on_fixed_points(self):
         sys5 = inverse_branches(MU5)
@@ -405,6 +467,61 @@ class TestHausdorffSweep:
             assert _directed_hausdorff(b, a) == reference_directed_hausdorff(b, a)
 
 
+@st.composite
+def paired_covers(draw):
+    """A cover and the same cover with each endpoint moved by up to
+    ``reach`` times the cover's narrowest gap, reach from 0 to 0.8: on
+    both sides of the paired rule 2e < gap."""
+    cuts = sorted(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=12, unique=True)))
+    if len(cuts) % 2:
+        cuts.append(cuts[-1])
+    gap = min((b - a for a, b in zip(cuts[1::2], cuts[2::2])), default=1.0)
+    reach = draw(st.floats(0, 0.8)) * gap
+    moves = draw(st.lists(st.floats(-1, 1), min_size=len(cuts), max_size=len(cuts)))
+    moved = [x + m * reach for x, m in zip(cuts, moves)]
+    assume(all(a <= b for a, b in zip(moved[::2], moved[1::2])))
+    assume(all(a < b for a, b in zip(moved[1::2], moved[2::2])))
+
+    def pairs(ends):
+        return [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+
+    return pairs(cuts), pairs(moved)
+
+
+class TestPairedHausdorff:
+    """Equal-count covers are paired interval by interval, and the paired
+    rule returns the sweep's float bit for bit."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(paired_covers())
+    @example(([(0.0, 1.0), (2.0, 3.0)], [(0.4, 1.0), (2.0, 3.0)]))  # 2e < gap: e
+    @example(([(0.0, 1.0), (2.0, 3.0)], [(0.0, 1.5), (2.0, 3.0)]))  # 2e == gap
+    @example(([(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)], [(0.0, 0.0), (2.9, 2.9), (3.1, 3.1)]))  # past it: not e
+    @example(([(0.3, 0.3)], [(0.1, 0.7)]))
+    def test_equals_the_per_point_search(self, pair):
+        a, b = pair
+        ca, cb = IntervalCover(0, a), IntervalCover(0, b)
+        want = max(reference_directed_hausdorff(a, b), reference_directed_hausdorff(b, a))
+        assert hausdorff_distance(ca, cb) == want
+        assert hausdorff_distance(cb, ca) == want
+
+    def test_the_rule_decides_the_path(self, monkeypatch):
+        swept = []
+        real = quadratic_system._directed_hausdorff
+        monkeypatch.setattr(quadratic_system, "_directed_hausdorff", lambda a, b: swept.append(1) or real(a, b))
+        near = IntervalCover(0, [(0.0, 1.0), (2.0, 3.0)]), IntervalCover(0, [(0.4, 1.0), (2.0, 3.0)])
+        assert hausdorff_distance(*near) == 0.4 and not swept
+        # the point 1 moves by 1.9 to 2.9, which lies 0.1 from 3, so the
+        # distance is below the largest move
+        far = (
+            IntervalCover(0, [(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)]),
+            IntervalCover(0, [(0.0, 0.0), (2.9, 2.9), (3.1, 3.1)]),
+        )
+        assert hausdorff_distance(*far) == 1.0 and len(swept) == 2
+        unequal = IntervalCover(0, [(0.0, 1.0)]), IntervalCover(0, [(0.0, 0.25), (0.75, 1.0)])
+        assert hausdorff_distance(*unequal) == 0.25 and len(swept) == 4
+
+
 class TestHausdorff:
     def test_identity(self):
         c = invariant_cover(inverse_branches(MU5), 3)
@@ -465,6 +582,10 @@ class TestWeakContractionSystemValidation:
         failing = [c for c in report["checks"] if not c["passed"]]
         assert [(c["id"], c["measured"]) for c in failing] == [("statement.iii.modulus_sum", 2 * alpha)]
 
-    def test_rejects_false_fixed_point(self):
-        with pytest.raises(ValueError, match="residual"):
-            toy_system(lambda y: y / 2, lambda y: y / 2 + 0.5, (0.25,), (0.5, 0.5))
+    def test_a_false_fixed_point_fails_the_fixed_point_record(self):
+        # 0 is fixed by the first branch; 0.25 is fixed by neither
+        sys_ = toy_system(lambda y: y / 3, lambda y: y / 3 + 2 / 3, (0.0, 0.25), (1 / 3, 1 / 3))
+        records, _ = _statement_checks(RunConfig(), sys_)
+        (failing,) = [r for r in records if not r.passed]
+        assert failing.check_id == "statement.ii.fixed_points"
+        assert failing.measured == {"points": [0.0, 0.25], "residual": pytest.approx(0.25 - 0.25 / 3)}

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from cantor_coarse.cli import main
-from cantor_coarse.quadratic_system import QuadraticParams, invariant_cover, inverse_branches, refine_cover
+from cantor_coarse.quadratic_system import QuadraticParams, cover_chain, invariant_cover, inverse_branches
 from cantor_coarse.svg import cantor_bars_svg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -53,11 +53,7 @@ def reference_cantor_bars_svg(covers) -> str:
 
 
 def chained_covers(mu: float, top: int):
-    sys_ = inverse_branches(QuadraticParams(mu))
-    covers = [invariant_cover(sys_, 0)]
-    for _ in range(top):
-        covers.append(refine_cover(sys_, covers[-1]))
-    return covers
+    return cover_chain(inverse_branches(QuadraticParams(mu)), top)
 
 
 @pytest.mark.parametrize("mu, top", BARS)
