@@ -11,6 +11,7 @@ I/O error.
 
 from __future__ import annotations
 
+import argparse
 import json
 import logging
 import math
@@ -19,8 +20,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 if TYPE_CHECKING:
     from .code_space import Address
@@ -438,7 +437,7 @@ def _document_tower(cfg: RunConfig, sys_: WeakContractionSystem) -> list[Hierarc
 
 def hierarchy_document(cfg: RunConfig) -> dict:
     """Serialize the tower: carriers, homeomorphism rules, moduli, distances."""
-    from .coarse_graining import verify_self_similarity
+    from .coarse_graining import check_coverage, verify_self_similarity
     from .quadratic_system import QuadraticParams, cover_chain, forward_distance, inverse_branches
 
     params = QuadraticParams(cfg.mu)
@@ -452,19 +451,21 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     # the realized point set is the same at every floor: labels pull back to
     # ground addresses, and those realize to these covers
     hausdorff = forward_distance(params, covers[doc_depth + 1], covers[doc_depth])
+    # the ratio is sampled on the ground floor only, as verify samples it:
+    # every floor's transported metric is the ground's
+    ground = verify_self_similarity(tower[0], samples=100, seed=cfg.seed)
     levels: dict[str, dict] = {}
     for level in tower:
         name = "S" if level.level == 0 else f"D{level.level}"
         base_len = max((len(w) for w in level.carrier.words), default=0)
-        rep = verify_self_similarity(level, samples=100, seed=cfg.seed)
         entry: dict = {
             "carrier": list(level.carrier.words),
             "cylinders": list(level.carrier.refine(base_len + doc_depth)) if doc_depth else list(level.carrier.words),
             "interval_cover": {"depth": cover_depth, "intervals": [list(iv) for iv in cover.intervals]},
             "modulus_bound": list(level.system.modulus_bound),
-            "coverage_exact": rep.coverage_exact,
+            "coverage_exact": check_coverage(level) if level.level else ground.coverage_exact,
             "coverage_hausdorff": hausdorff,
-            "max_contraction_ratio": list(rep.max_ratio),
+            "max_contraction_ratio": list(ground.max_ratio),
         }
         if level.quotient is not None:
             entry["homeomorphism"] = [
@@ -492,7 +493,7 @@ def _write_text(path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        click.echo(f"cannot write {path}: {exc}", err=True)
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
         sys.exit(3)
 
 
@@ -500,75 +501,82 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _config_options(fn):
-    options = [
-        click.option("--mu", type=float, default=None, help="rate constant, must exceed 4"),
-        click.option("--depth", type=int, default=None, help="interval cover depth (0..30)"),
-        click.option("--n", "partition_n", type=int, default=None, help="partition blocks per level"),
-        click.option("--levels", type=int, default=None, help="coarse-graining levels (0..8)"),
-        click.option("--dendrite-depth", type=int, default=None, help="dendrite tree depth (0..8)"),
-        click.option("--tolerance", type=float, default=None, help="identity tolerance"),
-        click.option("--seed", type=int, default=None, help="seed for sampled checks"),
-        click.option("--representatives", type=click.Choice(list(_POLICIES)), default=None),
-        click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None),
-        click.option("--out", type=click.Path(file_okay=False), default=None, help="output directory"),
-    ]
-    for opt in reversed(options):
-        fn = opt(fn)
-    return fn
+def _config_file(value: str) -> str:
+    """``--config`` names a readable file that exists."""
+    path = Path(value)
+    if not path.exists():
+        raise argparse.ArgumentTypeError(f"file {value!r} does not exist")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"file {value!r} is a directory")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {value!r} is not readable")
+    return value
+
+
+def _out_dir(value: str) -> str:
+    """``--out`` names a directory, which need not exist yet."""
+    if Path(value).is_file():
+        raise argparse.ArgumentTypeError(f"directory {value!r} is a file")
+    return value
+
+
+# the options every command takes: flag, add_argument keywords
+_OPTIONS = (
+    ("--mu", {"type": float, "help": "rate constant, must exceed 4"}),
+    ("--depth", {"type": int, "help": "interval cover depth (0..30)"}),
+    ("--n", {"dest": "partition_n", "metavar": "N", "type": int, "help": "partition blocks per level"}),
+    ("--levels", {"type": int, "help": "coarse-graining levels (0..8)"}),
+    ("--dendrite-depth", {"type": int, "help": "dendrite tree depth (0..8)"}),
+    ("--tolerance", {"type": float, "help": "identity tolerance"}),
+    ("--seed", {"type": int, "help": "seed for sampled checks"}),
+    ("--representatives", {"choices": _POLICIES}),
+    ("--config", {"dest": "config_path", "metavar": "PATH", "type": _config_file, "help": "JSON config file"}),
+    ("--out", {"type": _out_dir, "help": "output directory"}),
+)
+_FLAGS = frozenset(flag for flag, _ in _OPTIONS)
+
+
+class _UsageError(Exception):
+    """A configuration that parses but fails validation (exit 2)."""
 
 
 def _build_config(config_path, **overrides) -> RunConfig:
     try:
         return load_config(config_path, **overrides)
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"invalid configuration: {exc}") from exc
+        raise _UsageError(f"invalid configuration: {exc}") from exc
 
 
-@click.group()
-def main() -> None:
-    """Construct and machine-verify self-similar coarse grainings of the
-    Cantor-type invariant set of the quadratic map."""
-    level_name = os.environ.get("CANTOR_COARSE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
-
-
-@main.command()
-@_config_options
 def verify(config_path, **overrides) -> None:
     """Run the full verification campaign and write the JSON report."""
     cfg = _build_config(config_path, **overrides)
     report = run_campaign(cfg)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
-        click.echo(f"{status} {check['id']} [{check['location']}]")
+        print(f"{status} {check['id']} [{check['location']}]")
     out = Path(cfg.out) / "verification_report.json"
     _write_text(out, _dump(report))
-    click.echo(f"report: {out}")
+    print(f"report: {out}")
     if not report["summary"]["all_passed"]:
         for check in report["checks"]:
             if not check["passed"]:
-                click.echo(
+                print(
                     f"failed: {check['id']} [{check['location']}] measured "
                     f"{json.dumps(check['measured'])}, bound {json.dumps(check['bound'])}",
-                    err=True,
+                    file=sys.stderr,
                 )
         sys.exit(1)
 
 
-@main.command()
-@_config_options
 def hierarchy(config_path, **overrides) -> None:
     """Write the hierarchy document for the configured tower."""
     cfg = _build_config(config_path, **overrides)
     doc = hierarchy_document(cfg)
     out = Path(cfg.out) / "hierarchy.json"
     _write_text(out, _dump(doc))
-    click.echo(f"document: {out}")
+    print(f"document: {out}")
 
 
-@main.command()
-@_config_options
 def render(config_path, **overrides) -> None:
     """Write the Cantor-bar, hierarchy and dendrite SVG renderings."""
     from .dendrite import DendriteGraph, fiber_of
@@ -593,11 +601,9 @@ def render(config_path, **overrides) -> None:
         for v in tree.vertices
     }
     _write_text(out_dir / "dendrite.svg", dendrite_svg(tree, counts))
-    click.echo(f"renderings: {out_dir}")
+    print(f"renderings: {out_dir}")
 
 
-@main.command()
-@_config_options
 def partition(config_path, **overrides) -> None:
     """Write the clopen partition of the full space into n blocks."""
     from .clopen_partition import build_partition
@@ -613,11 +619,9 @@ def partition(config_path, **overrides) -> None:
     }
     out = Path(cfg.out) / "partition.json"
     _write_text(out, _dump(doc))
-    click.echo(f"document: {out}")
+    print(f"document: {out}")
 
 
-@main.command()
-@_config_options
 def dendrite(config_path, **overrides) -> None:
     """Write the dendrite structure and per-vertex fiber counts."""
     from .dendrite import DendriteGraph, fiber_of
@@ -641,7 +645,56 @@ def dendrite(config_path, **overrides) -> None:
     }
     out = Path(cfg.out) / "dendrite.json"
     _write_text(out, _dump(doc))
-    click.echo(f"document: {out}")
+    print(f"document: {out}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cantor-coarse",
+        description="Construct and machine-verify self-similar coarse grainings of the "
+        "Cantor-type invariant set of the quadratic map.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for run in (verify, hierarchy, render, partition, dendrite):
+        doc = run.__doc__.strip()
+        sub = commands.add_parser(run.__name__, help=doc, description=doc, allow_abbrev=False)
+        for flag, kwargs in _OPTIONS:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=run, fail=sub.error)
+    return parser
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Pass an option whose value begins with '-' as ``--flag=value``.
+
+    The value is the token after the flag whatever it looks like
+    (``--mu -inf``), where argparse would read a token such as ``-inf`` as
+    an unknown flag.
+    """
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _FLAGS else None
+        if value is None:
+            out.append(token)
+        elif value.startswith("-"):
+            out.append(f"{token}={value}")
+        else:
+            out.extend((token, value))
+    return out
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one command on ``argv`` (default: ``sys.argv[1:]``)."""
+    args = vars(_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv)))
+    run, fail = args.pop("run"), args.pop("fail")
+    level_name = os.environ.get("CANTOR_COARSE_LOG", "WARNING").upper()
+    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
+    try:
+        run(**args)
+    except _UsageError as exc:
+        fail(str(exc))
 
 
 if __name__ == "__main__":

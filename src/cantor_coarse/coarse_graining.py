@@ -163,13 +163,11 @@ class QuotientSpace:
 def build_quotient(spec: QuotientSpec) -> QuotientSpace:
     """Build the decomposition space of the collapse map.
 
-    Rejects the one-block case: the collapse would be the identity and the
-    decomposition trivial.  Otherwise each of the ``size - 1`` collapsed
-    blocks joins the fiber of its representative, so some fiber has more
-    than one point.
+    Each of the ``size - 1`` collapsed blocks joins the fiber of its
+    representative.  A one-block partition collapses nothing: the quotient
+    is trivial, with no multi-point fiber, and ``quotient.nontrivial``
+    fails on it.
     """
-    if spec.partition.size < 2:
-        raise ValueError("trivial quotient")
     return QuotientSpace(spec)
 
 

@@ -14,9 +14,6 @@ from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from cantor_coarse.cli import main
 from cantor_coarse.clopen_partition import build_partition, flatten_refinement, refine_block
 from cantor_coarse.code_space import Address, FULL_SPACE, clopen_union, code_distance, random_address
 from cantor_coarse.coarse_graining import (
@@ -36,6 +33,7 @@ from cantor_coarse.quadratic_system import (
     logistic,
     verify_statement_conditions,
 )
+from conftest import invoke
 
 MU5 = QuadraticParams(5.0)
 SYS5 = inverse_branches(MU5)
@@ -181,31 +179,30 @@ def test_criterion_7_dendrite_surjection():
 
 
 def test_criterion_8_determinism_and_interfaces(tmp_path):
-    runner = CliRunner()
     fast = ["--depth", "6", "--levels", "1", "--dendrite-depth", "2"]
     ok = True
 
     out = tmp_path / "verify"
-    assert runner.invoke(main, ["verify", *fast, "--out", str(out)]).exit_code == 0
+    assert invoke(["verify", *fast, "--out", str(out)]).exit_code == 0
     first = (out / "verification_report.json").read_bytes()
-    assert runner.invoke(main, ["verify", *fast, "--out", str(out)]).exit_code == 0
+    assert invoke(["verify", *fast, "--out", str(out)]).exit_code == 0
     ok &= (out / "verification_report.json").read_bytes() == first
 
     out_h = tmp_path / "hier"
-    runner.invoke(main, ["hierarchy", *fast, "--out", str(out_h)])
+    invoke(["hierarchy", *fast, "--out", str(out_h)])
     first_h = (out_h / "hierarchy.json").read_bytes()
-    runner.invoke(main, ["hierarchy", *fast, "--out", str(out_h)])
+    invoke(["hierarchy", *fast, "--out", str(out_h)])
     ok &= (out_h / "hierarchy.json").read_bytes() == first_h
 
     out_r = tmp_path / "render"
-    runner.invoke(main, ["render", *fast, "--out", str(out_r)])
+    invoke(["render", *fast, "--out", str(out_r)])
     blobs = {p.name: p.read_bytes() for p in out_r.iterdir()}
-    runner.invoke(main, ["render", *fast, "--out", str(out_r)])
+    invoke(["render", *fast, "--out", str(out_r)])
     ok &= {p.name: p.read_bytes() for p in out_r.iterdir()} == blobs
     ok &= set(blobs) == {"cantor_bars.svg", "hierarchy.svg", "dendrite.svg"}
 
     # exit-status contract on the three example classes
-    ok &= runner.invoke(main, ["verify", *fast, "--out", str(tmp_path / "a")]).exit_code == 0
-    ok &= runner.invoke(main, ["verify", "--mu", "4.5", *fast, "--out", str(tmp_path / "b")]).exit_code == 1
-    ok &= runner.invoke(main, ["verify", "--mu", "3.9", "--out", str(tmp_path / "c")]).exit_code == 2
+    ok &= invoke(["verify", *fast, "--out", str(tmp_path / "a")]).exit_code == 0
+    ok &= invoke(["verify", "--mu", "4.5", *fast, "--out", str(tmp_path / "b")]).exit_code == 1
+    ok &= invoke(["verify", "--mu", "3.9", "--out", str(tmp_path / "c")]).exit_code == 2
     report("criterion 8 (determinism and interfaces)", ok, "byte-identical reruns, exit codes 0/1/2")

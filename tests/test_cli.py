@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from cantor_coarse import cli, clopen_partition, coarse_graining, dendrite, quadratic_system
 from cantor_coarse.cli import (
@@ -20,12 +19,12 @@ from cantor_coarse.cli import (
     _partition_chain,
     _partition_checks,
     load_config,
-    main,
     run_campaign,
 )
 from cantor_coarse.clopen_partition import build_partition
 from cantor_coarse.code_space import FULL_SPACE, ClopenSet, compose, prepend_map
 from cantor_coarse.quadratic_system import IntervalCover
+from conftest import invoke
 from test_coarse_graining import deep_broken
 
 REPO = Path(__file__).resolve().parents[1]
@@ -43,10 +42,6 @@ VERIFY_GOLDENS = {
 }
 
 FAST = ["--depth", "6", "--levels", "1", "--dendrite-depth", "2"]
-
-
-def invoke(args, **kw):
-    return CliRunner().invoke(main, args, **kw)
 
 
 class TestConfig:
@@ -101,17 +96,17 @@ class TestConfig:
         )
         result = invoke(["verify", "--config", str(cfg_file), "--out", str(tmp_path)])
         assert result.exit_code == 2
-        assert "invalid configuration" in result.output
+        assert "invalid configuration" in result.stderr
 
 
 class TestVerifyCommand:
     def test_all_pass_exit_zero(self, tmp_path):
         result = invoke(["verify", *FAST, "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         report = json.loads((tmp_path / "verification_report.json").read_text())
         assert report["summary"]["all_passed"] is True
         assert report["summary"]["total"] == report["summary"]["passed"]
-        assert "PASS statement.iii.modulus_sum" in result.output
+        assert "PASS statement.iii.modulus_sum" in result.stdout
 
     def test_failing_condition_exit_one_and_named(self, tmp_path):
         result = invoke(["verify", "--mu", "4.5", *FAST, "--out", str(tmp_path)])
@@ -119,12 +114,12 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verification_report.json").read_text())
         failing = [c["id"] for c in report["checks"] if not c["passed"]]
         assert failing == ["statement.iii.modulus_sum"]
-        assert "FAIL statement.iii.modulus_sum" in result.output
+        assert "FAIL statement.iii.modulus_sum" in result.stdout
 
     def test_usage_error_exit_two(self, tmp_path):
         result = invoke(["verify", "--mu", "3.9", "--out", str(tmp_path)])
         assert result.exit_code == 2
-        assert "mu must exceed 4" in result.output
+        assert "mu must exceed 4" in result.stderr
 
     def test_every_check_id_unique(self, tmp_path):
         result = invoke(["verify", *FAST, "--out", str(tmp_path)])
@@ -151,7 +146,7 @@ class TestVerifyCommand:
         # from its target at the default fiber depth 12
         monkeypatch.setattr(dendrite, "WITNESS_DEPTH", 8)
         result = invoke(["verify", "--out", str(tmp_path)])
-        assert result.exit_code == 1, result.output
+        assert result.exit_code == 1, result.stderr
         report = json.loads((tmp_path / "verification_report.json").read_text())
         failing = [c for c in report["checks"] if not c["passed"]]
         assert [c["id"] for c in failing] == ["dendrite.fiber_soundness"]
@@ -167,25 +162,43 @@ class TestVerifyCommand:
         for seed in ("0", "7"):
             out = tmp_path / seed
             result = invoke(["verify", *args, "--seed", seed, "--out", str(out)])
-            assert result.exit_code == 0, result.output
+            assert result.exit_code == 0, result.stderr
             checks.append(json.loads((out / "verification_report.json").read_text())["checks"])
         assert checks[0] == checks[1]
 
-    def test_a_tower_that_cannot_be_built_fails_each_floor(self, tmp_path, caplog):
-        # one block per floor gives a trivial quotient, which build_quotient refuses
+    def test_a_tower_that_cannot_be_built_fails_each_floor(self, monkeypatch, tmp_path, caplog):
+        def unbuildable(*args, **kwargs):
+            raise ValueError("no tower here")
+
+        monkeypatch.setattr(coarse_graining, "build_hierarchy", unbuildable)
         caplog.set_level(logging.INFO, logger="cantor_coarse")
-        args = ["--n", "1", "--levels", "3", "--depth", "4", "--dendrite-depth", "2"]
+        args = ["--levels", "3", "--depth", "4", "--dendrite-depth", "2"]
         result = invoke(["verify", *args, "--out", str(tmp_path)])
         assert result.exit_code == 1
-        assert result.exc_info[0] is SystemExit
-        assert "Traceback" not in result.output
+        assert type(result.exception) is SystemExit
+        assert "Traceback" not in result.stderr
         report = json.loads((tmp_path / "verification_report.json").read_text())
         failing = [(c["id"], c["location"], c["measured"]) for c in report["checks"] if not c["passed"]]
         assert failing == [("quotient.nontrivial", f"k={k}", None) for k in (1, 2, 3)]
         # logged at INFO, so a default run prints no traceback
         (raised,) = [r for r in caplog.records if "raised" in r.getMessage()]
         assert (raised.getMessage(), raised.levelno) == ("quotient.nontrivial: build_hierarchy raised", logging.INFO)
-        assert "trivial quotient" in str(raised.exc_info[1])
+        assert "no tower here" in str(raised.exc_info[1])
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(report, json.loads((SCHEMAS / "verification_report.schema.json").read_text()))
+
+    def test_one_block_floors_fail_nontrivial_with_measured_zero(self, tmp_path, caplog):
+        # one block per floor collapses nothing: no floor has a multi-point fiber
+        caplog.set_level(logging.INFO, logger="cantor_coarse")
+        args = ["--n", "1", "--levels", "3", "--depth", "4", "--dendrite-depth", "2"]
+        result = invoke(["verify", *args, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert type(result.exception) is SystemExit
+        assert "Traceback" not in result.stderr
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        failing = [(c["id"], c["location"], c["measured"]) for c in report["checks"] if not c["passed"]]
+        assert failing == [("quotient.nontrivial", f"k={k}", 0) for k in (1, 2, 3)]
+        assert not [r for r in caplog.records if "raised" in r.getMessage()]
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(report, json.loads((SCHEMAS / "verification_report.schema.json").read_text()))
 
@@ -232,8 +245,8 @@ class TestPartitionChecks:
         # is built here: this test is about the partition leg
         result = invoke(["verify", "--levels", "0", "--depth", "4", "--dendrite-depth", "2", "--out", str(tmp_path)])
         assert result.exit_code == 1
-        assert result.exc_info[0] is SystemExit
-        assert "Traceback" not in result.output
+        assert type(result.exception) is SystemExit
+        assert "Traceback" not in result.stderr
         report = json.loads((tmp_path / "verification_report.json").read_text())
         failing = {c["id"]: c for c in report["checks"] if not c["passed"]}
         assert set(failing) == {"partition.laws", "partition.refine"}
@@ -374,7 +387,7 @@ class TestDepthCaps:
 class TestHierarchyCommand:
     def test_zero_levels(self, tmp_path):
         result = invoke(["hierarchy", "--levels", "0", "--depth", "4", "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         doc = json.loads((tmp_path / "hierarchy.json").read_text())
         assert doc["level_names"] == ["S"]
         assert set(doc["levels"]) == {"S"}
@@ -403,7 +416,7 @@ class TestHierarchyCommand:
         for seed in ("0", "7"):
             out = tmp_path / seed
             result = invoke(["hierarchy", "--seed", seed, "--out", str(out)])
-            assert result.exit_code == 0, result.output
+            assert result.exit_code == 0, result.stderr
             levels.append(json.loads((out / "hierarchy.json").read_text())["levels"])
         assert levels[0] == levels[1]
 
@@ -422,7 +435,7 @@ class TestRenderCommand:
             ["render", "--mu", "5", "--depth", "5", "--levels", "3",
              "--dendrite-depth", "3", "--out", str(tmp_path)]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         bars = (tmp_path / "cantor_bars.svg").read_text()
         assert bars.count('class="bar-row"') == 6  # rows 0..5
         assert bars.count('class="bar"') == sum(2**n for n in range(6))
@@ -516,6 +529,14 @@ class TestGroundRatio:
         run_campaign(RunConfig(levels=8, partition_n=5))
         assert calls == {"verify_self_similarity": 1, "check_intertwining": 8}
 
+    def test_one_sampling_per_document(self, monkeypatch):
+        calls = count_calls(monkeypatch, coarse_graining, ("verify_self_similarity", "check_coverage"))
+        doc = cli.hierarchy_document(RunConfig(levels=8, partition_n=5))
+        # the ground's coverage comes with its sampling; each higher floor checks its own
+        assert calls == {"verify_self_similarity": 1, "check_coverage": 9}
+        ratios = [entry["max_contraction_ratio"] for entry in doc["levels"].values()]
+        assert ratios == [[1 / 3, 1 / 3]] * 9
+
     @pytest.mark.parametrize("part", ["branch", "to_base"])
     def test_a_floor_that_does_not_intertwine_fails_its_ratio(self, monkeypatch, part):
         build = coarse_graining.build_hierarchy
@@ -561,11 +582,9 @@ class TestOtherCommands:
         schema = json.loads((SCHEMAS / "dendrite_document.schema.json").read_text())
         jsonschema.validate(doc, schema)
 
-    def test_env_var_controls_logging(self, tmp_path):
-        result = invoke(
-            ["partition", "--n", "2", "--out", str(tmp_path)],
-            env={"CANTOR_COARSE_LOG": "DEBUG"},
-        )
+    def test_env_var_controls_logging(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CANTOR_COARSE_LOG", "DEBUG")
+        result = invoke(["partition", "--n", "2", "--out", str(tmp_path)])
         assert result.exit_code == 0
 
 
@@ -665,6 +684,82 @@ class TestSubprocessHarness:
         assert (out / "verification_report.json").read_bytes() == first
 
 
+class TestCommandLine:
+    """The parser's own checks: each is a usage error, exit 2, with its
+    message on stderr, no traceback and nothing written."""
+
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            ([], "the following arguments are required: COMMAND"),
+            (["frobnicate"], "argument COMMAND: invalid choice: 'frobnicate'"),
+            (["verify", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["verify", "--dep", "3"], "unrecognized arguments: --dep 3"),
+            (["verify", "--mu"], "argument --mu: expected one argument"),
+            (["verify", "--mu", "abc"], "argument --mu: invalid float value: 'abc'"),
+            (["verify", "--n", "1.5"], "argument --n: invalid int value: '1.5'"),
+            (["verify", "--representatives", "x"], "argument --representatives: invalid choice: 'x'"),
+            (["verify", "--config", "missing.json"], "argument --config: file 'missing.json' does not exist"),
+            (["verify", "--config", "a-dir"], "argument --config: file 'a-dir' is a directory"),
+            (["verify", "--out", "a-file"], "argument --out: directory 'a-file' is a file"),
+        ],
+        ids=[
+            "no-arguments",
+            "unknown-command",
+            "unknown-option",
+            "abbreviated-option",
+            "missing-value",
+            "mu-abc",
+            "n-1.5",
+            "representatives-x",
+            "config-missing",
+            "config-directory",
+            "out-existing-file",
+        ],
+    )
+    def test_usage_error(self, tmp_path, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a-file").write_text("{}")
+        (tmp_path / "a-dir").mkdir()
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert type(result.exception) is SystemExit
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file"]
+
+    def test_unreadable_config(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        monkeypatch.setattr(cli.os, "access", lambda p, mode: False)
+        result = invoke(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"argument --config: file {str(path)!r} is not readable" in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_a_value_may_begin_with_a_dash(self, tmp_path):
+        # the token after a flag is its value, as in --mu -inf
+        result = invoke(["partition", "--tolerance", "-1e-3", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "invalid configuration: tolerance must be finite and positive, got -0.001" in result.stderr
+
+    def test_help(self):
+        result = invoke(["--help"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        for command in ("verify", "hierarchy", "render", "partition", "dendrite"):
+            assert command in result.stdout
+
+    def test_command_help_lists_every_option(self):
+        result = invoke(["verify", "--help"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: cantor-coarse verify")
+        for flag in ("--mu", "--depth", "--n", "--levels", "--dendrite-depth", "--tolerance", "--seed",
+                     "--representatives", "--config", "--out"):
+            assert f"{flag} " in result.stdout
+        assert "{distinct,merged,explicit}" in result.stdout
+
+
 class TestNonFiniteMu:
     """``mu`` ranges over (4, inf): an infinite or NaN ``mu`` is a usage
     error for every command, before any work runs."""
@@ -677,7 +772,7 @@ class TestNonFiniteMu:
     def test_usage_error(self, tmp_path, command, mu, message):
         result = invoke([command, "--mu", mu, "--out", str(tmp_path)])
         assert result.exit_code == 2
-        assert f"invalid configuration: {message}" in result.output
+        assert f"invalid configuration: {message}" in result.stderr
         assert not list(tmp_path.iterdir())
 
     def test_validate_rejects_infinity(self):
@@ -693,7 +788,7 @@ class TestNonFiniteMu:
         config.write_text('{"mu": 1e400}')
         result = invoke(["partition", "--config", str(config), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert "mu must be finite" in result.output
+        assert "mu must be finite" in result.stderr
 
 
 REP = {"prefix": "000", "tail": "0"}
@@ -747,7 +842,7 @@ class TestMalformedConfig:
         path.write_text(json.dumps(MALFORMED_CONFIGS[config]))
         out = tmp_path / "out"
         result = invoke([command, "--config", str(path), "--out", str(out)])
-        assert result.exit_code == 2, result.output
+        assert result.exit_code == 2, result.stderr
         assert isinstance(result.exception, SystemExit)  # a usage error, not an escaped exception
         assert "invalid configuration" in result.stderr
         assert not out.exists()
@@ -761,7 +856,7 @@ class TestMalformedConfig:
     def test_infinite_tolerance_flag(self, tmp_path, command):
         out = tmp_path / "out"
         result = invoke([command, "--tolerance", "inf", "--out", str(out)])
-        assert result.exit_code == 2, result.output
+        assert result.exit_code == 2, result.stderr
         assert isinstance(result.exception, SystemExit)
         assert "invalid configuration: tolerance must be finite and positive, got inf" in result.stderr
         assert not out.exists()
@@ -772,7 +867,7 @@ class TestMalformedConfig:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text('{"out": 5}')
         result = invoke([command, "--config", "cfg.json"])
-        assert result.exit_code == 2, result.output
+        assert result.exit_code == 2, result.stderr
         assert isinstance(result.exception, SystemExit)
         assert "invalid configuration: out must be a string, got 5" in result.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
@@ -824,7 +919,7 @@ class TestMalformedConfig:
             )
         )
         result = invoke([command, "--config", str(path), "--out", str(tmp_path / "out")])
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
 
     def test_explicit_lists_beyond_the_tower_are_not_checked(self):
         from cantor_coarse.code_space import Address

@@ -105,10 +105,15 @@ class TestQuotientMap:
 
 
 class TestQuotientSpace:
-    def test_trivial_quotient_rejected(self):
-        p = build_partition(FULL_SPACE, 1)
-        with pytest.raises(ValueError, match="trivial quotient"):
-            build_quotient(QuotientSpec(p, ()))
+    def test_one_block_quotient_has_no_multi_fiber(self):
+        spec = QuotientSpec(build_partition(FULL_SPACE, 1), ())
+        space = build_quotient(spec)
+        assert space.multi_fibers == ()
+        # the collapse is the identity, so every fiber is a point
+        for w in FULL_SPACE.refine(3):
+            x = Address(w, "0")
+            assert quotient_map(spec, x) == x
+            assert space.fiber(x).is_singleton
 
     def test_fiber_enumeration_two_blocks(self):
         spec = two_block_spec()

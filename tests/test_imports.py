@@ -1,9 +1,11 @@
-"""Tests of what each entry point imports: the lazy package root, and the
-``cantor_coarse`` modules each command loads."""
+"""Tests of what each entry point imports: the lazy package root, the
+``cantor_coarse`` modules each command loads, and nothing from outside the
+standard library."""
 
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -111,3 +113,31 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert set(_IMPORTED.findall(proc.stderr)) == LOADED[command]
+
+
+# runs cantor_coarse as ``python -m`` does and writes the names of the
+# modules the command loaded to the file named by its first argument
+_NEW_MODULES = """
+import json, runpy, sys
+out, sys.argv = sys.argv[1], ["cantor-coarse", *sys.argv[2:]]
+before = set(sys.modules)
+try:
+    runpy.run_module("cantor_coarse", run_name="__main__", alter_sys=True)
+finally:
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(sorted(set(sys.modules) - before), fh)
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "hierarchy", "render", "partition", "dendrite"])
+def test_each_command_loads_only_the_standard_library(tmp_path, command):
+    loaded = tmp_path / "loaded.json"
+    args = [command, "--depth", "6", "--levels", "1", "--dendrite-depth", "2", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES, str(loaded), *args], env=ENV, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    modules = json.loads(loaded.read_text(encoding="utf-8"))
+    assert "cantor_coarse.cli" in modules
+    outside = [m for m in modules if m.split(".")[0] not in {"cantor_coarse", *sys.stdlib_module_names}]
+    assert outside == []

@@ -10,11 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from cantor_coarse.cli import main
 from cantor_coarse.quadratic_system import QuadraticParams, cover_chain, invariant_cover, inverse_branches
 from cantor_coarse.svg import cantor_bars_svg
+from conftest import invoke
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TOP = 14  # the cli's MAX_ENUMERATED_DEPTH
@@ -77,8 +76,8 @@ def test_bars_match_the_per_bar_formatter(mu, top):
 @pytest.mark.parametrize("mu, top", BARS)
 def test_render_writes_the_per_depth_bars(tmp_path, mu, top):
     args = ["--mu", str(mu), "--depth", str(top), "--levels", "1", "--dendrite-depth", "2", "--out", str(tmp_path)]
-    result = CliRunner().invoke(main, ["render", *args])
-    assert result.exit_code == 0, result.output
+    result = invoke(["render", *args])
+    assert result.exit_code == 0, result.stderr
     sys_ = inverse_branches(QuadraticParams(mu))
     want = reference_cantor_bars_svg([invariant_cover(sys_, n) for n in range(top + 1)])
     assert (tmp_path / "cantor_bars.svg").read_text(encoding="utf-8") == want
