@@ -437,7 +437,7 @@ def _document_tower(cfg: RunConfig, sys_: WeakContractionSystem) -> list[Hierarc
 
 def hierarchy_document(cfg: RunConfig) -> dict:
     """Serialize the tower: carriers, homeomorphism rules, moduli, distances."""
-    from .coarse_graining import check_coverage, verify_self_similarity
+    from .coarse_graining import verify_self_similarity
     from .quadratic_system import QuadraticParams, cover_chain, forward_distance, inverse_branches
 
     params = QuadraticParams(cfg.mu)
@@ -451,21 +451,19 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     # the realized point set is the same at every floor: labels pull back to
     # ground addresses, and those realize to these covers
     hausdorff = forward_distance(params, covers[doc_depth + 1], covers[doc_depth])
-    # the ratio is sampled on the ground floor only, as verify samples it:
-    # every floor's transported metric is the ground's
-    ground = verify_self_similarity(tower[0], samples=100, seed=cfg.seed)
     levels: dict[str, dict] = {}
     for level in tower:
         name = "S" if level.level == 0 else f"D{level.level}"
         base_len = max((len(w) for w in level.carrier.words), default=0)
+        rep = verify_self_similarity(level, samples=100, seed=cfg.seed)
         entry: dict = {
             "carrier": list(level.carrier.words),
             "cylinders": list(level.carrier.refine(base_len + doc_depth)) if doc_depth else list(level.carrier.words),
             "interval_cover": {"depth": cover_depth, "intervals": [list(iv) for iv in cover.intervals]},
             "modulus_bound": list(level.system.modulus_bound),
-            "coverage_exact": check_coverage(level) if level.level else ground.coverage_exact,
+            "coverage_exact": rep.coverage_exact,
             "coverage_hausdorff": hausdorff,
-            "max_contraction_ratio": list(ground.max_ratio),
+            "max_contraction_ratio": list(rep.max_ratio),
         }
         if level.quotient is not None:
             entry["homeomorphism"] = [
@@ -536,20 +534,8 @@ _OPTIONS = (
 _FLAGS = frozenset(flag for flag, _ in _OPTIONS)
 
 
-class _UsageError(Exception):
-    """A configuration that parses but fails validation (exit 2)."""
-
-
-def _build_config(config_path, **overrides) -> RunConfig:
-    try:
-        return load_config(config_path, **overrides)
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"invalid configuration: {exc}") from exc
-
-
-def verify(config_path, **overrides) -> None:
+def verify(cfg: RunConfig) -> None:
     """Run the full verification campaign and write the JSON report."""
-    cfg = _build_config(config_path, **overrides)
     report = run_campaign(cfg)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
@@ -568,22 +554,20 @@ def verify(config_path, **overrides) -> None:
         sys.exit(1)
 
 
-def hierarchy(config_path, **overrides) -> None:
+def hierarchy(cfg: RunConfig) -> None:
     """Write the hierarchy document for the configured tower."""
-    cfg = _build_config(config_path, **overrides)
     doc = hierarchy_document(cfg)
     out = Path(cfg.out) / "hierarchy.json"
     _write_text(out, _dump(doc))
     print(f"document: {out}")
 
 
-def render(config_path, **overrides) -> None:
+def render(cfg: RunConfig) -> None:
     """Write the Cantor-bar, hierarchy and dendrite SVG renderings."""
     from .dendrite import DendriteGraph, fiber_of
     from .quadratic_system import QuadraticParams, cover_chain, inverse_branches
     from .svg import cantor_bars_svg, dendrite_svg, hierarchy_svg
 
-    cfg = _build_config(config_path, **overrides)
     sys_ = inverse_branches(QuadraticParams(cfg.mu))
     bar_depth = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
     out_dir = Path(cfg.out)
@@ -604,12 +588,11 @@ def render(config_path, **overrides) -> None:
     print(f"renderings: {out_dir}")
 
 
-def partition(config_path, **overrides) -> None:
+def partition(cfg: RunConfig) -> None:
     """Write the clopen partition of the full space into n blocks."""
     from .clopen_partition import build_partition
     from .code_space import FULL_SPACE
 
-    cfg = _build_config(config_path, **overrides)
     p = build_partition(FULL_SPACE, cfg.partition_n)
     doc = {
         "schema": "partition-document/1",
@@ -622,11 +605,10 @@ def partition(config_path, **overrides) -> None:
     print(f"document: {out}")
 
 
-def dendrite(config_path, **overrides) -> None:
+def dendrite(cfg: RunConfig) -> None:
     """Write the dendrite structure and per-vertex fiber counts."""
     from .dendrite import DendriteGraph, fiber_of
 
-    cfg = _build_config(config_path, **overrides)
     tree = DendriteGraph(cfg.dendrite_depth)
     fiber_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     doc = {
@@ -692,9 +674,10 @@ def main(argv: list[str] | None = None) -> None:
     level_name = os.environ.get("CANTOR_COARSE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
     try:
-        run(**args)
-    except _UsageError as exc:
-        fail(str(exc))
+        cfg = load_config(args.pop("config_path"), **args)
+    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+        fail(f"invalid configuration: {exc}")
+    run(cfg)
 
 
 if __name__ == "__main__":

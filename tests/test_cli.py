@@ -529,14 +529,6 @@ class TestGroundRatio:
         run_campaign(RunConfig(levels=8, partition_n=5))
         assert calls == {"verify_self_similarity": 1, "check_intertwining": 8}
 
-    def test_one_sampling_per_document(self, monkeypatch):
-        calls = count_calls(monkeypatch, coarse_graining, ("verify_self_similarity", "check_coverage"))
-        doc = cli.hierarchy_document(RunConfig(levels=8, partition_n=5))
-        # the ground's coverage comes with its sampling; each higher floor checks its own
-        assert calls == {"verify_self_similarity": 1, "check_coverage": 9}
-        ratios = [entry["max_contraction_ratio"] for entry in doc["levels"].values()]
-        assert ratios == [[1 / 3, 1 / 3]] * 9
-
     @pytest.mark.parametrize("part", ["branch", "to_base"])
     def test_a_floor_that_does_not_intertwine_fails_its_ratio(self, monkeypatch, part):
         build = coarse_graining.build_hierarchy
