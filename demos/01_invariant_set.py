@@ -4,6 +4,8 @@ Run from the repository root after an editable install (pip install -e .),
 or with PYTHONPATH=src.
 """
 
+import math
+
 from cantor_coarse import (
     QuadraticParams,
     hausdorff_distance,
@@ -11,7 +13,6 @@ from cantor_coarse import (
     inverse_branches,
     itinerary_point,
     logistic,
-    modulus_sum_threshold,
     verify_statement_conditions,
 )
 from cantor_coarse.code_space import Address
@@ -31,7 +32,7 @@ print("\ncontraction-system conditions:")
 print(f"  i) one-to-one branches:    {report.injective}")
 print(f" ii) fixed set not a point:  {report.not_singleton}  {report.fixed_points}")
 print(f"iii) modulus sum below one:  {report.modulus_sum_below_one}  (sum = {report.modulus_sum:.6f})")
-print(f"the sum dips below one only past mu = {modulus_sum_threshold():.6f}")
+print(f"the sum dips below one only past mu = {2.0 + 2.0 * math.sqrt(2.0):.6f}")
 
 bad = verify_statement_conditions(inverse_branches(QuadraticParams(4.5)))
 print(f"at mu = 4.5 the sum is {bad.modulus_sum:.4f}, so condition iii fails there")

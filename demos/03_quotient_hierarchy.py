@@ -6,14 +6,21 @@ from cantor_coarse import (
     QuotientSpec,
     build_hierarchy,
     build_partition,
-    build_quotient,
     code_distance,
     default_representatives,
     inverse_branches,
-    quotient_map,
     verify_self_similarity,
 )
 from cantor_coarse.code_space import Address
+
+
+def collapse(spec: QuotientSpec, x: Address) -> Address:
+    """The collapse map: identity on the first block, q_i on block i."""
+    first, *rest = spec.partition.blocks
+    if first.contains(x):
+        return x
+    return next(q for q, block in zip(spec.representatives, rest) if block.contains(x))
+
 
 partition = build_partition(FULL_SPACE, 2)
 spec = QuotientSpec(partition, default_representatives(partition))
@@ -21,10 +28,9 @@ q2 = spec.representatives[0]
 print("two-block collapse: identity on [0], constant on [1]")
 print(f"  representative q2 = {q2}")
 for pt in (Address("00", "0"), Address("", "1"), Address("1", "0")):
-    print(f"  f({pt}) = {quotient_map(spec, pt)}")
+    print(f"  f({pt}) = {collapse(spec, pt)}")
 
-space = build_quotient(spec)
-print(f"\nmulti-point fibers: {[(str(f.label), f.block_indices) for f in space.multi_fibers]}")
+print(f"\nmulti-point fibers: {[(str(f.label), f.block_indices) for f in spec.multi_fibers]}")
 tower = build_hierarchy(inverse_branches(QuadraticParams(5.0)), 3)
 level1 = tower[1]
 x1, x2 = Address("001", "0"), Address("010", "1")
@@ -41,9 +47,12 @@ for level in tower:
         f"  max contraction ratio: {max(rep.max_ratio):.6f} (bound {max(rep.ratio_bound):.6f})"
     )
 
+# the floor map h^1 sends x to the fiber labeled hom(x); no collapsed block
+# is glued onto that label, so the fiber is a singleton
 x = Address("10", "1")
-fiber = level1.h(x)
-print(f"\nthe floor map h^1 sends {x} to the singleton fiber labeled {fiber.label}")
+label = level1.hom(x)
 glued = level1.quotient.multi_fibers[0]
+assert label not in {f.label for f in level1.quotient.multi_fibers}
+print(f"\nthe floor map h^1 sends {x} to the singleton fiber labeled {label}")
 print(f"the one multi-point fiber sits at {glued.label} and glues in "
       f"partition block {glued.block_indices[0]}")

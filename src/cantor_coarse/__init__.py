@@ -21,19 +21,16 @@ _SUBMODULE_OF = {
             "Fiber",
             "HierarchyLevel",
             "HierarchyPolicy",
-            "QuotientSpace",
             "QuotientSpec",
             "SelfSimilarityReport",
             "SymbolicSystem",
             "base_system",
             "build_hierarchy",
-            "build_quotient",
             "check_conjugation",
             "check_isometry",
             "conjugate_system",
             "default_representatives",
             "merged_representatives",
-            "quotient_map",
             "verify_self_similarity",
         ),
         "coarse_graining",
@@ -81,7 +78,6 @@ _SUBMODULE_OF = {
             "inverse_branches",
             "itinerary_point",
             "logistic",
-            "modulus_sum_threshold",
             "verify_statement_conditions",
         ),
         "quadratic_system",

@@ -303,8 +303,7 @@ def _hierarchy_checks(
     # reaches verify_depth only while MAX_DOCUMENT_DEPTH <= MAX_ENUMERATED_DEPTH
     hausdorff = identity_distances[verify_depth]
     for level in tower[1:]:
-        quot = level.quotient
-        multi = quot.multi_fibers
+        multi = level.quotient.multi_fibers
         expected = cfg.partition_n - 1 if cfg.representatives == "distinct" else None
         nontrivial = bool(multi)
         records.append(
@@ -435,6 +434,11 @@ def _document_tower(cfg: RunConfig, sys_: WeakContractionSystem) -> list[Hierarc
     return build_hierarchy(sys_, cfg.levels, cfg.policy())
 
 
+def _floor_name(k: int) -> str:
+    """The name of floor ``k`` of the tower: S, D1, D2, ..."""
+    return f"D{k}" if k else "S"
+
+
 def hierarchy_document(cfg: RunConfig) -> dict:
     """Serialize the tower: carriers, homeomorphism rules, moduli, distances."""
     from .coarse_graining import verify_self_similarity
@@ -453,7 +457,6 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     hausdorff = forward_distance(params, covers[doc_depth + 1], covers[doc_depth])
     levels: dict[str, dict] = {}
     for level in tower:
-        name = "S" if level.level == 0 else f"D{level.level}"
         base_len = max((len(w) for w in level.carrier.words), default=0)
         rep = verify_self_similarity(level, samples=100, seed=cfg.seed)
         entry: dict = {
@@ -475,13 +478,13 @@ def hierarchy_document(cfg: RunConfig) -> dict:
                 for f in level.quotient.multi_fibers
             ]
             entry["representatives"] = [
-                {"prefix": q.prefix, "tail": q.tail} for q in level.quotient.spec.representatives
+                {"prefix": q.prefix, "tail": q.tail} for q in level.quotient.representatives
             ]
-        levels[name] = entry
+        levels[_floor_name(level.level)] = entry
     return {
         "schema": "hierarchy-document/1",
         "config": cfg.as_json(),
-        "level_names": ["S"] + [f"D{k}" for k in range(1, cfg.levels + 1)],
+        "level_names": [_floor_name(k) for k in range(cfg.levels + 1)],
         "levels": levels,
     }
 
@@ -562,9 +565,18 @@ def hierarchy(cfg: RunConfig) -> None:
     print(f"document: {out}")
 
 
+def _fiber_counts(tree: DendriteGraph, depth: int) -> dict[int, int]:
+    """The cylinder count of each vertex's fiber, at ``depth`` capped to
+    MAX_DOCUMENT_DEPTH."""
+    from .dendrite import fiber_of
+
+    depth = _capped(depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
+    return {v: len(fiber_of(tree, tree.vertex_point(v), depth).cylinders) for v in tree.vertices}
+
+
 def render(cfg: RunConfig) -> None:
     """Write the Cantor-bar, hierarchy and dendrite SVG renderings."""
-    from .dendrite import DendriteGraph, fiber_of
+    from .dendrite import DendriteGraph
     from .quadratic_system import QuadraticParams, cover_chain, inverse_branches
     from .svg import cantor_bars_svg, dendrite_svg, hierarchy_svg
 
@@ -574,17 +586,12 @@ def render(cfg: RunConfig) -> None:
     _write_text(out_dir / "cantor_bars.svg", cantor_bars_svg(cover_chain(sys_, bar_depth)))
 
     tower = _document_tower(cfg, sys_)
-    names = ["S"] + [f"D{k}" for k in range(1, cfg.levels + 1)]
+    names = [_floor_name(k) for k in range(cfg.levels + 1)]
     moduli = [max(level.system.modulus_bound) for level in tower]
     _write_text(out_dir / "hierarchy.svg", hierarchy_svg(names, moduli, tower[0].system.branch_count))
 
     tree = DendriteGraph(cfg.dendrite_depth)
-    fiber_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
-    counts = {
-        v: len(fiber_of(tree, tree.vertex_point(v), fiber_depth).cylinders)
-        for v in tree.vertices
-    }
-    _write_text(out_dir / "dendrite.svg", dendrite_svg(tree, counts))
+    _write_text(out_dir / "dendrite.svg", dendrite_svg(tree, _fiber_counts(tree, cfg.depth)))
     print(f"renderings: {out_dir}")
 
 
@@ -607,10 +614,9 @@ def partition(cfg: RunConfig) -> None:
 
 def dendrite(cfg: RunConfig) -> None:
     """Write the dendrite structure and per-vertex fiber counts."""
-    from .dendrite import DendriteGraph, fiber_of
+    from .dendrite import DendriteGraph
 
     tree = DendriteGraph(cfg.dendrite_depth)
-    fiber_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     doc = {
         "schema": "dendrite-document/1",
         "config": cfg.as_json(),
@@ -620,10 +626,7 @@ def dendrite(cfg: RunConfig) -> None:
             for v in range(2, tree.vertex_count + 1)
         ],
         "tour_length": str(tree.tour_length),
-        "fiber_cylinder_counts": {
-            str(v): len(fiber_of(tree, tree.vertex_point(v), fiber_depth).cylinders)
-            for v in tree.vertices
-        },
+        "fiber_cylinder_counts": {str(v): n for v, n in _fiber_counts(tree, cfg.depth).items()},
     }
     out = Path(cfg.out) / "dendrite.json"
     _write_text(out, _dump(doc))

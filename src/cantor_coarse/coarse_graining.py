@@ -41,14 +41,12 @@ __all__ = [
     "Fiber",
     "HierarchyLevel",
     "HierarchyPolicy",
-    "QuotientSpace",
     "QuotientSpec",
     "RATIO_SLACK",
     "SelfSimilarityReport",
     "SymbolicSystem",
     "base_system",
     "build_hierarchy",
-    "build_quotient",
     "check_conjugation",
     "check_coverage",
     "check_intertwining",
@@ -56,7 +54,6 @@ __all__ = [
     "conjugate_system",
     "default_representatives",
     "merged_representatives",
-    "quotient_map",
     "verify_self_similarity",
 ]
 
@@ -64,23 +61,42 @@ RATIO_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
+class Fiber:
+    """A multi-point fiber of the collapse, named by its first-block point:
+    the 1-based collapsed blocks glued onto that label."""
+
+    label: Address
+    block_indices: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class QuotientSpec:
-    """The collapse map: identity on block 1, constant q_i on block i."""
+    """The collapse map: identity on block 1, constant q_i on block i.
+
+    Each of the ``size - 1`` collapsed blocks joins the fiber of its
+    representative, and ``multi_fibers`` lists those fibers by label;
+    every other first-block point is a singleton fiber.  Representatives
+    may coincide, gluing several blocks into one fiber.  A one-block
+    partition collapses nothing: the quotient is trivial, with no
+    multi-point fiber, and ``quotient.nontrivial`` fails on it.
+    """
 
     partition: Partition
     representatives: tuple[Address, ...]
-    allow_coincident: bool = False
+    multi_fibers: tuple[Fiber, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         expected = self.partition.size - 1
         if len(self.representatives) != expected:
             raise ValueError(f"need {expected} representatives, got {len(self.representatives)}")
         first = self.partition.blocks[0]
-        for q in self.representatives:
+        groups: dict[Address, list[int]] = {}
+        for i, q in enumerate(self.representatives, start=2):
             if not first.contains(q):
                 raise ValueError(f"representative {q} lies outside the first block")
-        if not self.allow_coincident and len(set(self.representatives)) != expected:
-            raise ValueError("coincident representatives")
+            groups.setdefault(q, []).append(i)
+        fibers = tuple(Fiber(label, tuple(ix)) for label, ix in sorted(groups.items()))
+        object.__setattr__(self, "multi_fibers", fibers)
 
 
 def default_representatives(partition: Partition) -> tuple[Address, ...]:
@@ -97,78 +113,6 @@ def merged_representatives(partition: Partition) -> tuple[Address, ...]:
     word = partition.blocks[0].words[0]
     q = Address(word + "1", "0")
     return tuple(q for _ in range(2, partition.size + 1))
-
-
-def quotient_map(spec: QuotientSpec, x: Address) -> Address:
-    """Collapse a point: identity on the first block, q_i on block i."""
-    blocks = spec.partition.blocks
-    if blocks[0].contains(x):
-        return x
-    for i, block in enumerate(blocks[1:]):
-        if block.contains(x):
-            return spec.representatives[i]
-    raise ValueError(f"{x} lies outside the carrier")
-
-
-@dataclass(frozen=True)
-class Fiber:
-    """One preimage class of the collapse, named by its first-block point.
-
-    ``block_indices`` lists the 1-based collapsed blocks glued onto the
-    label; an empty tuple marks a singleton fiber.
-    """
-
-    label: Address
-    block_indices: tuple[int, ...]
-    spec: QuotientSpec = field(repr=False)
-
-    @property
-    def is_singleton(self) -> bool:
-        return not self.block_indices
-
-    def contains(self, y: Address) -> bool:
-        return quotient_map(self.spec, y) == self.label
-
-
-@dataclass(frozen=True)
-class QuotientSpace:
-    """The decomposition of the carrier into fibers of the collapse map.
-
-    Fibers are represented by their first-block labels, never materialized
-    as point sets; membership resolves lazily through the collapse map.
-    """
-
-    spec: QuotientSpec
-    multi_fibers: tuple[Fiber, ...] = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        groups: dict[Address, list[int]] = {}
-        for i, q in enumerate(self.spec.representatives, start=2):
-            groups.setdefault(q, []).append(i)
-        fibers = tuple(
-            Fiber(label, tuple(ix), self.spec) for label, ix in sorted(groups.items())
-        )
-        object.__setattr__(self, "multi_fibers", fibers)
-
-    def fiber(self, label: Address) -> Fiber:
-        """The fiber through a first-block point (the map x -> f^-1(x))."""
-        if not self.spec.partition.blocks[0].contains(label):
-            raise ValueError(f"{label} lies outside the first block")
-        for f in self.multi_fibers:
-            if f.label == label:
-                return f
-        return Fiber(label, (), self.spec)
-
-
-def build_quotient(spec: QuotientSpec) -> QuotientSpace:
-    """Build the decomposition space of the collapse map.
-
-    Each of the ``size - 1`` collapsed blocks joins the fiber of its
-    representative.  A one-block partition collapses nothing: the quotient
-    is trivial, with no multi-point fiber, and ``quotient.nontrivial``
-    fails on it.
-    """
-    return QuotientSpace(spec)
 
 
 @dataclass(frozen=True)
@@ -220,18 +164,18 @@ def conjugate_system(sys: SymbolicSystem, hom: AddressMap) -> SymbolicSystem:
 class HierarchyLevel:
     """One floor of the coarse-graining tower, in label coordinates.
 
-    ``hom`` recodes the previous carrier onto this one (composing it with
-    the fiber map of ``quotient`` gives the floor-to-floor homeomorphism),
-    and ``to_base`` pulls label coordinates all the way back to the ground
-    space, which is how the transported metric is evaluated.  A floor is
-    purely symbolic: labels pull back to ground addresses, so every floor
+    ``hom`` recodes the previous carrier onto this one, and is the
+    floor-to-floor homeomorphism: it sends x to the fiber of ``quotient``
+    labeled ``hom(x)``.  ``to_base`` pulls label coordinates all the way
+    back to the ground space, which is how the transported metric is
+    evaluated.  A floor is purely symbolic: labels pull back to ground addresses, so every floor
     realizes to the same interval covers of the quadratic system, and
     callers build those once rather than per floor.
     """
 
     level: int
     system: SymbolicSystem
-    quotient: QuotientSpace | None
+    quotient: QuotientSpec | None
     hom: AddressMap | None
     to_base: AddressMap
 
@@ -242,12 +186,6 @@ class HierarchyLevel:
     def metric(self, y1: Address, y2: Address) -> Fraction:
         """Transported ground metric; the tower maps are isometries for it."""
         return code_distance(self.to_base(y1), self.to_base(y2))
-
-    def h(self, x: Address) -> Fiber:
-        """The floor map: recode into the first block, then take the fiber."""
-        if self.quotient is None or self.hom is None:
-            raise ValueError("the ground level has no quotient")
-        return self.quotient.fiber(self.hom(x))
 
 
 @dataclass(frozen=True)
@@ -268,17 +206,16 @@ class HierarchyPolicy:
     representative_policy: str = "distinct"  # distinct | merged | explicit
     explicit_representatives: tuple[tuple[Address, ...], ...] | None = None
 
-    def representatives_for(self, level: int, partition: Partition) -> tuple[tuple[Address, ...], bool]:
+    def representatives_for(self, level: int, partition: Partition) -> tuple[Address, ...]:
         if self.representative_policy == "explicit":
             reps = self.explicit_representatives
             if reps is None or len(reps) < level:
                 raise ValueError(f"no explicit representatives for level {level}")
-            chosen = reps[level - 1]
-            return chosen, len(set(chosen)) != len(chosen)
+            return reps[level - 1]
         if self.representative_policy == "merged":
-            return merged_representatives(partition), True
+            return merged_representatives(partition)
         if self.representative_policy == "distinct":
-            return default_representatives(partition), False
+            return default_representatives(partition)
         raise ValueError(f"unknown representative policy {self.representative_policy!r}")
 
 
@@ -308,9 +245,7 @@ def build_hierarchy(
     for k in range(1, levels + 1):
         prev = tower[-1]
         partition = build_partition(prev.carrier, policy.blocks_per_level)
-        reps, coincident = policy.representatives_for(k, partition)
-        spec = QuotientSpec(partition, reps, allow_coincident=coincident)
-        quot = build_quotient(spec)
+        quot = QuotientSpec(partition, policy.representatives_for(k, partition))
         g = recode_between(prev.carrier, partition.blocks[0])
         tower.append(
             HierarchyLevel(

@@ -110,16 +110,6 @@ def _trusted_address(prefix: str, tail: str) -> Address:
     return a
 
 
-def _first_difference(a: Address, b: Address) -> int:
-    """The first position at which two distinct addresses differ."""
-    n = max(len(a.prefix), len(b.prefix)) + 1
-    sa, sb = a.symbols(n), b.symbols(n)
-    for i in range(n):
-        if sa[i] != sb[i]:
-            return i
-    raise ValueError("addresses coincide")
-
-
 def embed_cmts(a: Address) -> Fraction:
     """Middle-thirds embedding of an address, as an exact rational.
 

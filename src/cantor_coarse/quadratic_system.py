@@ -33,7 +33,6 @@ __all__ = [
     "invariant_cover",
     "itinerary_point",
     "logistic",
-    "modulus_sum_threshold",
     "refine_cover",
     "verify_statement_conditions",
 ]
@@ -109,11 +108,6 @@ def inverse_branches(p: QuadraticParams) -> WeakContractionSystem:
         modulus_inf=(alpha, alpha),
         fixed_points=(0.0, 1.0 - 1.0 / mu),
     )
-
-
-def modulus_sum_threshold() -> float:
-    """The mu above which the two branch moduli sum below one: 2 + 2*sqrt(2)."""
-    return 2.0 + 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

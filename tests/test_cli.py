@@ -203,6 +203,47 @@ class TestVerifyCommand:
         jsonschema.validate(report, json.loads((SCHEMAS / "verification_report.schema.json").read_text()))
 
 
+class TestCoincidentRepresentatives:
+    """An explicit floor 1 whose two representatives coincide: both
+    collapsed blocks, [10] and [11], glue onto one fiber at 01(0)^inf."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        rep = {"prefix": "01", "tail": "0"}
+        path = tmp_path / "coincident.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "representatives": "explicit",
+                    "partition_n": 3,
+                    "levels": 1,
+                    "depth": 4,
+                    "dendrite_depth": 2,
+                    "explicit_representatives": [[rep, rep]],
+                }
+            )
+        )
+        return str(path)
+
+    def test_verify_passes_with_one_multi_fiber(self, tmp_path, config):
+        result = invoke(["verify", "--config", config, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.stderr
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        quotient = [c for c in report["checks"] if c["id"].startswith("quotient.")]
+        assert [(c["id"], c["measured"], c["passed"]) for c in quotient] == [
+            ("quotient.nontrivial", 1, True),
+            ("quotient.isometry", True, True),
+        ]
+
+    def test_hierarchy_lists_one_fiber_with_both_blocks(self, tmp_path, config):
+        result = invoke(["hierarchy", "--config", config, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.stderr
+        doc = json.loads((tmp_path / "hierarchy.json").read_text())
+        assert doc["levels"]["D1"]["fiber_labels"] == [{"prefix": "01", "tail": "0", "blocks": [2, 3]}]
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(doc, json.loads((SCHEMAS / "hierarchy_document.schema.json").read_text()))
+
+
 class TestPartitionChecks:
     def test_chain_step_n_is_build_partition_n(self):
         chain = list(_partition_chain(64))
@@ -382,6 +423,25 @@ class TestDepthCaps:
 
     def test_document_depth_8_is_not_capped(self, caplog):
         assert self._cap_lines(caplog, 8, cli.hierarchy_document) == []
+
+    @pytest.mark.parametrize(
+        "command, read",
+        [
+            ("dendrite", lambda out: json.loads((out / "dendrite.json").read_text())["fiber_cylinder_counts"]),
+            ("render", lambda out: (out / "dendrite.svg").read_bytes()),
+        ],
+    )
+    def test_fiber_counts_cap_once_per_command(self, caplog, tmp_path, command, read):
+        caplog.set_level(logging.INFO, logger="cantor_coarse")
+        counts = []
+        for depth in ("12", "10"):
+            out = tmp_path / depth
+            result = invoke([command, "--depth", depth, "--levels", "1", "--dendrite-depth", "2", "--out", str(out)])
+            assert result.exit_code == 0, result.stderr
+            counts.append(read(out))
+        lines = [r.getMessage() for r in caplog.records if "caps depth" in r.getMessage()]
+        assert lines == ["MAX_DOCUMENT_DEPTH=10 caps depth 12 to 10"]
+        assert counts[0] == counts[1]
 
 
 class TestHierarchyCommand:

@@ -26,13 +26,13 @@ from cantor_coarse.code_space import (
     recode_homeomorphism,
 )
 from cantor_coarse.coarse_graining import (
+    Fiber,
     HierarchyLevel,
     HierarchyPolicy,
     QuotientSpec,
     SymbolicSystem,
     base_system,
     build_hierarchy,
-    build_quotient,
     check_conjugation,
     check_coverage,
     check_intertwining,
@@ -40,13 +40,23 @@ from cantor_coarse.coarse_graining import (
     conjugate_system,
     default_representatives,
     merged_representatives,
-    quotient_map,
     verify_self_similarity,
 )
 from cantor_coarse.quadratic_system import QuadraticParams, inverse_branches, verify_statement_conditions
 
 MU5 = QuadraticParams(5.0)
 SYS5 = inverse_branches(MU5)
+
+
+def quotient_map(spec: QuotientSpec, x: Address) -> Address:
+    """Oracle for the collapse: identity on the first block, q_i on block i."""
+    blocks = spec.partition.blocks
+    if blocks[0].contains(x):
+        return x
+    for i, block in enumerate(blocks[1:]):
+        if block.contains(x):
+            return spec.representatives[i]
+    raise ValueError(f"{x} lies outside the carrier")
 
 
 def two_block_spec() -> QuotientSpec:
@@ -72,12 +82,10 @@ class TestQuotientSpec:
         with pytest.raises(ValueError, match="outside the first block"):
             QuotientSpec(p, (Address("1", "0"),))
 
-    def test_coincident_representatives_rejected_by_default(self):
+    def test_coincident_representatives_glue_one_fiber(self):
         p = build_partition(FULL_SPACE, 3)
         q = Address("01", "0")
-        with pytest.raises(ValueError, match="coincident"):
-            QuotientSpec(p, (q, q))
-        QuotientSpec(p, (q, q), allow_coincident=True)  # explicit opt-in
+        assert QuotientSpec(p, (q, q)).multi_fibers == (Fiber(q, (2, 3)),)
 
     def test_wrong_count_rejected(self):
         p = build_partition(FULL_SPACE, 3)
@@ -104,20 +112,17 @@ class TestQuotientMap:
             quotient_map(spec, Address("", "1"))
 
 
-class TestQuotientSpace:
+class TestMultiFibers:
     def test_one_block_quotient_has_no_multi_fiber(self):
         spec = QuotientSpec(build_partition(FULL_SPACE, 1), ())
-        space = build_quotient(spec)
-        assert space.multi_fibers == ()
+        assert spec.multi_fibers == ()
         # the collapse is the identity, so every fiber is a point
         for w in FULL_SPACE.refine(3):
             x = Address(w, "0")
             assert quotient_map(spec, x) == x
-            assert space.fiber(x).is_singleton
 
     def test_fiber_enumeration_two_blocks(self):
         spec = two_block_spec()
-        space = build_quotient(spec)
         q2 = spec.representatives[0]
         # oracle: group the endpoints of every depth-4 cylinder by image
         members: dict[Address, set[Address]] = {}
@@ -126,37 +131,24 @@ class TestQuotientSpace:
                 members.setdefault(quotient_map(spec, pt), set()).add(pt)
         multi = {label for label, pts in members.items() if len(pts) > 1}
         assert multi == {q2}
-        assert [f.label for f in space.multi_fibers] == [q2]
-        assert space.multi_fibers[0].block_indices == (2,)
-        # singleton fibers only for first-block points away from q2
-        for label, pts in members.items():
-            if label != q2:
-                assert space.fiber(label).is_singleton
+        # every other label is a singleton fiber, so none is listed
+        assert spec.multi_fibers == (Fiber(q2, (2,)),)
 
     def test_fiber_count_three_blocks(self):
-        space = build_quotient(three_block_spec())
-        assert len([f for f in space.multi_fibers if not f.is_singleton]) == 2
+        fibers = three_block_spec().multi_fibers
+        assert [f.block_indices for f in fibers] == [(2,), (3,)]
+
+    def test_fibers_are_listed_by_label(self):
+        p = build_partition(FULL_SPACE, 3)
+        q2, q3 = default_representatives(p)
+        # q3 > q2, so listing by label lists block 3's fiber second
+        assert QuotientSpec(p, (q3, q2)).multi_fibers == (Fiber(q2, (3,)), Fiber(q3, (2,)))
 
     def test_merged_representatives_merge_fibers(self):
         p = build_partition(FULL_SPACE, 3)
-        spec = QuotientSpec(p, merged_representatives(p), allow_coincident=True)
-        space = build_quotient(spec)
-        assert len(space.multi_fibers) == 1
-        assert space.multi_fibers[0].block_indices == (2, 3)
-
-    def test_fiber_membership_and_labels(self):
-        spec = two_block_spec()
-        space = build_quotient(spec)
-        fib = space.fiber(quotient_map(spec, Address("10", "1")))
-        assert fib.contains(Address("1", "0"))
-        assert fib.contains(spec.representatives[0])
-        assert not fib.contains(Address("00", "0"))
-        assert fib.label == spec.representatives[0]
-
-    def test_fiber_requires_first_block_point(self):
-        space = build_quotient(two_block_spec())
-        with pytest.raises(ValueError, match="outside the first block"):
-            space.fiber(Address("1", "0"))
+        spec = QuotientSpec(p, merged_representatives(p))
+        assert len(spec.multi_fibers) == 1
+        assert spec.multi_fibers[0].block_indices == (2, 3)
 
 
 class TestFloorMetric:
@@ -174,7 +166,7 @@ class TestFloorMetric:
 
     def test_distance_between_representative_fibers(self):
         level = build_hierarchy(SYS5, 1, HierarchyPolicy(blocks_per_level=3))[1]
-        q2, q3 = level.quotient.spec.representatives
+        q2, q3 = level.quotient.representatives
         assert {f.label for f in level.quotient.multi_fibers} == {q2, q3}
         # independent evaluation through the embedding of the ground points
         ground = level.hom.inverse()
@@ -288,23 +280,19 @@ class TestHierarchy:
             assert check_conjugation(level, tower[k - 1])
             assert not check_conjugation(broken, tower[k - 1]), k
 
-    def test_floor_map_h_lands_on_fibers(self):
-        tower = build_hierarchy(SYS5, 1)
-        level = tower[1]
+    def test_floor_map_lands_on_first_block_labels(self):
+        level = build_hierarchy(SYS5, 1)[1]
         x = Address("10", "1")
-        fib = level.h(x)
-        assert fib.label == level.hom(x)
-        assert level.quotient.spec.partition.blocks[0].contains(fib.label)
+        assert level.quotient.partition.blocks[0].contains(level.hom(x))
 
     def test_base_level_has_no_quotient(self):
-        tower = build_hierarchy(SYS5, 1)
-        with pytest.raises(ValueError, match="no quotient"):
-            tower[0].h(Address("", "0"))
+        ground = build_hierarchy(SYS5, 1)[0]
+        assert ground.quotient is None and ground.hom is None
 
     def test_three_block_policy(self):
         tower = build_hierarchy(SYS5, 2, HierarchyPolicy(blocks_per_level=3))
         for level in tower[1:]:
-            assert level.quotient.spec.partition.size == 3
+            assert level.quotient.partition.size == 3
             assert len(level.quotient.multi_fibers) == 2
 
     def test_merged_policy(self):
@@ -318,7 +306,7 @@ class TestHierarchy:
             1,
             HierarchyPolicy(representative_policy="explicit", explicit_representatives=reps),
         )
-        assert tower[1].quotient.spec.representatives == reps[0]
+        assert tower[1].quotient.representatives == reps[0]
 
     @pytest.mark.parametrize("policy", ["distinct", "merged"])
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -342,17 +330,21 @@ class TestHierarchy:
     def test_fibers_partition_the_carrier(self):
         tower = build_hierarchy(SYS5, 1)
         level = tower[1]
-        spec = level.quotient.spec
-        # every depth-5 endpoint belongs to exactly one fiber, keyed by label
-        seen: dict[Address, Address] = {}
-        for w in FULL_SPACE.refine(5):
+        spec = level.quotient
+        # every depth-5 endpoint of the carrier belongs to exactly one
+        # fiber, keyed by a first-block label; the labels that collapsed
+        # blocks reach are the multi-point fibers, with those blocks
+        glued: dict[Address, set[int]] = {}
+        for w in spec.partition.carrier.refine(5):
             for pt in (Address(w, "0"), Address(w, "1")):
                 label = quotient_map(spec, pt)
-                fib = level.quotient.fiber(label)
-                assert fib.contains(pt)
-                seen[pt] = label
-        multi_labels = {f.label for f in level.quotient.multi_fibers}
-        assert multi_labels <= set(seen.values())
+                assert spec.partition.blocks[0].contains(label)
+                blocks = [i for i, b in enumerate(spec.partition.blocks, start=1) if b.contains(pt)]
+                assert len(blocks) == 1
+                if blocks[0] > 1:
+                    glued.setdefault(label, set()).add(blocks[0])
+        assert spec.multi_fibers
+        assert {f.label: set(f.block_indices) for f in spec.multi_fibers} == glued
 
 
 EXACT_TOWERS = [
@@ -371,7 +363,19 @@ EXACT_TOWERS = [
             ),
         ),
         id="3-explicit",
-    )
+    ),
+    # coincident representatives on floor 1
+    pytest.param(
+        HierarchyPolicy(
+            blocks_per_level=3,
+            representative_policy="explicit",
+            explicit_representatives=(
+                (Address("01", "0"), Address("01", "0")),
+                (Address("001", "1"), Address("", "0")),
+            ),
+        ),
+        id="3-explicit-floor-1",
+    ),
 ]
 
 # a cylinder word no point of ``random_address(rng, 20, ...)`` starts with:
@@ -546,7 +550,7 @@ class TestSelfSimilarity:
             # carriers do not depend on the representatives, so a distinct
             # tower shows every floor's first block; list them reversed
             shape = build_hierarchy(SYS5, 4, HierarchyPolicy(blocks_per_level=n))
-            explicit = tuple(tuple(reversed(lv.quotient.spec.representatives)) for lv in shape[1:])
+            explicit = tuple(tuple(reversed(lv.quotient.representatives)) for lv in shape[1:])
         chosen = HierarchyPolicy(blocks_per_level=n, representative_policy=policy, explicit_representatives=explicit)
         for levels in range(5):
             for level in build_hierarchy(SYS5, levels, chosen):

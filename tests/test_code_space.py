@@ -567,7 +567,7 @@ class TestFlatComposites:
             # carriers do not depend on the representatives, so a distinct
             # tower shows every floor's first block; list them reversed
             shape = build_hierarchy(real, 8, HierarchyPolicy(blocks_per_level=n))
-            explicit = tuple(tuple(reversed(lv.quotient.spec.representatives)) for lv in shape[1:])
+            explicit = tuple(tuple(reversed(lv.quotient.representatives)) for lv in shape[1:])
         tower = build_hierarchy(
             real,
             8,
@@ -578,7 +578,7 @@ class TestFlatComposites:
             points = [random_address(rng, 20) for _ in range(15)]
             points += [random_address(rng, 20, level.carrier) for _ in range(15)]
             points += [random_address(rng, 20, prev.carrier) for _ in range(15)]
-            sets = [FULL_SPACE, level.carrier, prev.carrier, *level.quotient.spec.partition.blocks[:3]]
+            sets = [FULL_SPACE, level.carrier, prev.carrier, *level.quotient.partition.blocks[:3]]
             for m in _tower_maps(level):
                 assert isinstance(m, ComposedMap)
                 _assert_matches_stages(m, points, sets)

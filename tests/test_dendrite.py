@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantor_coarse import cli, dendrite
-from cantor_coarse.code_space import Address, _first_difference, random_address
+from cantor_coarse.code_space import Address, random_address
 from cantor_coarse.dendrite import (
     DendriteGraph,
     _binary_numerator,
@@ -157,6 +157,16 @@ def _reference_fiber_soundness(tree: DendriteGraph, depth: int) -> float:
             image = _reference_tour_point(tree, _reference_binary_expansion(wit))
             worst = max(worst, tree.distance(image, p))
     return float(worst)
+
+
+def _first_difference(a: Address, b: Address) -> int:
+    """The first position at which two distinct addresses differ."""
+    n = max(len(a.prefix), len(b.prefix)) + 1
+    sa, sb = a.symbols(n), b.symbols(n)
+    for i in range(n):
+        if sa[i] != sb[i]:
+            return i
+    raise ValueError("addresses coincide")
 
 
 def _scaled(a: Address, k: int) -> int:

