@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _SYMBOLS = ("0", "1")
+_BITS = frozenset(_SYMBOLS)
 
 
 class OutsideDomainError(ValueError):
@@ -47,7 +48,7 @@ class OutsideDomainError(ValueError):
 
 
 def _check_word(word: str) -> None:
-    if not set(word) <= {"0", "1"}:
+    if not set(word) <= _BITS:
         raise ValueError(f"not a binary word: {word!r}")
 
 
@@ -151,16 +152,21 @@ class Cylinder:
 def _canonical_words(words) -> tuple[str, ...]:
     """The unique maximal-cylinder form of a union of cylinders, sorted.
 
-    One scan over the sorted distinct words keeps a stack that is sorted
-    and prefix-free.  In sorted order every extension of a word follows it
+    The distinct words are checked to be binary once, joined into one
+    string.  One scan over them, sorted, keeps a stack that is sorted and
+    prefix-free.  In sorted order every extension of a word follows it
     before any word that does not extend it, so a word lies inside a
     stacked cylinder exactly when it starts with the top word, and is
     absorbed.  Likewise a complete sibling pair w0, w1 can only meet as the
     top two entries, so after each push they merge into w until the top
     pair is no longer a sibling pair.
     """
+    distinct = sorted(set(words))
+    if not set("".join(distinct)) <= _BITS:
+        for w in distinct:
+            _check_word(w)
     stack: list[str] = []
-    for w in sorted(set(words)):
+    for w in distinct:
         if stack and w.startswith(stack[-1]):
             continue
         while w and stack and w[-1] == "1" and stack[-1] == w[:-1] + "0":
@@ -172,36 +178,38 @@ def _canonical_words(words) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ClopenSet:
-    """A finite union of cylinders, kept canonical.
+    """A finite union of cylinders, kept canonical as the words of its
+    member cylinders.
 
     Canonical means no member cylinder contains another, no two sibling
-    cylinders w0 and w1 are both present (they merge to w), and the list is
-    sorted by word.  Construction reaches this form in one scan over the
-    sorted words (``_canonical_words``), whose stack is sorted, prefix-free
-    and free of sibling pairs after every step.  The empty union is a valid
+    cylinders w0 and w1 are both present (they merge to w), and the words
+    are sorted.  Construction checks that every word is binary and reaches
+    this form in one scan over the sorted words (``_canonical_words``),
+    whose stack is sorted, prefix-free and free of sibling pairs after
+    every step.  Equality and hashing go by the canonical words, and
+    ``cylinders`` is their ``Cylinder`` view.  The empty union is a valid
     value; operations that need a non-empty set say so.
     """
 
-    cylinders: tuple[Cylinder, ...]
+    words: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        words = _canonical_words(c.word for c in self.cylinders)
-        object.__setattr__(self, "cylinders", tuple(Cylinder(w) for w in words))
+        object.__setattr__(self, "words", _canonical_words(self.words))
 
     @classmethod
     def from_words(cls, words) -> "ClopenSet":
-        return cls(tuple(Cylinder(w) for w in words))
+        return cls(tuple(words))
 
     @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(c.word for c in self.cylinders)
+    def cylinders(self) -> tuple[Cylinder, ...]:
+        return tuple(map(Cylinder, self.words))
 
     @property
     def is_empty(self) -> bool:
-        return not self.cylinders
+        return not self.words
 
     def contains(self, a: Address) -> bool:
-        return any(c.contains(a) for c in self.cylinders)
+        return any(map(a.starts_with, self.words))
 
     def refine(self, depth: int) -> tuple[str, ...]:
         """All member words expanded to one uniform depth."""
@@ -213,7 +221,7 @@ class ClopenSet:
         return tuple(sorted(out))
 
 
-FULL_SPACE = ClopenSet((Cylinder(""),))
+FULL_SPACE = ClopenSet(("",))
 
 
 def clopen_union(*sets: ClopenSet) -> ClopenSet:
@@ -390,7 +398,7 @@ def recode_homeomorphism(target: ClopenSet) -> PrefixRewrite:
     """
     if target.is_empty:
         raise ValueError("empty subspace")
-    code = complete_prefix_code(len(target.cylinders))
+    code = complete_prefix_code(len(target.words))
     return PrefixRewrite(tuple(zip(code, target.words)))
 
 

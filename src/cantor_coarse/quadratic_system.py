@@ -4,8 +4,10 @@ For mu > 4 the parabola leaves the unit square, its two inverse branches
 contract [0, 1] into itself, and iterating them produces the nested
 interval covers of the invariant Cantor-type set.  This module is the
 double-precision side of the artifact, in plain Python floats: a cover is
-a tuple of ``(lo, hi)`` pairs, and identities here hold to 1e-12 at the
-working depths, while the exact arithmetic lives in the symbolic layer.
+one flat tuple of endpoints ``lo0, hi0, lo1, hi1, ...``, which the
+kernels walk with ``map``, ``zip`` and slices, and identities here hold to
+1e-12 at the working depths, while the exact arithmetic lives in the
+symbolic layer.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
-from operator import sub
+from functools import cached_property
+from itertools import chain, repeat
+from operator import gt, itemgetter, le, lt, sub
 from typing import Callable
 
 from .code_space import Address
@@ -138,6 +141,16 @@ class StatementReport:
         return all(self.conditions)
 
 
+def _increasing(v: list[float]) -> bool:
+    """Whether ``v`` is strictly increasing."""
+    return all(map(lt, v, v[1:]))
+
+
+def _decreasing(v: list[float]) -> bool:
+    """Whether ``v`` is strictly decreasing."""
+    return all(map(gt, v, v[1:]))
+
+
 def _distinct_count(values: tuple[float, ...], tol: float) -> int:
     if not values:
         return 0
@@ -162,9 +175,8 @@ def verify_statement_conditions(
     ys = [lo + i * (hi - lo) / (grid - 1) for i in range(grid)]
     checks = []
     for j, branch in enumerate(sys.branches):
-        vals = [float(branch(y)) for y in ys]
-        diffs = [b - a for a, b in zip(vals, vals[1:])]
-        monotone = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
+        vals = list(map(float, map(branch, ys)))
+        monotone = _increasing(vals) or _decreasing(vals)
         checks.append(BranchCheck(branch=j, strictly_monotone=monotone))
     injective = all(c.strictly_monotone for c in checks)
     residual = max(
@@ -188,64 +200,116 @@ def verify_statement_conditions(
 Interval = tuple[float, float]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class IntervalCover:
     """Sorted disjoint closed subintervals of [0, 1] approximating the
-    invariant set at one truncation depth."""
+    invariant set at one truncation depth.
+
+    Built from ``(lo, hi)`` pairs, which are validated: every endpoint
+    finite, no interval of negative length, and each interval strictly
+    left of the next.  Stored as one flat tuple ``ends`` of endpoints
+    ``lo0, hi0, lo1, hi1, ...``, which the kernels walk; ``intervals`` is
+    the pair view, built on first read.
+    """
 
     depth: int
-    intervals: tuple[Interval, ...]  # (lo, hi) pairs in increasing order
+    ends: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, depth: int, intervals) -> None:
         try:
-            ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+            ends = tuple(float(x) for lo, hi in intervals for x in (lo, hi))
         except (TypeError, ValueError):
-            ivs = ()  # not a sequence of pairs: rejected like an empty one
-        if not ivs:
+            ends = ()  # not a sequence of pairs: rejected like an empty one
+        if not ends:
             raise ValueError("intervals must form a non-empty (m, 2) array")
-        if any(lo > hi for lo, hi in ivs):
+        if not all(map(math.isfinite, ends)):
+            raise ValueError("interval endpoint is not finite")
+        if any(map(gt, ends[::2], ends[1::2])):
             raise ValueError("interval with negative length")
-        if any(b[0] <= a[1] for a, b in zip(ivs, ivs[1:])):
+        if any(map(le, ends[2::2], ends[1::2])):
             raise ValueError("intervals overlap or are unsorted")
-        object.__setattr__(self, "intervals", ivs)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "ends", ends)
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        """The ``(lo, hi)`` pairs in increasing order."""
+        return tuple(zip(self.ends[::2], self.ends[1::2]))
+
+    @cached_property
+    def _least_gap(self) -> float:
+        """The narrowest gap between neighbouring intervals; inf for one."""
+        ends = self.ends
+        return min(map(sub, ends[2::2], ends[1::2]), default=math.inf)
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.ends) >> 1
 
     def subset_of(self, other: "IntervalCover") -> bool:
-        """Every interval of self contained in a single interval of other."""
-        starts = [lo for lo, _ in other.intervals]
-        for lo, hi in self.intervals:
-            i = bisect_right(starts, lo) - 1
-            if i < 0 or hi > other.intervals[i][1]:
-                return False
-        return True
+        """Every interval of self contained in a single interval of other.
+
+        For each interval of self, ``bisect_right`` over other's starts
+        gives one past the last interval of other that starts at or left
+        of it, and that interval's stop is read; a leading -inf stop fails
+        an interval that starts left of all of other.
+        """
+        stops = (-math.inf, *other.ends[1::2])
+        found = map(bisect_right, repeat(other.ends[::2]), self.ends[::2])
+        return all(map(le, self.ends[1::2], map(stops.__getitem__, found)))
 
 
-def _trusted_cover(depth: int, pieces: list[Interval]) -> IntervalCover:
-    """``IntervalCover(depth, pieces)`` for pieces ``_branch_images`` has
-    already sorted and checked for overlap.
+def _trusted_cover(depth: int, ends: tuple[float, ...]) -> IntervalCover:
+    """An ``IntervalCover`` of flat endpoints known to be sorted and
+    separated: ``_branch_images`` checks its own, and ``forward_distance``
+    says why its sides are.
 
-    Skips the second validation pass of ``IntervalCover.__post_init__``;
-    the branches return floats, so the stored pairs are the same.
+    Skips the validation of ``IntervalCover.__init__``; the branches and
+    the map return floats, so the stored endpoints are the same.
     """
     cover = object.__new__(IntervalCover)
     fields = cover.__dict__  # the frozen dataclass's own storage
     fields["depth"] = depth
-    fields["intervals"] = tuple(pieces)
+    fields["ends"] = ends
     return cover
 
 
-def _branch_images(sys: WeakContractionSystem, intervals: tuple[Interval, ...]) -> list[Interval]:
-    """Images of the intervals under every branch, sorted and disjoint."""
-    pieces = []
-    for branch in sys.branches:
-        for lo, hi in intervals:
-            a, b = branch(lo), branch(hi)  # monotone branches map endpoints
-            pieces.append((a, b) if a <= b else (b, a))
-    pieces.sort()
+def _branch_images(sys: WeakContractionSystem, ends: tuple[float, ...]) -> tuple[float, ...]:
+    """Endpoints of the images of the cover ``ends`` under every branch,
+    sorted and disjoint.
+
+    Each branch is evaluated once per endpoint.  A branch whose images are
+    strictly monotone lists its image intervals already sorted, forwards
+    or backwards; when every branch does and their ranges are disjoint,
+    the branches in order of their least image are the sorted cover.
+    Otherwise ``_paired_images`` sorts the same images, and any two image
+    intervals that meet violate the open set condition.
+    """
+    images = [list(map(branch, ends)) for branch in sys.branches]
+    runs = []
+    for v in images:
+        if _increasing(v):
+            runs.append(v)
+        elif _decreasing(v):
+            runs.append(v[::-1])
+        else:
+            break
+    else:
+        runs.sort(key=itemgetter(0))
+        if all(a[-1] < b[0] for a, b in zip(runs, runs[1:])):
+            return tuple(chain.from_iterable(runs))
+    pieces = _paired_images(images)
     if any(b[0] <= a[1] for a, b in zip(pieces, pieces[1:])):
         raise ValueError("open set condition violated")
+    return tuple(chain.from_iterable(pieces))
+
+
+def _paired_images(images: list[list[float]]) -> list[Interval]:
+    """Each branch's endpoint images paired into intervals, all sorted."""
+    pieces = []
+    for v in images:
+        for a, b in zip(v[::2], v[1::2]):  # monotone branches map endpoints
+            pieces.append((a, b) if a <= b else (b, a))
+    pieces.sort()
     return pieces
 
 
@@ -255,15 +319,15 @@ def invariant_cover(sys: WeakContractionSystem, n: int) -> IntervalCover:
         raise ValueError("depth must be non-negative")
     if n == 0:  # the carrier comes from the caller, so it is validated
         return IntervalCover(0, (sys.carrier,))
-    ivs = (sys.carrier,)
+    ends = tuple(sys.carrier)
     for _ in range(n):
-        ivs = _branch_images(sys, ivs)
-    return _trusted_cover(n, ivs)
+        ends = _branch_images(sys, ends)
+    return _trusted_cover(n, ends)
 
 
 def refine_cover(sys: WeakContractionSystem, cover: IntervalCover) -> IntervalCover:
     """One more branch application: the union of branch images of ``cover``."""
-    return _trusted_cover(cover.depth + 1, _branch_images(sys, cover.intervals))
+    return _trusted_cover(cover.depth + 1, _branch_images(sys, cover.ends))
 
 
 def cover_chain(sys: WeakContractionSystem, depth: int) -> list[IntervalCover]:
@@ -288,13 +352,15 @@ def forward_distance(p: QuadraticParams, finer: IntervalCover, cover: IntervalCo
     n + 1 >= 1 for mu > 4.  The map is strictly monotone on each side, so
     a side's images are sorted and disjoint, as ``hausdorff_distance``
     needs; in double precision this was seen to hold on every cover built
-    for mu in (4, 1000].
+    for mu in (4, 1000].  The map is evaluated once per endpoint, in
+    ``logistic``'s order of operations.
     """
-    ivs = finer.intervals
-    k = bisect_left(ivs, (0.5,))  # the intervals that start left of 1/2
-    low = [(logistic(p, lo), logistic(p, hi)) for lo, hi in ivs[:k]]
-    high = [(logistic(p, hi), logistic(p, lo)) for lo, hi in reversed(ivs[k:])]
-    return max(hausdorff_distance(_trusted_cover(cover.depth, side), cover) for side in (low, high))
+    ends = finer.ends
+    k = 2 * bisect_left(ends[::2], 0.5)  # endpoints of the intervals starting left of 1/2
+    mu = p.mu
+    images = [mu * x * (1.0 - x) for x in ends]  # logistic's expression
+    sides = (images[:k], images[k:][::-1])
+    return max(hausdorff_distance(_trusted_cover(cover.depth, tuple(side)), cover) for side in sides)
 
 
 @dataclass(frozen=True)
@@ -364,11 +430,6 @@ def _directed_hausdorff(A: tuple[Interval, ...], B: tuple[Interval, ...]) -> flo
     return worst
 
 
-def _least_gap(ends: list[float]) -> float:
-    """The narrowest gap of a cover given as its flattened endpoints."""
-    return min(map(sub, ends[2::2], ends[1::2]), default=math.inf)
-
-
 def hausdorff_distance(c1: IntervalCover, c2: IntervalCover) -> float:
     """Exact Hausdorff distance between two closed interval unions.
 
@@ -379,10 +440,9 @@ def hausdorff_distance(c1: IntervalCover, c2: IntervalCover) -> float:
     the distance is e, the same float the sweep returns.  Otherwise both
     directed distances are swept.
     """
-    A, B = c1.intervals, c2.intervals
-    if len(A) == len(B):
-        ends1, ends2 = list(chain.from_iterable(A)), list(chain.from_iterable(B))
-        e = max(map(abs, map(sub, ends1, ends2)))
-        if 2.0 * e < min(_least_gap(ends1), _least_gap(ends2)):
+    if len(c1.ends) == len(c2.ends):
+        e = max(map(abs, map(sub, c1.ends, c2.ends)))
+        if 2.0 * e < min(c1._least_gap, c2._least_gap):
             return e
+    A, B = c1.intervals, c2.intervals
     return max(_directed_hausdorff(A, B), _directed_hausdorff(B, A))

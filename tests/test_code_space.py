@@ -231,6 +231,49 @@ class TestClopenSet:
         assert ClopenSet.from_words(["0", "10", "11"]).words == ("",)
         assert ClopenSet.from_words(["10", "0"]).words == ("0", "10")
 
+    @pytest.mark.parametrize("words", [["2"], ["0a"], ["0", "0a"], ["00", "01", "1", "x"], [""] * 3 + ["10 "]])
+    def test_non_binary_words_rejected(self, words):
+        # a bad word is rejected even where a shallower word absorbs it
+        bad = next(w for w in words if not set(w) <= {"0", "1"})
+        with pytest.raises(ValueError, match=f"^not a binary word: {bad!r}$"):
+            ClopenSet.from_words(words)
+        with pytest.raises(ValueError, match="^not a binary word"):
+            ClopenSet(tuple(words))
+        with pytest.raises(ValueError, match=f"^not a binary word: {bad!r}$"):
+            Cylinder(bad)
+
+    @given(words=st.lists(st.text(alphabet="01", max_size=6), max_size=8))
+    def test_cylinders_view_the_canonical_words(self, words):
+        cs = ClopenSet.from_words(words)
+        assert type(cs.words) is tuple
+        assert cs.cylinders == tuple(Cylinder(w) for w in cs.words)
+        assert cs.is_empty is (not words)
+
+    @given(words=st.lists(st.text(alphabet="01", max_size=6), max_size=8))
+    def test_equality_and_hash_go_by_canonical_words(self, words):
+        cs = ClopenSet.from_words(words)
+        # every word split into its two children: the same set
+        split = ClopenSet.from_words([w + b for w in words for b in "01"])
+        assert split == cs and hash(split) == hash(cs)
+        assert len({cs, split, ClopenSet(cs.words)}) == 1
+        assert ClopenSet(tuple(words)) == cs
+        assert (cs == FULL_SPACE) is (cs.words == ("",))
+
+    def test_cylinders_readable_before_and_after_construction(self, monkeypatch):
+        # a wrapper around __post_init__ may count the input and the
+        # canonical cylinders, as bench/tracer.py does
+        seen = []
+        real = ClopenSet.__post_init__
+
+        def counted(self):
+            seen.append(len(self.cylinders))
+            real(self)
+            seen.append(len(self.cylinders))
+
+        monkeypatch.setattr(ClopenSet, "__post_init__", counted)
+        assert ClopenSet.from_words(["00", "01", "1"]) == FULL_SPACE
+        assert seen == [3, 1]
+
     @given(words=st.lists(st.text(alphabet="01", max_size=6), max_size=8))
     def test_canonicalization_idempotent_and_order_independent(self, words):
         cs = ClopenSet.from_words(words)

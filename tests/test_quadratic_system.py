@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from itertools import chain
+from operator import sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -263,12 +265,14 @@ class TestInvariantCover:
         for n in range(13):
             built = invariant_cover(sys_, n)
             assert built.depth == n
+            assert built.ends == reference.ends, (mu, n)
             assert built.intervals == reference.intervals, (mu, n)
+            assert type(built.ends) is tuple and len(built.ends) == 2 * len(built)
+            assert all(type(x) is float for x in built.ends)
             assert type(built.intervals) is tuple
             assert all(type(iv) is tuple and len(iv) == 2 for iv in built.intervals)
-            assert all(type(x) is float for iv in built.intervals for x in iv)
             try:
-                pieces = _branch_images(sys_, reference.intervals)
+                ends = _branch_images(sys_, reference.ends)
             except ValueError as exc:
                 # mu=90 resolves its covers only to depth 9
                 assert (mu, n, str(exc)) == (90.0, 9, "open set condition violated")
@@ -277,11 +281,12 @@ class TestInvariantCover:
                 with pytest.raises(ValueError, match="^open set condition violated$"):
                     invariant_cover(sys_, n + 1)
                 return
-            reference = IntervalCover(n + 1, pieces)
+            assert type(ends) is tuple
+            reference = IntervalCover(n + 1, zip(ends[::2], ends[1::2]))
             refined = refine_cover(sys_, built)
             assert refined.depth == n + 1
-            assert refined.intervals == reference.intervals, (mu, n + 1)
-            assert type(refined.intervals) is tuple
+            assert refined.ends == reference.ends, (mu, n + 1)
+            assert type(refined.ends) is tuple
 
     def test_direct_covers_are_validated(self):
         with pytest.raises(ValueError, match="^interval with negative length$"):
@@ -291,6 +296,26 @@ class TestInvariantCover:
         with pytest.raises(ValueError, match="^intervals overlap or are unsorted$"):
             IntervalCover(0, [(0.6, 1.0), (0.0, 0.5)])
         assert IntervalCover(0, [[0, 1]]).intervals == ((0.0, 1.0),)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_endpoints_rejected(self, bad, slot):
+        # a NaN passes both order checks, since every comparison with it is
+        # false; the Hausdorff distance of such a cover to [0, 1] read 0.0
+        ends = [0.0, 0.25, 0.5, 1.0]
+        ends[slot] = bad
+        with pytest.raises(ValueError, match="^interval endpoint is not finite$"):
+            IntervalCover(0, [ends[:2], ends[2:]])
+        with pytest.raises(ValueError, match="^interval endpoint is not finite$"):
+            IntervalCover(0, [(bad, bad)])
+
+    def test_flat_endpoints_and_the_pair_view(self):
+        c = IntervalCover(3, [(0, 0.25), (0.5, 0.5), (0.75, 1)])
+        assert c.ends == (0.0, 0.25, 0.5, 0.5, 0.75, 1.0)
+        assert all(type(x) is float for x in c.ends)
+        assert c.intervals == ((0.0, 0.25), (0.5, 0.5), (0.75, 1.0))
+        assert c.intervals is c.intervals  # built once
+        assert len(c) == 3 and c.depth == 3
 
 
 def _resolved_chain(mu: float, top: int = 14):
@@ -587,3 +612,147 @@ class TestWeakContractionSystemValidation:
         (failing,) = [r for r in records if not r.passed]
         assert failing.check_id == "statement.ii.fixed_points"
         assert failing.measured == {"points": [0.0, 0.25], "residual": pytest.approx(0.25 - 0.25 / 3)}
+
+
+# Pair-form oracles: the kernels as they were when a cover stored a tuple of
+# (lo, hi) pairs.  The flat kernels must return their floats bit for bit.
+
+
+def oracle_branch_images(sys_, intervals):
+    pieces = []
+    for branch in sys_.branches:
+        for lo, hi in intervals:
+            a, b = branch(lo), branch(hi)  # monotone branches map endpoints
+            pieces.append((a, b) if a <= b else (b, a))
+    pieces.sort()
+    if any(b[0] <= a[1] for a, b in zip(pieces, pieces[1:])):
+        raise ValueError("open set condition violated")
+    return pieces
+
+
+def oracle_subset_of(intervals, other):
+    starts = [lo for lo, _ in other]
+    for lo, hi in intervals:
+        i = bisect_right(starts, lo) - 1
+        if i < 0 or hi > other[i][1]:
+            return False
+    return True
+
+
+def _oracle_least_gap(ends):
+    return min(map(sub, ends[2::2], ends[1::2]), default=math.inf)
+
+
+def oracle_hausdorff(A, B):
+    if len(A) == len(B):
+        ends1, ends2 = list(chain.from_iterable(A)), list(chain.from_iterable(B))
+        e = max(map(abs, map(sub, ends1, ends2)))
+        if 2.0 * e < min(_oracle_least_gap(ends1), _oracle_least_gap(ends2)):
+            return e
+    return max(_directed_hausdorff(A, B), _directed_hausdorff(B, A))
+
+
+def oracle_forward_distance(p, finer, cover):
+    k = bisect_left(finer, (0.5,))  # the intervals that start left of 1/2
+    low = [(logistic(p, lo), logistic(p, hi)) for lo, hi in finer[:k]]
+    high = [(logistic(p, hi), logistic(p, lo)) for lo, hi in reversed(finer[k:])]
+    return max(oracle_hausdorff(side, cover) for side in (low, high))
+
+
+def bits(xs):
+    return [float.hex(x) for x in xs]
+
+
+def _count_pair_sorts(monkeypatch) -> list:
+    calls = []
+    real = quadratic_system._paired_images
+    monkeypatch.setattr(quadratic_system, "_paired_images", lambda images: calls.append(1) or real(images))
+    return calls
+
+
+class TestFlatCoversAgainstPairOracles:
+    """Flat covers give the pair form's covers, distances, nesting and
+    raises, whichever path the image step takes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(4.0, 1000.0, exclude_min=True), st.integers(0, 14))
+    @example(95.75, 8)  # the deepest covers double precision separates
+    @example(431.0, 6)
+    @example(5.0, 14)
+    @example(1000.0, 14)
+    def test_chain_matches_bit_for_bit(self, mu, depth):
+        # refines the covers of depths 0..depth, each one step
+        p = QuadraticParams(mu)
+        sys_ = inverse_branches(p)
+        cover, pairs = invariant_cover(sys_, 0), (sys_.carrier,)
+        for n in range(depth + 1):
+            try:
+                want = oracle_branch_images(sys_, pairs)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    refine_cover(sys_, cover)
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    invariant_cover(sys_, n + 1)
+                return
+            finer = refine_cover(sys_, cover)
+            assert bits(finer.ends) == bits(chain.from_iterable(want)), (mu, n + 1)
+            assert finer.intervals == tuple(want)
+            assert bits([forward_distance(p, finer, cover)]) == bits([oracle_forward_distance(p, want, pairs)])
+            assert bits([hausdorff_distance(finer, cover)]) == bits([oracle_hausdorff(want, pairs)])
+            assert finer.subset_of(cover) is oracle_subset_of(want, pairs) is True
+            assert cover.subset_of(finer) is oracle_subset_of(pairs, want)
+            cover, pairs = finer, want
+
+    @pytest.mark.parametrize(("mu", "depth"), [(95.75, 8), (431.0, 6)])
+    def test_refining_the_deepest_resolved_cover_raises(self, mu, depth):
+        sys_ = inverse_branches(QuadraticParams(mu))
+        covers = cover_chain(sys_, depth)
+        with pytest.raises(ValueError, match="^open set condition violated$"):
+            oracle_branch_images(sys_, covers[-1].intervals)
+        with pytest.raises(ValueError, match="^open set condition violated$"):
+            refine_cover(sys_, covers[-1])
+
+    @pytest.mark.parametrize("mu", [4.0001, 4.5, 5.0, 7.3, 10.0])
+    def test_small_mu_takes_the_fast_path_to_depth_15(self, monkeypatch, mu):
+        calls = _count_pair_sorts(monkeypatch)
+        assert len(cover_chain(inverse_branches(QuadraticParams(mu)), 15)[-1]) == 2**15
+        assert not calls
+
+    @pytest.mark.parametrize("mu", [95.0, 500.0])
+    def test_large_mu_takes_the_pair_sort(self, monkeypatch, mu):
+        calls = _count_pair_sorts(monkeypatch)
+        with pytest.raises(ValueError, match="open set condition"):
+            cover_chain(inverse_branches(QuadraticParams(mu)), 15)
+        assert calls
+
+    @pytest.mark.parametrize(
+        ("low", "high"),
+        [
+            # increasing on each interval, with a jump down between them
+            (lambda y: 0.25 * y + (0.5 if y < 0.5 else 0.0), lambda y: 0.75 + 0.2 * y),
+            # monotone branches whose image intervals interleave
+            (lambda y: 0.4 * y, lambda y: 0.15 + 0.4 * y),
+            # a decreasing branch whose range overlaps the other's
+            (lambda y: 0.4 * (1.0 - y), lambda y: 0.15 + 0.4 * (1.0 - y)),
+        ],
+        ids=["jump", "interleaved", "interleaved-decreasing"],
+    )
+    def test_other_branches_take_the_pair_sort(self, monkeypatch, low, high):
+        sys_ = toy_system(low, high, (), (0.4, 0.4))
+        pairs = ((0.0, 0.25), (0.75, 1.0))
+        calls = _count_pair_sorts(monkeypatch)
+        got = refine_cover(sys_, IntervalCover(1, pairs))
+        assert calls == [1]
+        assert bits(got.ends) == bits(chain.from_iterable(oracle_branch_images(sys_, pairs)))
+
+    def test_touching_images_raise_on_both_paths(self, monkeypatch):
+        # strictly monotone branches whose ranges share the point 0.5
+        sys_ = toy_system(lambda y: 0.5 * y, lambda y: 0.5 + 0.5 * y, (0.0, 1.0), (0.5, 0.5))
+        calls = _count_pair_sorts(monkeypatch)
+        with pytest.raises(ValueError, match="^open set condition violated$"):
+            invariant_cover(sys_, 1)
+        assert calls == [1]
+        # a constant branch is not strictly monotone: its point images meet
+        flat = toy_system(lambda y: 0.25, lambda y: 0.75 + 0.25 * y, (), (0.0, 0.25))
+        with pytest.raises(ValueError, match="^open set condition violated$"):
+            refine_cover(flat, IntervalCover(1, ((0.0, 0.25), (0.75, 1.0))))
