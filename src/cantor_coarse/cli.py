@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -48,20 +47,49 @@ def _capped(depth: int, cap: int, name: str) -> int:
     return min(depth, cap)
 
 
-@dataclass(frozen=True)
+# RunConfig's fields, in the order the reports' ``config`` lists them
+_CONFIG_KEYS = (
+    "mu",
+    "depth",
+    "partition_n",
+    "levels",
+    "dendrite_depth",
+    "representatives",
+    "explicit_representatives",
+    "tolerance",
+    "seed",
+    "out",
+)
+
+
 class RunConfig:
     """One verification campaign's worth of knobs."""
 
-    mu: float = 5.0
-    depth: int = 12
-    partition_n: int = 2
-    levels: int = 2
-    dendrite_depth: int = 4
-    representatives: str = "distinct"
-    explicit_representatives: tuple[tuple[Address, ...], ...] | None = None
-    tolerance: float = 1e-12
-    seed: int = 0
-    out: str = "."
+    __slots__ = _CONFIG_KEYS
+
+    def __init__(
+        self,
+        mu: float = 5.0,
+        depth: int = 12,
+        partition_n: int = 2,
+        levels: int = 2,
+        dendrite_depth: int = 4,
+        representatives: str = "distinct",
+        explicit_representatives: tuple[tuple[Address, ...], ...] | None = None,
+        tolerance: float = 1e-12,
+        seed: int = 0,
+        out: str = ".",
+    ) -> None:
+        self.mu = mu
+        self.depth = depth
+        self.partition_n = partition_n
+        self.levels = levels
+        self.dendrite_depth = dendrite_depth
+        self.representatives = representatives
+        self.explicit_representatives = explicit_representatives
+        self.tolerance = tolerance
+        self.seed = seed
+        self.out = out
 
     def validate(self) -> None:
         if not self.mu > 4:
@@ -125,7 +153,7 @@ class RunConfig:
         )
 
     def as_json(self) -> dict:
-        data = asdict(self)
+        data = {key: getattr(self, key) for key in _CONFIG_KEYS}
         if self.explicit_representatives is not None:
             data["explicit_representatives"] = [
                 [{"prefix": a.prefix, "tail": a.tail} for a in level]
@@ -134,15 +162,12 @@ class RunConfig:
         return data
 
 
-_CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
-
-
 def load_config(config_path: str | None, **overrides) -> RunConfig:
     """Merge a JSON config file with flag overrides; flags win."""
     data: dict = {}
     if config_path is not None:
         data = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data).difference(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "explicit_representatives" in data and data["explicit_representatives"] is not None:
@@ -158,13 +183,15 @@ def load_config(config_path: str | None, **overrides) -> RunConfig:
     return cfg
 
 
-@dataclass(frozen=True)
 class CheckRecord:
-    check_id: str
-    location: str
-    measured: object
-    bound: object
-    passed: bool
+    __slots__ = ("check_id", "location", "measured", "bound", "passed")
+
+    def __init__(self, check_id: str, location: str, measured: object, bound: object, passed: bool) -> None:
+        self.check_id = check_id
+        self.location = location
+        self.measured = measured
+        self.bound = bound
+        self.passed = passed
 
     def as_json(self) -> dict:
         return {

@@ -22,9 +22,7 @@ carrier keeps it canonical and prepends w to every block, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .code_space import ClopenSet, clopen_union
+from .code_space import ClopenSet, _Value, clopen_union
 
 __all__ = [
     "Partition",
@@ -47,23 +45,32 @@ def _overlapping(blocks) -> bool:
     return any(w.startswith(prev) for prev, w in zip(words, words[1:]))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """An ordered split of a clopen carrier into disjoint non-empty blocks."""
 
-    carrier: ClopenSet
-    blocks: tuple[ClopenSet, ...]
+    __slots__ = ("carrier", "blocks")
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+    def __init__(self, carrier: ClopenSet, blocks: tuple[ClopenSet, ...]) -> None:
+        if not blocks:
             raise ValueError("a partition needs at least one block")
-        for b in self.blocks:
+        for b in blocks:
             if b.is_empty:
                 raise ValueError("empty block")
-        if _overlapping(self.blocks):
+        if _overlapping(blocks):
             raise ValueError("blocks overlap")
-        if clopen_union(*self.blocks) != self.carrier:
+        if clopen_union(*blocks) != carrier:
             raise ValueError("blocks do not cover the carrier")
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "blocks", blocks)
+
+    # the blocks cover exactly the carrier, so they decide the partition
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Partition:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash(self.blocks)
 
     @property
     def size(self) -> int:
@@ -74,8 +81,8 @@ def _split_block(block: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
     """Carve the canonical cylinder v out of ``block``: returns (v, block - v)."""
     first, *rest = block.words
     if rest:
-        return ClopenSet.from_words([first]), ClopenSet.from_words(rest)
-    return ClopenSet.from_words([first + "0"]), ClopenSet.from_words([first + "1"])
+        return ClopenSet([first]), ClopenSet(rest)
+    return ClopenSet([first + "0"]), ClopenSet([first + "1"])
 
 
 def build_partition(carrier: ClopenSet, n: int) -> Partition:

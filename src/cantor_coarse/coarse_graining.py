@@ -13,7 +13,6 @@ space, first quotient, quotient of the quotient, and so on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -24,6 +23,7 @@ from .code_space import (
     ClopenSet,
     FULL_SPACE,
     OutsideDomainError,
+    _Value,
     clopen_union,
     code_distance,
     compose,
@@ -60,17 +60,23 @@ __all__ = [
 RATIO_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
 class Fiber:
     """A multi-point fiber of the collapse, named by its first-block point:
     the 1-based collapsed blocks glued onto that label."""
 
-    label: Address
-    block_indices: tuple[int, ...]
+    __slots__ = ("label", "block_indices")
+
+    def __init__(self, label: Address, block_indices: tuple[int, ...]) -> None:
+        self.label = label
+        self.block_indices = block_indices
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Fiber:
+            return NotImplemented
+        return self.label == other.label and self.block_indices == other.block_indices
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class QuotientSpec(_Value):
     """The collapse map: identity on block 1, constant q_i on block i.
 
     Each of the ``size - 1`` collapsed blocks joins the fiber of its
@@ -81,22 +87,31 @@ class QuotientSpec:
     multi-point fiber, and ``quotient.nontrivial`` fails on it.
     """
 
-    partition: Partition
-    representatives: tuple[Address, ...]
-    multi_fibers: tuple[Fiber, ...] = field(init=False, compare=False)
+    __slots__ = ("partition", "representatives", "multi_fibers")
 
-    def __post_init__(self) -> None:
-        expected = self.partition.size - 1
-        if len(self.representatives) != expected:
-            raise ValueError(f"need {expected} representatives, got {len(self.representatives)}")
-        first = self.partition.blocks[0]
+    def __init__(self, partition: Partition, representatives: tuple[Address, ...]) -> None:
+        expected = partition.size - 1
+        if len(representatives) != expected:
+            raise ValueError(f"need {expected} representatives, got {len(representatives)}")
+        first = partition.blocks[0]
         groups: dict[Address, list[int]] = {}
-        for i, q in enumerate(self.representatives, start=2):
+        for i, q in enumerate(representatives, start=2):
             if not first.contains(q):
                 raise ValueError(f"representative {q} lies outside the first block")
             groups.setdefault(q, []).append(i)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "representatives", representatives)
         fibers = tuple(Fiber(label, tuple(ix)) for label, ix in sorted(groups.items()))
         object.__setattr__(self, "multi_fibers", fibers)
+
+    # ``multi_fibers`` follows from the other two fields, so it is not compared
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not QuotientSpec:
+            return NotImplemented
+        return self.partition == other.partition and self.representatives == other.representatives
+
+    def __hash__(self) -> int:
+        return hash((self.partition, self.representatives))
 
 
 def default_representatives(partition: Partition) -> tuple[Address, ...]:
@@ -115,13 +130,15 @@ def merged_representatives(partition: Partition) -> tuple[Address, ...]:
     return tuple(q for _ in range(2, partition.size + 1))
 
 
-@dataclass(frozen=True)
 class SymbolicSystem:
     """Branch maps acting on a clopen carrier of the code space."""
 
-    maps: tuple[AddressMap, ...]
-    carrier: ClopenSet
-    modulus_bound: tuple[float, ...]
+    __slots__ = ("maps", "carrier", "modulus_bound")
+
+    def __init__(self, maps: tuple[AddressMap, ...], carrier: ClopenSet, modulus_bound: tuple[float, ...]) -> None:
+        self.maps = maps
+        self.carrier = carrier
+        self.modulus_bound = modulus_bound
 
     @property
     def branch_count(self) -> int:
@@ -160,7 +177,6 @@ def conjugate_system(sys: SymbolicSystem, hom: AddressMap) -> SymbolicSystem:
     )
 
 
-@dataclass(frozen=True)
 class HierarchyLevel:
     """One floor of the coarse-graining tower, in label coordinates.
 
@@ -173,11 +189,21 @@ class HierarchyLevel:
     callers build those once rather than per floor.
     """
 
-    level: int
-    system: SymbolicSystem
-    quotient: QuotientSpec | None
-    hom: AddressMap | None
-    to_base: AddressMap
+    __slots__ = ("level", "system", "quotient", "hom", "to_base")
+
+    def __init__(
+        self,
+        level: int,
+        system: SymbolicSystem,
+        quotient: QuotientSpec | None,
+        hom: AddressMap | None,
+        to_base: AddressMap,
+    ) -> None:
+        self.level = level
+        self.system = system
+        self.quotient = quotient
+        self.hom = hom
+        self.to_base = to_base
 
     @property
     def carrier(self) -> ClopenSet:
@@ -188,7 +214,6 @@ class HierarchyLevel:
         return code_distance(self.to_base(y1), self.to_base(y2))
 
 
-@dataclass(frozen=True)
 class HierarchyPolicy:
     """How each floor of the tower is built: the block count of each
     floor's partition and how the collapsed blocks pick representatives.
@@ -202,9 +227,17 @@ class HierarchyPolicy:
     that intertwines with the ground floor has the ground's ratios.
     """
 
-    blocks_per_level: int = 2
-    representative_policy: str = "distinct"  # distinct | merged | explicit
-    explicit_representatives: tuple[tuple[Address, ...], ...] | None = None
+    __slots__ = ("blocks_per_level", "representative_policy", "explicit_representatives")
+
+    def __init__(
+        self,
+        blocks_per_level: int = 2,
+        representative_policy: str = "distinct",  # distinct | merged | explicit
+        explicit_representatives: tuple[tuple[Address, ...], ...] | None = None,
+    ) -> None:
+        self.blocks_per_level = blocks_per_level
+        self.representative_policy = representative_policy
+        self.explicit_representatives = explicit_representatives
 
     def representatives_for(self, level: int, partition: Partition) -> tuple[Address, ...]:
         if self.representative_policy == "explicit":
@@ -259,16 +292,26 @@ def build_hierarchy(
     return tower
 
 
-@dataclass(frozen=True)
 class SelfSimilarityReport:
     """Checkable self-similarity content of one floor: coverage + contraction."""
 
-    level: int
-    coverage_exact: bool
-    cylinders_enumerated: int
-    max_ratio: tuple[float, ...]
-    ratio_bound: tuple[float, ...]
-    ratio_samples: int
+    __slots__ = ("level", "coverage_exact", "cylinders_enumerated", "max_ratio", "ratio_bound", "ratio_samples")
+
+    def __init__(
+        self,
+        level: int,
+        coverage_exact: bool,
+        cylinders_enumerated: int,
+        max_ratio: tuple[float, ...],
+        ratio_bound: tuple[float, ...],
+        ratio_samples: int,
+    ) -> None:
+        self.level = level
+        self.coverage_exact = coverage_exact
+        self.cylinders_enumerated = cylinders_enumerated
+        self.max_ratio = max_ratio
+        self.ratio_bound = ratio_bound
+        self.ratio_samples = ratio_samples
 
     @property
     def ratio_pass(self) -> bool:

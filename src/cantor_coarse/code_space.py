@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
 
@@ -52,9 +51,20 @@ def _check_word(word: str) -> None:
         raise ValueError(f"not a binary word: {word!r}")
 
 
+class _Value:
+    """Base of the value types: ``__init__`` sets each field once, and
+    assigning or deleting a field afterwards raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+
 @total_ordering
-@dataclass(frozen=True)
-class Address:
+class Address(_Value):
     """An eventually constant binary sequence: ``prefix``, then ``tail`` forever.
 
     Stored in canonical form (the prefix never ends in the tail symbol), so
@@ -62,16 +72,14 @@ class Address:
     eventually constant sequence has exactly one representation.
     """
 
-    prefix: str
-    tail: str
+    __slots__ = ("prefix", "tail")
 
-    def __post_init__(self) -> None:
-        _check_word(self.prefix)
-        if self.tail not in _SYMBOLS:
-            raise ValueError(f"tail must be '0' or '1', got {self.tail!r}")
-        trimmed = self.prefix.rstrip(self.tail)
-        if trimmed != self.prefix:
-            object.__setattr__(self, "prefix", trimmed)
+    def __init__(self, prefix: str, tail: str) -> None:
+        _check_word(prefix)
+        if tail not in _SYMBOLS:
+            raise ValueError(f"tail must be '0' or '1', got {tail!r}")
+        _set_prefix(self, prefix.rstrip(tail))
+        _set_tail(self, tail)
 
     def symbols(self, n: int) -> str:
         """The first ``n`` symbols of the sequence."""
@@ -86,6 +94,14 @@ class Address:
     def starts_with(self, word: str) -> bool:
         return self.symbols(len(word)) == word
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Address:
+            return NotImplemented
+        return self.prefix == other.prefix and self.tail == other.tail
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.tail))
+
     def __lt__(self, other: "Address") -> bool:
         if not isinstance(other, Address):
             return NotImplemented
@@ -98,16 +114,19 @@ class Address:
         return f"{self.prefix}({self.tail})^inf"
 
 
+# the slots' own setters, which ``Address.__setattr__`` does not reach
+_set_prefix, _set_tail = Address.prefix.__set__, Address.tail.__set__
+
+
 def _trusted_address(prefix: str, tail: str) -> Address:
     """``Address(prefix, tail)`` for symbols already known to be binary.
 
-    Skips the symbol check of ``Address.__post_init__`` but still trims the
+    Skips the symbol check of ``Address.__init__`` but still trims the
     prefix, so the result is canonical.
     """
     a = object.__new__(Address)
-    fields = a.__dict__  # the frozen dataclass's own storage
-    fields["prefix"] = prefix.rstrip(tail)
-    fields["tail"] = tail
+    _set_prefix(a, prefix.rstrip(tail))
+    _set_tail(a, tail)
     return a
 
 
@@ -126,14 +145,22 @@ def code_distance(a: Address, b: Address) -> Fraction:
     return abs(embed_cmts(a) - embed_cmts(b))
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Value):
     """The set of all infinite sequences beginning with ``word``."""
 
-    word: str
+    __slots__ = ("word",)
 
-    def __post_init__(self) -> None:
-        _check_word(self.word)
+    def __init__(self, word: str) -> None:
+        _check_word(word)
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Cylinder:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash(self.word)
 
     @property
     def depth(self) -> int:
@@ -176,8 +203,7 @@ def _canonical_words(words) -> tuple[str, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class ClopenSet:
+class ClopenSet(_Value):
     """A finite union of cylinders, kept canonical as the words of its
     member cylinders.
 
@@ -191,14 +217,24 @@ class ClopenSet:
     value; operations that need a non-empty set say so.
     """
 
-    words: tuple[str, ...]
+    __slots__ = ("words",)
+
+    def __init__(self, words) -> None:
+        """``words`` are the member words in any order, as a list or tuple;
+        ``__post_init__`` replaces them by the canonical words."""
+        object.__setattr__(self, "words", words)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", _canonical_words(self.words))
 
-    @classmethod
-    def from_words(cls, words) -> "ClopenSet":
-        return cls(tuple(words))
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ClopenSet:
+            return NotImplemented
+        return self.words == other.words
+
+    def __hash__(self) -> int:
+        return hash(self.words)
 
     @property
     def cylinders(self) -> tuple[Cylinder, ...]:
@@ -228,7 +264,7 @@ def clopen_union(*sets: ClopenSet) -> ClopenSet:
     words: list[str] = []
     for s in sets:
         words.extend(s.words)
-    return ClopenSet.from_words(words)
+    return ClopenSet(words)
 
 
 def complete_prefix_code(count: int) -> tuple[str, ...]:
@@ -257,8 +293,7 @@ def _check_prefix_free(words, what: str) -> None:
             raise ValueError(f"{what} words are not prefix-free: {u!r}, {v!r}")
 
 
-@dataclass(frozen=True)
-class PrefixRewrite:
+class PrefixRewrite(_Value):
     """A partial address map that rewrites one initial block of symbols.
 
     ``rules`` pairs source words with replacement words.  Sources are
@@ -270,16 +305,25 @@ class PrefixRewrite:
     uniformly continuous.
     """
 
-    rules: tuple[tuple[str, str], ...]
+    __slots__ = ("rules",)
 
-    def __post_init__(self) -> None:
-        if not self.rules:
+    def __init__(self, rules: tuple[tuple[str, str], ...]) -> None:
+        if not rules:
             raise ValueError("a rewrite needs at least one rule")
-        for src, dst in self.rules:
+        for src, dst in rules:
             _check_word(src)
             _check_word(dst)
-        _check_prefix_free((src for src, _ in self.rules), "source")
-        _check_prefix_free((dst for _, dst in self.rules), "replacement")
+        _check_prefix_free((src for src, _ in rules), "source")
+        _check_prefix_free((dst for _, dst in rules), "replacement")
+        object.__setattr__(self, "rules", rules)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PrefixRewrite:
+            return NotImplemented
+        return self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash(self.rules)
 
     def __call__(self, a: Address) -> Address:
         # rule words were checked at construction and ``a`` is canonical, so
@@ -330,7 +374,6 @@ def _then(rules, stage: PrefixRewrite) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class ComposedMap:
     """Address maps applied left to right.
 
@@ -338,7 +381,8 @@ class ComposedMap:
     goes through one flattened ``PrefixRewrite`` built from it on first use.
     """
 
-    stages: tuple[PrefixRewrite, ...]
+    def __init__(self, stages: tuple[PrefixRewrite, ...]) -> None:
+        self.stages = stages
 
     @cached_property
     def _flat(self) -> PrefixRewrite:
@@ -429,7 +473,7 @@ def map_clopen(m, cs: ClopenSet) -> ClopenSet:
     out: list[str] = []
     for w in cs.words:
         out.extend(push_word(m, w))
-    return ClopenSet.from_words(out)
+    return ClopenSet(out)
 
 
 def random_address(rng: random.Random, max_prefix: int = 20, within: ClopenSet | None = None) -> Address:

@@ -32,11 +32,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .code_space import Address, Cylinder
+from .code_space import Address, Cylinder, _Value
 
 __all__ = [
     "DendriteFiber",
@@ -56,8 +55,7 @@ __all__ = [
 WITNESS_DEPTH = 40
 
 
-@dataclass(frozen=True)
-class DendritePoint:
+class DendritePoint(_Value):
     """A point on the tree: ``offset`` from the parent end of the edge into
     ``edge_child``.
 
@@ -65,8 +63,19 @@ class DendritePoint:
     edge, and the root is (1, 0); interior points keep 0 < offset < length.
     """
 
-    edge_child: int
-    offset: Fraction
+    __slots__ = ("edge_child", "offset")
+
+    def __init__(self, edge_child: int, offset: Fraction) -> None:
+        object.__setattr__(self, "edge_child", edge_child)
+        object.__setattr__(self, "offset", offset)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DendritePoint:
+            return NotImplemented
+        return self.edge_child == other.edge_child and self.offset == other.offset
+
+    def __hash__(self) -> int:
+        return hash((self.edge_child, self.offset))
 
 
 _ROOT = DendritePoint(1, Fraction(0))
@@ -82,7 +91,6 @@ def _common_ancestor(a: int, b: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
 class DendriteGraph:
     """Complete binary tree of the given depth, heap-indexed from 1.
 
@@ -90,11 +98,10 @@ class DendriteGraph:
     fans children out inside their parent's angular slot.
     """
 
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.depth < 0:
+    def __init__(self, depth: int) -> None:
+        if depth < 0:
             raise ValueError("depth must be non-negative")
+        self.depth = depth
 
     @property
     def vertex_count(self) -> int:
@@ -382,7 +389,6 @@ def dendrite_map(tree: DendriteGraph, a: Address) -> DendritePoint:
     return tree.tour_point(binary_expansion(a))
 
 
-@dataclass(frozen=True)
 class DendriteFiber:
     """Preimage data of one tree point at a fixed cylinder depth.
 
@@ -392,9 +398,12 @@ class DendriteFiber:
     target.
     """
 
-    target: DendritePoint
-    cylinders: tuple[Cylinder, ...]
-    witnesses: tuple[Address, ...]
+    __slots__ = ("target", "cylinders", "witnesses")
+
+    def __init__(self, target: DendritePoint, cylinders: tuple[Cylinder, ...], witnesses: tuple[Address, ...]) -> None:
+        self.target = target
+        self.cylinders = cylinders
+        self.witnesses = witnesses
 
 
 def _time_addresses(a: int, q: int, depth: int) -> list[Address]:

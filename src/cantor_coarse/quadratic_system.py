@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import gt, itemgetter, le, lt, sub
@@ -43,17 +42,17 @@ __all__ = [
 IDENTITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class QuadraticParams:
     """Rate constant of the map mu*x*(1-x)."""
 
-    mu: float
+    __slots__ = ("mu",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, mu: float) -> None:
         # the inverse branches are defined on all of [0, 1] only past the
         # escape threshold
-        if not self.mu > 4:
+        if not mu > 4:
             raise ValueError("mu must exceed 4: branch domain does not cover [0, 1]")
+        self.mu = mu
 
 
 def logistic(p: QuadraticParams, x):
@@ -61,7 +60,6 @@ def logistic(p: QuadraticParams, x):
     return p.mu * x * (1.0 - x)
 
 
-@dataclass(frozen=True)
 class WeakContractionSystem:
     """Finitely many branches of an interval, each with a Lipschitz bound.
 
@@ -71,17 +69,23 @@ class WeakContractionSystem:
     the bounds contract and sum below one, and each fixed point's residual.
     """
 
-    branches: tuple[Callable, ...]
-    modulus_inf: tuple[float, ...]
-    fixed_points: tuple[float, ...]
-    carrier: tuple[float, float] = (0.0, 1.0)
+    __slots__ = ("branches", "modulus_inf", "fixed_points", "carrier")
 
-    def __post_init__(self) -> None:
-        m = len(self.branches)
-        if m < 2:
+    def __init__(
+        self,
+        branches: tuple[Callable, ...],
+        modulus_inf: tuple[float, ...],
+        fixed_points: tuple[float, ...],
+        carrier: tuple[float, float] = (0.0, 1.0),
+    ) -> None:
+        if len(branches) < 2:
             raise ValueError("need at least two branches")
-        if len(self.modulus_inf) != m:
+        if len(modulus_inf) != len(branches):
             raise ValueError("per-branch fields disagree on the branch count")
+        self.branches = branches
+        self.modulus_inf = modulus_inf
+        self.fixed_points = fixed_points
+        self.carrier = carrier
 
     @property
     def branch_count(self) -> int:
@@ -113,24 +117,39 @@ def inverse_branches(p: QuadraticParams) -> WeakContractionSystem:
     )
 
 
-@dataclass(frozen=True)
-class BranchCheck:
-    branch: int
-    strictly_monotone: bool
-
-
-@dataclass(frozen=True)
 class StatementReport:
-    """Evidence for the injectivity / fixed-point / modulus-sum conditions."""
+    """Evidence for the injectivity / fixed-point / modulus-sum conditions.
 
-    branch_checks: tuple[BranchCheck, ...]
-    injective: bool
-    fixed_points: tuple[float, ...]
-    distinct_fixed_points: int
-    fixed_point_residual: float
-    not_singleton: bool
-    modulus_sum: float
-    modulus_sum_below_one: bool
+    ``strictly_monotone`` holds one bool per branch, in branch order.
+    """
+
+    __slots__ = ("strictly_monotone", "fixed_points", "distinct_fixed_points", "fixed_point_residual", "modulus_sum")
+
+    def __init__(
+        self,
+        strictly_monotone: tuple[bool, ...],
+        fixed_points: tuple[float, ...],
+        distinct_fixed_points: int,
+        fixed_point_residual: float,
+        modulus_sum: float,
+    ) -> None:
+        self.strictly_monotone = strictly_monotone
+        self.fixed_points = fixed_points
+        self.distinct_fixed_points = distinct_fixed_points
+        self.fixed_point_residual = fixed_point_residual
+        self.modulus_sum = modulus_sum
+
+    @property
+    def injective(self) -> bool:
+        return all(self.strictly_monotone)
+
+    @property
+    def not_singleton(self) -> bool:
+        return self.distinct_fixed_points >= 2
+
+    @property
+    def modulus_sum_below_one(self) -> bool:
+        return self.modulus_sum < 1.0
 
     @property
     def conditions(self) -> tuple[bool, bool, bool]:
@@ -173,34 +192,26 @@ def verify_statement_conditions(
     """
     lo, hi = sys.carrier
     ys = [lo + i * (hi - lo) / (grid - 1) for i in range(grid)]
-    checks = []
-    for j, branch in enumerate(sys.branches):
+    monotone = []
+    for branch in sys.branches:
         vals = list(map(float, map(branch, ys)))
-        monotone = _increasing(vals) or _decreasing(vals)
-        checks.append(BranchCheck(branch=j, strictly_monotone=monotone))
-    injective = all(c.strictly_monotone for c in checks)
+        monotone.append(_increasing(vals) or _decreasing(vals))
     residual = max(
         (min(abs(float(b(z)) - z) for b in sys.branches) for z in sys.fixed_points),
         default=0.0,
     )
-    distinct = _distinct_count(sys.fixed_points, tol)
-    modulus_sum = float(sum(sys.modulus_inf))
     return StatementReport(
-        branch_checks=tuple(checks),
-        injective=injective,
+        strictly_monotone=tuple(monotone),
         fixed_points=sys.fixed_points,
-        distinct_fixed_points=distinct,
+        distinct_fixed_points=_distinct_count(sys.fixed_points, tol),
         fixed_point_residual=residual,
-        not_singleton=distinct >= 2,
-        modulus_sum=modulus_sum,
-        modulus_sum_below_one=modulus_sum < 1.0,
+        modulus_sum=float(sum(sys.modulus_inf)),
     )
 
 
 Interval = tuple[float, float]
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class IntervalCover:
     """Sorted disjoint closed subintervals of [0, 1] approximating the
     invariant set at one truncation depth.
@@ -211,9 +222,6 @@ class IntervalCover:
     ``lo0, hi0, lo1, hi1, ...``, which the kernels walk; ``intervals`` is
     the pair view, built on first read.
     """
-
-    depth: int
-    ends: tuple[float, ...]
 
     def __init__(self, depth: int, intervals) -> None:
         try:
@@ -228,8 +236,8 @@ class IntervalCover:
             raise ValueError("interval with negative length")
         if any(map(le, ends[2::2], ends[1::2])):
             raise ValueError("intervals overlap or are unsorted")
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "ends", ends)
+        self.depth = depth
+        self.ends = ends
 
     @cached_property
     def intervals(self) -> tuple[Interval, ...]:
@@ -267,9 +275,8 @@ def _trusted_cover(depth: int, ends: tuple[float, ...]) -> IntervalCover:
     the map return floats, so the stored endpoints are the same.
     """
     cover = object.__new__(IntervalCover)
-    fields = cover.__dict__  # the frozen dataclass's own storage
-    fields["depth"] = depth
-    fields["ends"] = ends
+    cover.depth = depth
+    cover.ends = ends
     return cover
 
 
@@ -363,12 +370,14 @@ def forward_distance(p: QuadraticParams, finer: IntervalCover, cover: IntervalCo
     return max(hausdorff_distance(_trusted_cover(cover.depth, tuple(side)), cover) for side in sides)
 
 
-@dataclass(frozen=True)
 class PointEstimate:
     """A point located to within ``radius`` of ``value``."""
 
-    value: float
-    radius: float
+    __slots__ = ("value", "radius")
+
+    def __init__(self, value: float, radius: float) -> None:
+        self.value = value
+        self.radius = radius
 
     @property
     def interval(self) -> tuple[float, float]:

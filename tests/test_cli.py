@@ -60,6 +60,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="tolerance"):
             RunConfig(tolerance=0.0).validate()
 
+    def test_as_json_lists_the_config_keys_in_order(self):
+        assert tuple(RunConfig().as_json()) == cli._CONFIG_KEYS
+        for name in VERIFY_GOLDENS:
+            golden = json.loads((DATA / name).read_text(encoding="utf-8"))
+            assert tuple(golden["config"]) == cli._CONFIG_KEYS
+
     def test_file_plus_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"mu": 4.9, "depth": 5, "seed": 3}))
@@ -278,7 +284,7 @@ class TestPartitionChecks:
         def gapped(block):
             # [w1·11] is in neither part, so no split covers its block
             first = block.words[0]
-            return ClopenSet.from_words([first + "0"]), ClopenSet.from_words([first + "10"])
+            return ClopenSet([first + "0"]), ClopenSet([first + "10"])
 
         monkeypatch.setattr(clopen_partition, "_split_block", gapped)
         caplog.set_level(logging.INFO, logger="cantor_coarse")

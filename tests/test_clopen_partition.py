@@ -28,13 +28,13 @@ def _pairwise_overlapping(blocks) -> bool:
 
 _words = st.text(alphabet="01", max_size=5)
 _blocks = st.lists(
-    st.lists(_words, min_size=1, max_size=4).map(ClopenSet.from_words), min_size=1, max_size=6
+    st.lists(_words, min_size=1, max_size=4).map(ClopenSet), min_size=1, max_size=6
 )
-_carriers = st.lists(st.text(alphabet="01", max_size=7), min_size=1, max_size=6).map(ClopenSet.from_words)
+_carriers = st.lists(st.text(alphabet="01", max_size=7), min_size=1, max_size=6).map(ClopenSet)
 
 
 def _prepend(word: str, s: ClopenSet) -> ClopenSet:
-    return ClopenSet.from_words(word + w for w in s.words)
+    return ClopenSet([word + w for w in s.words])
 
 
 def _split_from_the_definition(block: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
@@ -45,10 +45,10 @@ def _split_from_the_definition(block: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
     least = Address(min(refined), "0")
     greatest = Address(max(refined), "1")
     for k in range(depth + 1):
-        v = ClopenSet.from_words([least.symbols(k)])
+        v = ClopenSet([least.symbols(k)])
         inside = set(v.refine(depth))
         if inside <= refined and not v.contains(greatest):
-            return v, ClopenSet.from_words(sorted(refined - inside))
+            return v, ClopenSet(sorted(refined - inside))
     raise AssertionError("no splitting cylinder above the uniform depth")
 
 
@@ -99,8 +99,8 @@ class TestBuildPartition:
             assert least != greatest
 
     @given(carrier=_carriers)
-    @example(carrier=ClopenSet.from_words(["01"]))
-    @example(carrier=ClopenSet.from_words(["0", "10"]))
+    @example(carrier=ClopenSet(["01"]))
+    @example(carrier=ClopenSet(["0", "10"]))
     @settings(max_examples=300, deadline=None)
     def test_split_matches_the_definition(self, carrier):
         assert build_partition(carrier, 2).blocks == _split_from_the_definition(carrier)
@@ -121,25 +121,25 @@ class TestBuildPartition:
             "".join(rng.choice("01") for _ in range(rng.randrange(1, 5)))
             for _ in range(rng.randrange(1, 5))
         }
-        carrier = ClopenSet.from_words(words)
+        carrier = ClopenSet(words)
         assert_partition_laws(build_partition(carrier, n))
 
 
 class TestSplitBlock:
     def test_one_word_splits_at_the_next_symbol(self):
-        assert _split_block(FULL_SPACE) == (ClopenSet.from_words(["0"]), ClopenSet.from_words(["1"]))
-        assert _split_block(ClopenSet.from_words(["1"])) == (
-            ClopenSet.from_words(["10"]),
-            ClopenSet.from_words(["11"]),
+        assert _split_block(FULL_SPACE) == (ClopenSet(["0"]), ClopenSet(["1"]))
+        assert _split_block(ClopenSet(["1"])) == (
+            ClopenSet(["10"]),
+            ClopenSet(["11"]),
         )
 
     def test_many_words_split_off_the_first_against_brute_force(self):
-        block = ClopenSet.from_words(["0", "10"])
+        block = ClopenSet(["0", "10"])
         piece, rest = _split_block(block)
         assert piece.words == ("0",)
         # oracle: the depth-2 cylinders of the block that miss the piece
         expected = [w for w in block.refine(2) if not piece.contains(Address(w, "0"))]
-        assert rest == ClopenSet.from_words(expected)
+        assert rest == ClopenSet(expected)
         assert rest.words == ("10",)
 
     @given(block=_carriers)
@@ -210,11 +210,11 @@ class TestRefine:
 class TestPartitionType:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
-            Partition(FULL_SPACE, (ClopenSet.from_words(["0"]), ClopenSet.from_words(["01", "1"])))
+            Partition(FULL_SPACE, (ClopenSet(["0"]), ClopenSet(["01", "1"])))
 
     def test_rejects_gap(self):
         with pytest.raises(ValueError, match="cover"):
-            Partition(FULL_SPACE, (ClopenSet.from_words(["0"]), ClopenSet.from_words(["10"])))
+            Partition(FULL_SPACE, (ClopenSet(["0"]), ClopenSet(["10"])))
 
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError, match="empty block"):
@@ -239,28 +239,28 @@ class TestOverlapScan:
         src, dst = data.draw(st.lists(st.integers(0, p.size - 1), min_size=2, max_size=2, unique=True))
         word = data.draw(st.sampled_from(p.blocks[src].words)) + data.draw(_words)
         planted = list(p.blocks)
-        planted[dst] = ClopenSet.from_words(planted[dst].words + (word,))
+        planted[dst] = ClopenSet(planted[dst].words + (word,))
         assert _pairwise_overlapping(planted)
         assert _overlapping(planted)
 
     def test_overlap_between_non_adjacent_blocks(self):
         # [0] in the first block meets [011] in the third; the block in
         # between is disjoint from both
-        blocks = [ClopenSet.from_words(w) for w in (["0"], ["10"], ["011", "11"])]
+        blocks = [ClopenSet(w) for w in (["0"], ["10"], ["011", "11"])]
         assert _pairwise_overlapping(blocks)
         assert _overlapping(blocks)
         with pytest.raises(ValueError, match="overlap"):
             Partition(FULL_SPACE, tuple(blocks))
 
     def test_cylinder_duplicated_across_blocks(self):
-        blocks = [ClopenSet.from_words(w) for w in (["00", "1"], ["01"], ["1"])]
+        blocks = [ClopenSet(w) for w in (["00", "1"], ["01"], ["1"])]
         assert _pairwise_overlapping(blocks)
         assert _overlapping(blocks)
         with pytest.raises(ValueError, match="overlap"):
             Partition(FULL_SPACE, tuple(blocks))
 
     def test_disjoint_blocks_pass(self):
-        blocks = [ClopenSet.from_words(w) for w in (["00", "11"], ["010"], ["011", "10"])]
+        blocks = [ClopenSet(w) for w in (["00", "11"], ["010"], ["011", "10"])]
         assert not _pairwise_overlapping(blocks)
         assert not _overlapping(blocks)
         assert Partition(FULL_SPACE, tuple(blocks)).size == 3

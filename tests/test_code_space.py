@@ -23,6 +23,7 @@ from cantor_coarse.code_space import (
     OutsideDomainError,
     PrefixRewrite,
     _canonical_words,
+    _trusted_address,
     clopen_union,
     code_distance,
     complete_prefix_code,
@@ -106,7 +107,7 @@ def _reference_rewrite(m: PrefixRewrite, a: Address) -> Address:
 
 
 prefix_free_words = st.lists(st.text(alphabet="01", max_size=6), min_size=1, max_size=6).map(
-    lambda ws: ClopenSet.from_words(ws).words
+    lambda ws: ClopenSet(ws).words
 )
 
 
@@ -163,6 +164,35 @@ class TestAddress:
             Address("1", "0"),
             Address("", "1"),
         ]
+
+
+# per value type: two equal values built apart (the second by a fast path
+# that skips validation, where there is one), a different value, a field
+VALUES = {
+    "Address": (Address("0111", "1"), _trusted_address("0111", "1"), Address("0", "0"), "prefix"),
+    "Cylinder": (Cylinder("01"), Cylinder("01"), Cylinder("1"), "word"),
+    "ClopenSet": (ClopenSet(["00", "01", "1"]), FULL_SPACE, ClopenSet(["0"]), "words"),
+    "PrefixRewrite": (prepend_map("0"), compose(identity_map(), prepend_map("0"))._flat, prepend_map("1"), "rules"),
+}
+
+
+@pytest.mark.parametrize(("a", "b", "other", "field"), VALUES.values(), ids=list(VALUES))
+class TestValueTypes:
+    def test_equal_values_compare_and_hash_equal(self, a, b, other, field):
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != other and len({a, b, other}) == 2
+        assert a != getattr(a, field)  # another type is never equal
+
+    def test_fields_cannot_be_assigned(self, a, b, other, field):
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == b
 
 
 class TestEmbedding:
@@ -226,17 +256,17 @@ class TestEmbedding:
 
 class TestClopenSet:
     def test_canonicalization_merges_and_absorbs(self):
-        assert ClopenSet.from_words(["00", "01"]).words == ("0",)
-        assert ClopenSet.from_words(["0", "01"]).words == ("0",)
-        assert ClopenSet.from_words(["0", "10", "11"]).words == ("",)
-        assert ClopenSet.from_words(["10", "0"]).words == ("0", "10")
+        assert ClopenSet(["00", "01"]).words == ("0",)
+        assert ClopenSet(["0", "01"]).words == ("0",)
+        assert ClopenSet(["0", "10", "11"]).words == ("",)
+        assert ClopenSet(["10", "0"]).words == ("0", "10")
 
     @pytest.mark.parametrize("words", [["2"], ["0a"], ["0", "0a"], ["00", "01", "1", "x"], [""] * 3 + ["10 "]])
     def test_non_binary_words_rejected(self, words):
         # a bad word is rejected even where a shallower word absorbs it
         bad = next(w for w in words if not set(w) <= {"0", "1"})
         with pytest.raises(ValueError, match=f"^not a binary word: {bad!r}$"):
-            ClopenSet.from_words(words)
+            ClopenSet(words)
         with pytest.raises(ValueError, match="^not a binary word"):
             ClopenSet(tuple(words))
         with pytest.raises(ValueError, match=f"^not a binary word: {bad!r}$"):
@@ -244,16 +274,16 @@ class TestClopenSet:
 
     @given(words=st.lists(st.text(alphabet="01", max_size=6), max_size=8))
     def test_cylinders_view_the_canonical_words(self, words):
-        cs = ClopenSet.from_words(words)
+        cs = ClopenSet(words)
         assert type(cs.words) is tuple
         assert cs.cylinders == tuple(Cylinder(w) for w in cs.words)
         assert cs.is_empty is (not words)
 
     @given(words=st.lists(st.text(alphabet="01", max_size=6), max_size=8))
     def test_equality_and_hash_go_by_canonical_words(self, words):
-        cs = ClopenSet.from_words(words)
+        cs = ClopenSet(words)
         # every word split into its two children: the same set
-        split = ClopenSet.from_words([w + b for w in words for b in "01"])
+        split = ClopenSet([w + b for w in words for b in "01"])
         assert split == cs and hash(split) == hash(cs)
         assert len({cs, split, ClopenSet(cs.words)}) == 1
         assert ClopenSet(tuple(words)) == cs
@@ -271,31 +301,31 @@ class TestClopenSet:
             seen.append(len(self.cylinders))
 
         monkeypatch.setattr(ClopenSet, "__post_init__", counted)
-        assert ClopenSet.from_words(["00", "01", "1"]) == FULL_SPACE
+        assert ClopenSet(["00", "01", "1"]) == FULL_SPACE
         assert seen == [3, 1]
 
     @given(words=st.lists(st.text(alphabet="01", max_size=6), max_size=8))
     def test_canonicalization_idempotent_and_order_independent(self, words):
-        cs = ClopenSet.from_words(words)
-        assert ClopenSet.from_words(cs.words) == cs
+        cs = ClopenSet(words)
+        assert ClopenSet(cs.words) == cs
         rng = random.Random(7)
         shuffled = list(words)
         rng.shuffle(shuffled)
-        assert ClopenSet.from_words(shuffled) == cs
+        assert ClopenSet(shuffled) == cs
 
     @settings(max_examples=300)
     @given(words=word_lists)
     def test_sorted_scan_matches_fixpoint_oracle(self, words):
         assert _canonical_words(words) == _reference_canonical_words(words)
-        assert ClopenSet.from_words(words).words == _reference_canonical_words(words)
+        assert ClopenSet(words).words == _reference_canonical_words(words)
 
     def test_complete_deep_level_canonicalizes_within_budget(self):
         # the fixpoint oracle needs about 2.7e8 prefix tests for this input
         level = _level_words(14)
         hole = level[5000]
         start = time.perf_counter()
-        full = ClopenSet.from_words(level)
-        holed = ClopenSet.from_words(level[:5000] + level[5001:])
+        full = ClopenSet(level)
+        holed = ClopenSet(level[:5000] + level[5001:])
         elapsed = time.perf_counter() - start
         assert full == FULL_SPACE
         # the complement of one deep cylinder is its path's 14 siblings
@@ -305,7 +335,7 @@ class TestClopenSet:
         assert elapsed < 2.0, f"{elapsed:.2f}s"
 
     def test_membership_and_bounds(self):
-        cs = ClopenSet.from_words(["0", "110"])
+        cs = ClopenSet(["0", "110"])
         assert cs.contains(Address("01", "0"))
         assert not cs.contains(Address("10", "0"))
         # canonical words are sorted and prefix-free, so the first and last
@@ -316,20 +346,20 @@ class TestClopenSet:
         assert cs.contains(least) and cs.contains(greatest)
 
     def test_refine(self):
-        assert ClopenSet.from_words(["0"]).refine(2) == ("00", "01")
+        assert ClopenSet(["0"]).refine(2) == ("00", "01")
         assert FULL_SPACE.refine(2) == ("00", "01", "10", "11")
         with pytest.raises(ValueError):
-            ClopenSet.from_words(["010"]).refine(2)
+            ClopenSet(["010"]).refine(2)
 
     def test_subset(self):
         # canonical form is unique, so x lies inside y exactly when x | y == y
         def subset(x: ClopenSet, y: ClopenSet) -> bool:
             return clopen_union(x, y) == y
 
-        assert subset(ClopenSet.from_words(["00", "10"]), FULL_SPACE)
-        assert not subset(FULL_SPACE, ClopenSet.from_words(["0"]))
+        assert subset(ClopenSet(["00", "10"]), FULL_SPACE)
+        assert not subset(FULL_SPACE, ClopenSet(["0"]))
         # a union can cover a cylinder none of its members contains
-        assert subset(ClopenSet.from_words(["0"]), ClopenSet.from_words(["00", "01"]))
+        assert subset(ClopenSet(["0"]), ClopenSet(["00", "01"]))
 
 
 class TestPrefixCode:
@@ -351,7 +381,7 @@ class TestPrefixCode:
 
 class TestRecode:
     def test_single_cylinder_target_prepends(self):
-        g = recode_homeomorphism(ClopenSet.from_words(["0"]))
+        g = recode_homeomorphism(ClopenSet(["0"]))
         assert g(Address("", "1")) == Address("0", "1")
         assert g(Address("101", "0")) == Address("0101", "0")
 
@@ -363,7 +393,7 @@ class TestRecode:
     def test_three_cylinder_target_passes_symbols_through(self):
         # {[0],[10],[11]} is the whole space, so the matched code is the
         # word list itself and the map acts as the identity
-        g = recode_homeomorphism(ClopenSet.from_words(["0", "10", "11"]))
+        g = recode_homeomorphism(ClopenSet(["0", "10", "11"]))
         assert g(Address("0110", "0")) == Address("0110", "0")
         assert g(Address("10", "1")) == Address("10", "1")
 
@@ -372,7 +402,7 @@ class TestRecode:
             recode_homeomorphism(ClopenSet(()))
 
     def test_roundtrip_on_random_addresses(self):
-        target = ClopenSet.from_words(["0", "110"])
+        target = ClopenSet(["0", "110"])
         g = recode_homeomorphism(target)
         g_inv = g.inverse()
         rng = random.Random(1)
@@ -386,7 +416,7 @@ class TestRecode:
             assert g(g_inv(b)) == b
 
     def test_roundtrip_exhaustive_to_prefix_twelve(self):
-        target = ClopenSet.from_words(["01", "100", "11"])
+        target = ClopenSet(["01", "100", "11"])
         g = recode_homeomorphism(target)
         g_inv = g.inverse()
         for a in _all_addresses(12):
@@ -396,7 +426,7 @@ class TestRecode:
 
     def test_image_is_exactly_the_target(self):
         for words in (["0"], ["0", "110"], ["00", "01", "10", "110"]):
-            target = ClopenSet.from_words(words)
+            target = ClopenSet(words)
             g = recode_homeomorphism(target)
             assert map_clopen(g, FULL_SPACE) == target
             # refined enumerations agree at a common depth beyond the
@@ -408,17 +438,17 @@ class TestRecode:
                 img = g.word_image(w)
                 assert img is not None
                 image_words.add(img)
-            assert ClopenSet.from_words(image_words).refine(depth + c) == target.refine(depth + c)
+            assert ClopenSet(image_words).refine(depth + c) == target.refine(depth + c)
 
     def test_outside_domain(self):
-        g = recode_homeomorphism(ClopenSet.from_words(["0"]))
+        g = recode_homeomorphism(ClopenSet(["0"]))
         with pytest.raises(OutsideDomainError):
             g.inverse()(Address("", "1"))
 
     def test_uniform_continuity_both_ways(self):
         # agreeing prefixes map to agreeing prefixes, shifted by no more
         # than the max rule length
-        target = ClopenSet.from_words(["00", "011", "11"])
+        target = ClopenSet(["00", "011", "11"])
         g = recode_homeomorphism(target)
         shift = max(len(w) for rule in g.rules for w in rule)
         rng = random.Random(9)
@@ -433,8 +463,8 @@ class TestRecode:
                 assert agree
 
     def test_recode_between(self):
-        src = ClopenSet.from_words(["1"])
-        dst = ClopenSet.from_words(["00"])
+        src = ClopenSet(["1"])
+        dst = ClopenSet(["00"])
         g = recode_between(src, dst)
         assert g(Address("1", "0")) == Address("00", "0")
         assert map_clopen(g, src) == dst
@@ -455,7 +485,7 @@ class TestMaps:
         assert identity_map()(Address("01", "0")) == Address("01", "0")
 
     def test_word_image_requests_refinement(self):
-        g = recode_homeomorphism(ClopenSet.from_words(["0", "110"]))
+        g = recode_homeomorphism(ClopenSet(["0", "110"]))
         assert g.word_image("") is None  # shorter than every source word
         assert g.word_image("0") == "0"
         assert g.word_image("11") == "1101"  # source '1' -> '110', passes '1' through
@@ -497,7 +527,7 @@ class TestMaps:
 
     def test_random_address_respects_carrier(self):
         rng = random.Random(3)
-        carrier = ClopenSet.from_words(["01", "10"])
+        carrier = ClopenSet(["01", "10"])
         for _ in range(50):
             assert carrier.contains(random_address(rng, 10, carrier))
 
@@ -505,8 +535,8 @@ class TestMaps:
 SAMPLER_CARRIERS = {
     "none": None,
     "full": FULL_SPACE,
-    "one-word": ClopenSet.from_words(["0110"]),
-    "three-words": ClopenSet.from_words(["00", "10", "111"]),
+    "one-word": ClopenSet(["0110"]),
+    "three-words": ClopenSet(["00", "10", "111"]),
     "partition-block": build_partition(FULL_SPACE, 64).blocks[-1],
 }
 
@@ -627,12 +657,12 @@ class TestFlatComposites:
                 _assert_matches_stages(m, points, sets)
 
     def test_multi_rule_composites_and_inverses(self):
-        three = ClopenSet.from_words(["00", "10", "111"])
-        target = ClopenSet.from_words(["0", "110", "1110"])
+        three = ClopenSet(["00", "10", "111"])
+        target = ClopenSet(["0", "110", "1110"])
         g = recode_between(three, target)
         maps = [g, g.inverse(), compose(g.inverse(), prepend_map("0"), g)]
         points = _all_addresses(7)
-        sets = [FULL_SPACE, three, target, ClopenSet.from_words(["00"]), ClopenSet.from_words(["1110", "0"])]
+        sets = [FULL_SPACE, three, target, ClopenSet(["00"]), ClopenSet(["1110", "0"])]
         for m in maps:
             _assert_matches_stages(m, points, sets)
 
@@ -640,21 +670,21 @@ class TestFlatComposites:
         partial = PrefixRewrite((("00", "1"), ("0111", "01")))
         maps = [
             compose(prepend_map("0"), partial),  # [0] lands in "00", [111] in "0111"
-            compose(recode_homeomorphism(ClopenSet.from_words(["00", "10", "111"])), partial),
+            compose(recode_homeomorphism(ClopenSet(["00", "10", "111"])), partial),
             compose(prepend_map("0"), partial).inverse(),
         ]
         points = _all_addresses(6)
-        sets = [FULL_SPACE, ClopenSet.from_words(["0"]), ClopenSet.from_words(["0", "111"]), ClopenSet.from_words(["1"])]
+        sets = [FULL_SPACE, ClopenSet(["0"]), ClopenSet(["0", "111"]), ClopenSet(["1"])]
         for m in maps:
             _assert_matches_stages(m, points, sets)
         assert maps[0]._flat.rules == (("0", "1"), ("111", "01"))
 
     def test_empty_domain_and_no_stages(self):
         nowhere = compose(prepend_map("0"), PrefixRewrite((("1", "1"),)))
-        _assert_matches_stages(nowhere, _all_addresses(3), [FULL_SPACE, ClopenSet.from_words(["01"])])
+        _assert_matches_stages(nowhere, _all_addresses(3), [FULL_SPACE, ClopenSet(["01"])])
         with pytest.raises(OutsideDomainError):
             nowhere(Address("", "0"))
-        _assert_matches_stages(compose(), _all_addresses(3), [FULL_SPACE, ClopenSet.from_words(["01"])])
+        _assert_matches_stages(compose(), _all_addresses(3), [FULL_SPACE, ClopenSet(["01"])])
 
     @settings(max_examples=200)
     @given(
@@ -664,4 +694,4 @@ class TestFlatComposites:
     )
     def test_random_composites_match_their_stages(self, rules, words, points):
         stages = tuple(PrefixRewrite(tuple(zip(srcs, dsts))) for srcs, dsts in rules)
-        _assert_matches_stages(ComposedMap(stages), points, [ClopenSet.from_words(words)])
+        _assert_matches_stages(ComposedMap(stages), points, [ClopenSet(words)])

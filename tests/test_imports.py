@@ -123,3 +123,5 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     modules = json.loads(loaded.read_text(encoding="utf-8"))
     assert {m for m in modules if m.split(".")[0] == "cantor_coarse"} == LOADED[command]
     assert {m.split(".")[0] for m in modules} - {"cantor_coarse"} <= set(sys.stdlib_module_names)
+    # each costs milliseconds at start-up; ``inspect`` comes with ``dataclasses``
+    assert {"dataclasses", "inspect"}.isdisjoint(modules)

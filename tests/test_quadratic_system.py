@@ -152,8 +152,7 @@ class TestStatementConditions:
         assert verify_statement_conditions(system(lambda y: 0.25 * y)).injective
         report = verify_statement_conditions(system(folded))
         assert report.injective is False
-        assert not report.branch_checks[0].strictly_monotone
-        assert report.branch_checks[1].strictly_monotone
+        assert report.strictly_monotone == (False, True)
 
     def test_non_monotone_branch_fails_injectivity(self):
         sys_ = toy_system(
