@@ -20,10 +20,8 @@ _SUBMODULE_OF = {
         (
             "Fiber",
             "HierarchyLevel",
-            "HierarchyPolicy",
             "QuotientSpec",
             "SelfSimilarityReport",
-            "SymbolicSystem",
             "base_system",
             "build_hierarchy",
             "check_conjugation",

@@ -18,11 +18,11 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .code_space import Address
-    from .coarse_graining import HierarchyLevel, HierarchyPolicy
+    from .coarse_graining import HierarchyLevel
     from .dendrite import DendriteGraph
     from .quadratic_system import QuadraticParams, WeakContractionSystem
 
@@ -142,15 +142,6 @@ class RunConfig:
                 for q in level:
                     if not carrier.contains(q):
                         raise ValueError(f"level {k}: representative {q} lies outside the first block")
-
-    def policy(self) -> HierarchyPolicy:
-        from .coarse_graining import HierarchyPolicy
-
-        return HierarchyPolicy(
-            blocks_per_level=self.partition_n,
-            representative_policy=self.representatives,
-            explicit_representatives=self.explicit_representatives,
-        )
 
     def as_json(self) -> dict:
         data = {key: getattr(self, key) for key in _CONFIG_KEYS}
@@ -320,7 +311,7 @@ def _hierarchy_checks(
     )
 
     try:
-        tower = build_hierarchy(sys_, cfg.levels, cfg.policy())
+        tower = build_hierarchy(sys_, cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
     except Exception:  # noqa: BLE001 - any failure fails the check
         log.info("quotient.nontrivial: build_hierarchy raised", exc_info=True)
         return [CheckRecord("quotient.nontrivial", f"k={k}", None, ">=1", False) for k in range(1, cfg.levels + 1)]
@@ -458,7 +449,7 @@ def _document_tower(cfg: RunConfig, sys_: WeakContractionSystem) -> list[Hierarc
             f"injective={report.injective} fixed_points={report.not_singleton} "
             f"modulus_sum={report.modulus_sum:.6f}"
         )
-    return build_hierarchy(sys_, cfg.levels, cfg.policy())
+    return build_hierarchy(sys_, cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
 
 
 def _floor_name(k: int) -> str:
@@ -490,7 +481,7 @@ def hierarchy_document(cfg: RunConfig) -> dict:
             "carrier": list(level.carrier.words),
             "cylinders": list(level.carrier.refine(base_len + doc_depth)) if doc_depth else list(level.carrier.words),
             "interval_cover": {"depth": cover_depth, "intervals": [list(iv) for iv in cover.intervals]},
-            "modulus_bound": list(level.system.modulus_bound),
+            "modulus_bound": list(level.modulus_bound),
             "coverage_exact": rep.coverage_exact,
             "coverage_hausdorff": hausdorff,
             "max_contraction_ratio": list(rep.max_ratio),
@@ -614,8 +605,8 @@ def render(cfg: RunConfig) -> None:
 
     tower = _document_tower(cfg, sys_)
     names = [_floor_name(k) for k in range(cfg.levels + 1)]
-    moduli = [max(level.system.modulus_bound) for level in tower]
-    _write_text(out_dir / "hierarchy.svg", hierarchy_svg(names, moduli, tower[0].system.branch_count))
+    moduli = [max(level.modulus_bound) for level in tower]
+    _write_text(out_dir / "hierarchy.svg", hierarchy_svg(names, moduli, len(tower[0].maps)))
 
     tree = DendriteGraph(cfg.dendrite_depth)
     _write_text(out_dir / "dendrite.svg", dendrite_svg(tree, _fiber_counts(tree, cfg.depth)))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .clopen_partition import Partition, build_partition
 from .code_space import (
@@ -34,17 +33,16 @@ from .code_space import (
     recode_between,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .quadratic_system import WeakContractionSystem
 
 __all__ = [
     "Fiber",
     "HierarchyLevel",
-    "HierarchyPolicy",
     "QuotientSpec",
     "RATIO_SLACK",
     "SelfSimilarityReport",
-    "SymbolicSystem",
     "base_system",
     "build_hierarchy",
     "check_conjugation",
@@ -130,23 +128,48 @@ def merged_representatives(partition: Partition) -> tuple[Address, ...]:
     return tuple(q for _ in range(2, partition.size + 1))
 
 
-class SymbolicSystem:
-    """Branch maps acting on a clopen carrier of the code space."""
+class HierarchyLevel:
+    """One floor of the coarse-graining tower, in label coordinates.
 
-    __slots__ = ("maps", "carrier", "modulus_bound")
+    ``maps`` are the floor's branch maps, acting on its clopen ``carrier``,
+    and ``modulus_bound`` bounds their contraction ratios.  ``hom``
+    recodes the previous carrier onto this one, and is the floor-to-floor
+    homeomorphism: it sends x to the fiber of ``quotient`` labeled
+    ``hom(x)``.  ``to_base`` pulls label coordinates all the way back to
+    the ground space, which is how the transported metric is evaluated.
+    The ground floor has no quotient and no ``hom``.  A floor is purely
+    symbolic: labels pull back to ground addresses, so every floor
+    realizes to the same interval covers of the quadratic system, and
+    callers build those once rather than per floor.
+    """
 
-    def __init__(self, maps: tuple[AddressMap, ...], carrier: ClopenSet, modulus_bound: tuple[float, ...]) -> None:
+    __slots__ = ("level", "maps", "carrier", "modulus_bound", "quotient", "hom", "to_base")
+
+    def __init__(
+        self,
+        level: int,
+        maps: tuple[AddressMap, ...],
+        carrier: ClopenSet,
+        modulus_bound: tuple[float, ...],
+        quotient: QuotientSpec | None,
+        hom: AddressMap | None,
+        to_base: AddressMap,
+    ) -> None:
+        self.level = level
         self.maps = maps
         self.carrier = carrier
         self.modulus_bound = modulus_bound
+        self.quotient = quotient
+        self.hom = hom
+        self.to_base = to_base
 
-    @property
-    def branch_count(self) -> int:
-        return len(self.maps)
+    def metric(self, y1: Address, y2: Address) -> Fraction:
+        """Transported ground metric; the tower maps are isometries for it."""
+        return code_distance(self.to_base(y1), self.to_base(y2))
 
 
-def base_system(sys: WeakContractionSystem) -> SymbolicSystem:
-    """The branch system in exact symbolic coordinates.
+def base_system(sys: WeakContractionSystem) -> HierarchyLevel:
+    """The ground floor: the branch system in exact symbolic coordinates.
 
     Under the coding map the inverse branches act on addresses by
     prepending one symbol, so the symbolic model is exact; the recorded
@@ -154,69 +177,43 @@ def base_system(sys: WeakContractionSystem) -> SymbolicSystem:
     """
     if sys.branch_count != 2:
         raise ValueError("the symbolic model covers two-branch systems")
-    return SymbolicSystem(
+    return HierarchyLevel(
+        level=0,
         maps=(prepend_map("0"), prepend_map("1")),
         carrier=FULL_SPACE,
         modulus_bound=tuple(sys.modulus_inf),
+        quotient=None,
+        hom=None,
+        to_base=identity_map(),
     )
 
 
-def conjugate_system(sys: SymbolicSystem, hom: AddressMap) -> SymbolicSystem:
-    """Transport a branch system through a homeomorphism: q_j = h o p_j o h^-1.
+def conjugate_system(maps: tuple[AddressMap, ...], hom: AddressMap) -> tuple[AddressMap, ...]:
+    """Transport branch maps through a homeomorphism: q_j = h o p_j o h^-1.
 
     In the transported metric each conjugate contracts exactly as its
     source does, so the modulus bounds carry over unchanged, and the
     coverage identity transports along with it.
     """
     inv = hom.inverse()
-    maps = tuple(compose(inv, m, hom) for m in sys.maps)
-    return SymbolicSystem(
-        maps=maps,
-        carrier=map_clopen(hom, sys.carrier),
-        modulus_bound=sys.modulus_bound,
-    )
+    return tuple(compose(inv, m, hom) for m in maps)
 
 
-class HierarchyLevel:
-    """One floor of the coarse-graining tower, in label coordinates.
+def build_hierarchy(
+    real: WeakContractionSystem,
+    levels: int,
+    partition_n: int = 2,
+    representatives: str = "distinct",
+    explicit_representatives: tuple[tuple[Address, ...], ...] | None = None,
+) -> list[HierarchyLevel]:
+    """Stack ``levels`` coarse grainings over the invariant set of ``real``.
 
-    ``hom`` recodes the previous carrier onto this one, and is the
-    floor-to-floor homeomorphism: it sends x to the fiber of ``quotient``
-    labeled ``hom(x)``.  ``to_base`` pulls label coordinates all the way
-    back to the ground space, which is how the transported metric is
-    evaluated.  A floor is purely symbolic: labels pull back to ground addresses, so every floor
-    realizes to the same interval covers of the quadratic system, and
-    callers build those once rather than per floor.
-    """
-
-    __slots__ = ("level", "system", "quotient", "hom", "to_base")
-
-    def __init__(
-        self,
-        level: int,
-        system: SymbolicSystem,
-        quotient: QuotientSpec | None,
-        hom: AddressMap | None,
-        to_base: AddressMap,
-    ) -> None:
-        self.level = level
-        self.system = system
-        self.quotient = quotient
-        self.hom = hom
-        self.to_base = to_base
-
-    @property
-    def carrier(self) -> ClopenSet:
-        return self.system.carrier
-
-    def metric(self, y1: Address, y2: Address) -> Fraction:
-        """Transported ground metric; the tower maps are isometries for it."""
-        return code_distance(self.to_base(y1), self.to_base(y2))
-
-
-class HierarchyPolicy:
-    """How each floor of the tower is built: the block count of each
-    floor's partition and how the collapsed blocks pick representatives.
+    Each new floor partitions the previous carrier into ``partition_n``
+    blocks, collapses everything onto the first block, and conjugates the
+    branch maps through the recoding onto that block.  The collapsed
+    blocks take ``default_representatives`` (``distinct``),
+    ``merged_representatives`` (``merged``), or floor k's list from
+    ``explicit_representatives`` (``explicit``).
 
     Building a tower checks nothing; the commands check the base system's
     contraction conditions first, and floors are verified on demand:
@@ -226,65 +223,31 @@ class HierarchyPolicy:
     contraction ratio is sampled, by verify_self_similarity, and a floor
     that intertwines with the ground floor has the ground's ratios.
     """
-
-    __slots__ = ("blocks_per_level", "representative_policy", "explicit_representatives")
-
-    def __init__(
-        self,
-        blocks_per_level: int = 2,
-        representative_policy: str = "distinct",  # distinct | merged | explicit
-        explicit_representatives: tuple[tuple[Address, ...], ...] | None = None,
-    ) -> None:
-        self.blocks_per_level = blocks_per_level
-        self.representative_policy = representative_policy
-        self.explicit_representatives = explicit_representatives
-
-    def representatives_for(self, level: int, partition: Partition) -> tuple[Address, ...]:
-        if self.representative_policy == "explicit":
-            reps = self.explicit_representatives
-            if reps is None or len(reps) < level:
-                raise ValueError(f"no explicit representatives for level {level}")
-            return reps[level - 1]
-        if self.representative_policy == "merged":
-            return merged_representatives(partition)
-        if self.representative_policy == "distinct":
-            return default_representatives(partition)
-        raise ValueError(f"unknown representative policy {self.representative_policy!r}")
-
-
-def build_hierarchy(
-    real: WeakContractionSystem,
-    levels: int,
-    policy: HierarchyPolicy = HierarchyPolicy(),
-) -> list[HierarchyLevel]:
-    """Stack ``levels`` coarse grainings over the invariant set of ``real``.
-
-    Checks nothing: the caller decides whether ``real`` passes the three
-    contraction conditions.  Each new floor partitions the previous carrier,
-    collapses everything onto the first block, and conjugates the branch
-    maps through the recoding onto that block.
-    """
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    tower = [
-        HierarchyLevel(
-            level=0,
-            system=base_system(real),
-            quotient=None,
-            hom=None,
-            to_base=identity_map(),
-        )
-    ]
+    if representatives == "explicit":
+        if explicit_representatives is None or len(explicit_representatives) < levels:
+            raise ValueError(f"the explicit policy needs representatives for each of {levels} levels")
+    elif representatives not in ("distinct", "merged"):
+        raise ValueError(f"unknown representative policy {representatives!r}")
+    tower = [base_system(real)]
     for k in range(1, levels + 1):
         prev = tower[-1]
-        partition = build_partition(prev.carrier, policy.blocks_per_level)
-        quot = QuotientSpec(partition, policy.representatives_for(k, partition))
+        partition = build_partition(prev.carrier, partition_n)
+        if representatives == "explicit":
+            reps = explicit_representatives[k - 1]
+        elif representatives == "merged":
+            reps = merged_representatives(partition)
+        else:
+            reps = default_representatives(partition)
         g = recode_between(prev.carrier, partition.blocks[0])
         tower.append(
             HierarchyLevel(
                 level=k,
-                system=conjugate_system(prev.system, g),
-                quotient=quot,
+                maps=conjugate_system(prev.maps, g),
+                carrier=map_clopen(g, prev.carrier),
+                modulus_bound=prev.modulus_bound,
+                quotient=QuotientSpec(partition, reps),
                 hom=g,
                 to_base=compose(g.inverse(), prev.to_base),
             )
@@ -295,18 +258,16 @@ def build_hierarchy(
 class SelfSimilarityReport:
     """Checkable self-similarity content of one floor: coverage + contraction."""
 
-    __slots__ = ("level", "coverage_exact", "cylinders_enumerated", "max_ratio", "ratio_bound", "ratio_samples")
+    __slots__ = ("coverage_exact", "cylinders_enumerated", "max_ratio", "ratio_bound", "ratio_samples")
 
     def __init__(
         self,
-        level: int,
         coverage_exact: bool,
         cylinders_enumerated: int,
         max_ratio: tuple[float, ...],
         ratio_bound: tuple[float, ...],
         ratio_samples: int,
     ) -> None:
-        self.level = level
         self.coverage_exact = coverage_exact
         self.cylinders_enumerated = cylinders_enumerated
         self.max_ratio = max_ratio
@@ -326,7 +287,7 @@ def check_coverage(level: HierarchyLevel) -> bool:
     makes the union's equality with the carrier an exact cylinder identity.
     """
     carrier = level.carrier
-    return clopen_union(*(map_clopen(branch, carrier) for branch in level.system.maps)) == carrier
+    return clopen_union(*(map_clopen(branch, carrier) for branch in level.maps)) == carrier
 
 
 def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int = 0) -> SelfSimilarityReport:
@@ -342,7 +303,7 @@ def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int 
     """
     carrier = level.carrier
     rng = random.Random(seed)
-    max_ratio = [0.0] * level.system.branch_count
+    max_ratio = [0.0] * len(level.maps)
     used = 0
     while used < samples:
         y1, y2 = random_address(rng, 20, carrier), random_address(rng, 20, carrier)
@@ -350,15 +311,14 @@ def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int 
             continue
         used += 1
         dy = level.metric(y1, y2)
-        for j, branch in enumerate(level.system.maps):
+        for j, branch in enumerate(level.maps):
             ratio = level.metric(branch(y1), branch(y2)) / dy
             max_ratio[j] = max(max_ratio[j], float(ratio))
     return SelfSimilarityReport(
-        level=level.level,
         coverage_exact=check_coverage(level),
-        cylinders_enumerated=len(carrier.words) * level.system.branch_count,
+        cylinders_enumerated=len(carrier.words) * len(level.maps),
         max_ratio=tuple(max_ratio),
-        ratio_bound=tuple(b + RATIO_SLACK for b in level.system.modulus_bound),
+        ratio_bound=tuple(b + RATIO_SLACK for b in level.modulus_bound),
         ratio_samples=used,
     )
 
@@ -396,7 +356,7 @@ def check_conjugation(level: HierarchyLevel, prev: HierarchyLevel) -> bool:
     inv = level.hom.inverse()
     return all(
         _agree_on(compose(level.hom, q, inv), p, prev.carrier)
-        for p, q in zip(prev.system.maps, level.system.maps)
+        for p, q in zip(prev.maps, level.maps)
     )
 
 
@@ -425,9 +385,9 @@ def check_intertwining(level: HierarchyLevel, ground: HierarchyLevel) -> bool:
     (y1, y2) is the ground's at (to_base y1, to_base y2), and the ground's
     ratio bounds the floor's.  A floor with another branch count fails.
     """
-    if level.system.branch_count != ground.system.branch_count:
+    if len(level.maps) != len(ground.maps):
         return False
     return all(
         _agree_on(compose(q, level.to_base), compose(level.to_base, p), level.carrier)
-        for p, q in zip(ground.system.maps, level.system.maps)
+        for p, q in zip(ground.maps, level.maps)
     )

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from functools import cached_property
 from itertools import chain, repeat
 from operator import gt, itemgetter, le, lt, sub
-from typing import Callable
 
 from .code_space import Address
 

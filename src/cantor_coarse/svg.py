@@ -6,8 +6,7 @@ fixed precision, so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .dendrite import DendriteGraph
     from .quadratic_system import IntervalCover

@@ -347,12 +347,9 @@ class TestCoverageRecords:
 
         def broken(sys_):
             # the second branch lands inside the first one's image
-            good = real(sys_)
-            return coarse_graining.SymbolicSystem(
-                maps=(prepend_map("0"), compose(prepend_map("0"), prepend_map("1"))),
-                carrier=good.carrier,
-                modulus_bound=good.modulus_bound,
-            )
+            ground = real(sys_)
+            ground.maps = (prepend_map("0"), compose(prepend_map("0"), prepend_map("1")))
+            return ground
 
         monkeypatch.setattr(coarse_graining, "base_system", broken)
         checks = run_campaign(RunConfig(depth=4, dendrite_depth=0))["checks"]
@@ -485,6 +482,24 @@ class TestHierarchyCommand:
             assert result.exit_code == 0, result.stderr
             levels.append(json.loads((out / "hierarchy.json").read_text())["levels"])
         assert levels[0] == levels[1]
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_explicit_default_representatives_give_the_distinct_document(self, n, levels):
+        # floor k lists the defaults of its own partition, which splits the
+        # previous floor's first block, so a list read for the wrong floor shows
+        reps, carrier = [], FULL_SPACE
+        for _ in range(levels):
+            p = build_partition(carrier, n)
+            reps.append(coarse_graining.default_representatives(p))
+            carrier = p.blocks[0]
+        explicit = RunConfig(
+            depth=4, partition_n=n, levels=levels, representatives="explicit", explicit_representatives=tuple(reps)
+        )
+        explicit.validate()
+        docs = [cli.hierarchy_document(cfg) for cfg in (RunConfig(depth=4, partition_n=n, levels=levels), explicit)]
+        assert [doc.pop("config")["representatives"] for doc in docs] == ["distinct", "explicit"]
+        assert docs[0] == docs[1]
 
     def test_document_validates_against_shipped_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

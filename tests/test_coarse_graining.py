@@ -27,9 +27,7 @@ from cantor_coarse.code_space import (
 from cantor_coarse.coarse_graining import (
     Fiber,
     HierarchyLevel,
-    HierarchyPolicy,
     QuotientSpec,
-    SymbolicSystem,
     base_system,
     build_hierarchy,
     check_conjugation,
@@ -49,12 +47,11 @@ SYS5 = inverse_branches(MU5)
 
 def floor_with(level: HierarchyLevel, *, maps=None, hom=None, to_base=None) -> HierarchyLevel:
     """``level`` with its branch maps, floor map or pull-back replaced."""
-    system = level.system
-    if maps is not None:
-        system = SymbolicSystem(tuple(maps), system.carrier, system.modulus_bound)
     return HierarchyLevel(
         level.level,
-        system,
+        level.maps if maps is None else tuple(maps),
+        level.carrier,
+        level.modulus_bound,
         level.quotient,
         level.hom if hom is None else hom,
         level.to_base if to_base is None else to_base,
@@ -189,7 +186,7 @@ class TestFloorMetric:
         assert level.metric(level.hom(x1), level.hom(x2)) == code_distance(x1, x2)
 
     def test_distance_between_representative_fibers(self):
-        level = build_hierarchy(SYS5, 1, HierarchyPolicy(blocks_per_level=3))[1]
+        level = build_hierarchy(SYS5, 1, 3)[1]
         q2, q3 = level.quotient.representatives
         assert {f.label for f in level.quotient.multi_fibers} == {q2, q3}
         # independent evaluation through the embedding of the ground points
@@ -216,53 +213,52 @@ class TestFloorMetric:
 
 class TestConjugateSystem:
     def test_identity_hom_keeps_the_maps(self):
-        sys_ = base_system(inverse_branches(MU5))
-        conj = conjugate_system(sys_, identity_map())
+        ground = base_system(inverse_branches(MU5))
+        conj = conjugate_system(ground.maps, identity_map())
         rng = random.Random(2)
         for _ in range(50):
             x = random_address(rng, 15)
-            for p, q in zip(sys_.maps, conj.maps):
+            for p, q in zip(ground.maps, conj):
                 assert p(x) == q(x)
 
     def test_composition_order(self):
-        sys_ = base_system(inverse_branches(MU5))
+        ground = base_system(inverse_branches(MU5))
         hom = recode_homeomorphism(ClopenSet(["0"]))
-        conj = conjugate_system(sys_, hom)
+        conj = conjugate_system(ground.maps, hom)
         inv = hom.inverse()
+        carrier = map_clopen(hom, ground.carrier)
+        assert carrier == ClopenSet(["0"])
         rng = random.Random(3)
         for _ in range(100):
-            y = random_address(rng, 20, conj.carrier)
-            for p, q in zip(sys_.maps, conj.maps):
+            y = random_address(rng, 20, carrier)
+            for p, q in zip(ground.maps, conj):
                 assert q(y) == hom(p(inv(y)))
 
-    def test_carrier_transported(self):
-        sys_ = base_system(inverse_branches(MU5))
-        hom = recode_homeomorphism(ClopenSet(["0"]))
-        conj = conjugate_system(sys_, hom)
-        assert conj.carrier == ClopenSet(["0"])
-        assert conj.modulus_bound == sys_.modulus_bound
+    def test_floors_carry_the_transported_carrier_and_bounds(self):
+        tower = build_hierarchy(SYS5, 3, 3)
+        for prev, level in zip(tower, tower[1:]):
+            assert level.carrier == map_clopen(level.hom, prev.carrier)
+            assert level.modulus_bound == prev.modulus_bound == tuple(SYS5.modulus_inf)
 
     def test_points_outside_the_target_are_rejected(self):
-        sys_ = base_system(inverse_branches(MU5))
+        ground = base_system(inverse_branches(MU5))
         hom = recode_homeomorphism(ClopenSet(["0"]))
-        conj = conjugate_system(sys_, hom)
-        from cantor_coarse.code_space import OutsideDomainError
-
+        conj = conjugate_system(ground.maps, hom)
         with pytest.raises(OutsideDomainError):
-            conj.maps[0](Address("1", "0"))  # not in the transported carrier
+            conj[0](Address("1", "0"))  # not in the transported carrier
 
     def test_contraction_ratio_in_transported_metric(self):
         tower = build_hierarchy(SYS5, 1)
         level = tower[1]
         rng = random.Random(4)
-        alpha = level.system.modulus_bound[0]
+        alpha = level.modulus_bound[0]
         for _ in range(500):
             y1 = random_address(rng, 20, level.carrier)
             y2 = random_address(rng, 20, level.carrier)
             if y1 == y2:
                 continue
             dy = level.metric(y1, y2)
-            for branch in level.system.maps:
+            for branch in level.maps:
                 ratio = level.metric(branch(y1), branch(y2)) / dy
                 assert ratio == Fraction(1, 3)  # exact for the symbolic branches
                 assert float(ratio) <= alpha + 1e-9
@@ -299,7 +295,7 @@ class TestHierarchy:
         tower = build_hierarchy(SYS5, 2)
         for k in (1, 2):
             level = tower[k]
-            maps = level.system.maps
+            maps = level.maps
             broken = floor_with(level, maps=(maps[1], maps[1]))
             assert check_conjugation(level, tower[k - 1])
             assert not check_conjugation(broken, tower[k - 1]), k
@@ -314,28 +310,43 @@ class TestHierarchy:
         assert ground.quotient is None and ground.hom is None
 
     def test_three_block_policy(self):
-        tower = build_hierarchy(SYS5, 2, HierarchyPolicy(blocks_per_level=3))
+        tower = build_hierarchy(SYS5, 2, 3)
         for level in tower[1:]:
             assert level.quotient.partition.size == 3
             assert len(level.quotient.multi_fibers) == 2
 
     def test_merged_policy(self):
-        tower = build_hierarchy(SYS5, 1, HierarchyPolicy(representative_policy="merged", blocks_per_level=3))
+        tower = build_hierarchy(SYS5, 1, 3, "merged")
         assert len(tower[1].quotient.multi_fibers) == 1
 
     def test_explicit_policy(self):
         reps = ((Address("000", "0"),),)
-        tower = build_hierarchy(
-            SYS5,
-            1,
-            HierarchyPolicy(representative_policy="explicit", explicit_representatives=reps),
-        )
+        tower = build_hierarchy(SYS5, 1, representatives="explicit", explicit_representatives=reps)
         assert tower[1].quotient.representatives == reps[0]
+
+    @pytest.mark.parametrize(
+        ("levels", "knobs"),
+        [
+            pytest.param(-1, {}, id="negative-levels"),
+            pytest.param(1, {"representatives": "nearest"}, id="unknown-policy"),
+            pytest.param(1, {"representatives": "explicit"}, id="explicit-without-lists"),
+            pytest.param(1, {"representatives": "explicit", "explicit_representatives": ()}, id="explicit-no-list"),
+            pytest.param(
+                3,
+                {"representatives": "explicit", "explicit_representatives": ((Address("000", "0"),),) * 2},
+                id="explicit-two-lists-for-three-levels",
+            ),
+        ],
+    )
+    def test_bad_input_is_a_value_error(self, levels, knobs):
+        # an IndexError or a TypeError would escape pytest.raises
+        with pytest.raises(ValueError):
+            build_hierarchy(SYS5, levels, **knobs)
 
     @pytest.mark.parametrize("policy", ["distinct", "merged"])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_floor_maps_are_isometries(self, n, policy):
-        tower = build_hierarchy(SYS5, 3, HierarchyPolicy(blocks_per_level=n, representative_policy=policy))
+        tower = build_hierarchy(SYS5, 3, n, policy)
         for prev, level in zip(tower, tower[1:]):
             assert check_isometry(level, prev)
 
@@ -371,33 +382,34 @@ class TestHierarchy:
         assert {f.label: set(f.block_indices) for f in spec.multi_fibers} == glued
 
 
+# build_hierarchy's keyword arguments for each tower
 EXACT_TOWERS = [
-    pytest.param(HierarchyPolicy(blocks_per_level=n, representative_policy=policy), id=f"{n}-{policy}")
+    pytest.param({"partition_n": n, "representatives": policy}, id=f"{n}-{policy}")
     for n in (2, 3, 5, 64)
     for policy in ("distinct", "merged")
 ] + [
     # coincident representatives on floor 2
     pytest.param(
-        HierarchyPolicy(
-            blocks_per_level=3,
-            representative_policy="explicit",
-            explicit_representatives=(
+        {
+            "partition_n": 3,
+            "representatives": "explicit",
+            "explicit_representatives": (
                 (Address("01", "0"), Address("", "0")),
                 (Address("001", "1"), Address("001", "1")),
             ),
-        ),
+        },
         id="3-explicit",
     ),
     # coincident representatives on floor 1
     pytest.param(
-        HierarchyPolicy(
-            blocks_per_level=3,
-            representative_policy="explicit",
-            explicit_representatives=(
+        {
+            "partition_n": 3,
+            "representatives": "explicit",
+            "explicit_representatives": (
                 (Address("01", "0"), Address("01", "0")),
                 (Address("001", "1"), Address("", "0")),
             ),
-        ),
+        },
         id="3-explicit-floor-1",
     ),
 ]
@@ -425,17 +437,17 @@ class TestExactFloorChecks:
     """check_isometry and check_conjugation decide map equality on the
     previous carrier, over every point."""
 
-    @pytest.mark.parametrize("policy", EXACT_TOWERS)
-    def test_exact_checks_hold_with_the_pointwise_identities(self, policy):
-        levels = 2 if policy.representative_policy == "explicit" else 8
-        tower = build_hierarchy(SYS5, levels, policy)
+    @pytest.mark.parametrize("knobs", EXACT_TOWERS)
+    def test_exact_checks_hold_with_the_pointwise_identities(self, knobs):
+        levels = 2 if knobs["representatives"] == "explicit" else 8
+        tower = build_hierarchy(SYS5, levels, **knobs)
         for prev, level in zip(tower, tower[1:]):
             assert check_isometry(level, prev), level.level
             assert check_conjugation(level, prev), level.level
             inv = level.hom.inverse()
             for x in sampled_points(prev, 500, seed=level.level):
                 assert level.to_base(level.hom(x)) == prev.to_base(x)
-                for p, q in zip(prev.system.maps, level.system.maps):
+                for p, q in zip(prev.maps, level.maps):
                     assert inv(q(level.hom(x))) == p(x)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -454,13 +466,13 @@ class TestExactFloorChecks:
     def test_conjugation_fails_a_branch_wrong_only_deep_down(self, k, j):
         tower = build_hierarchy(SYS5, 3)
         level, prev = tower[k], tower[k - 1]
-        maps = list(level.system.maps)
+        maps = list(level.maps)
         # this floor's branch j maps its carrier [0^k] onto [0^k j]
         maps[j] = compose(maps[j], deep_swap("0" * k + str(j) + DEEP))
         broken = floor_with(level, maps=maps)
         inv = level.hom.inverse()
         for x in sampled_points(prev, 1000):
-            assert inv(maps[j](level.hom(x))) == prev.system.maps[j](x)
+            assert inv(maps[j](level.hom(x))) == prev.maps[j](x)
         assert check_conjugation(level, prev)
         assert not check_conjugation(broken, prev)
 
@@ -480,7 +492,7 @@ def deep_broken(level: HierarchyLevel, part: str) -> HierarchyLevel:
     cylinder at least 31 symbols deep, where no sampled point reaches."""
     if part == "to_base":
         return floor_with(level, to_base=compose(level.to_base, deep_swap(DEEP)))
-    maps = list(level.system.maps)
+    maps = list(level.maps)
     # floor k's branch 0 maps its carrier [0^k] onto [0^k 0]
     maps[0] = compose(maps[0], deep_swap("0" * (level.level + 1) + DEEP))
     return floor_with(level, maps=maps)
@@ -491,17 +503,17 @@ class TestIntertwining:
     floor's carrier, over every point; under it a floor's contraction
     ratios are the ground's."""
 
-    @pytest.mark.parametrize("policy", EXACT_TOWERS)
-    def test_holds_on_every_floor_with_the_pointwise_identity(self, policy):
-        levels = 2 if policy.representative_policy == "explicit" else 8
-        tower = build_hierarchy(SYS5, levels, policy)
+    @pytest.mark.parametrize("knobs", EXACT_TOWERS)
+    def test_holds_on_every_floor_with_the_pointwise_identity(self, knobs):
+        levels = 2 if knobs["representatives"] == "explicit" else 8
+        tower = build_hierarchy(SYS5, levels, **knobs)
         ground = tower[0]
         for level in tower:
             assert check_intertwining(level, ground), level.level
             ys = sampled_points(level, 60, seed=level.level)
             for y1, y2 in zip(ys, ys[1:]):
                 x1, x2 = level.to_base(y1), level.to_base(y2)
-                for p, q in zip(ground.system.maps, level.system.maps):
+                for p, q in zip(ground.maps, level.maps):
                     assert level.to_base(q(y1)) == p(x1)
                     if y1 != y2:
                         # the floor's ratio at (y1, y2) is the ground's at (x1, x2)
@@ -516,7 +528,7 @@ class TestIntertwining:
         # the fault lies beyond every sampled point: the pointwise identity
         # holds there, and the floor's sampled ratios still pass
         for y in sampled_points(broken, 1000):
-            for p, q in zip(tower[0].system.maps, broken.system.maps):
+            for p, q in zip(tower[0].maps, broken.maps):
                 assert broken.to_base(q(y)) == p(broken.to_base(y))
         assert verify_self_similarity(broken, samples=300).ratio_pass
         assert check_intertwining(tower[k], tower[0])
@@ -525,7 +537,7 @@ class TestIntertwining:
     def test_fails_another_branch_count(self):
         tower = build_hierarchy(SYS5, 1)
         level = tower[1]
-        three = floor_with(level, maps=level.system.maps + level.system.maps[:1])
+        three = floor_with(level, maps=level.maps + level.maps[:1])
         assert not check_intertwining(three, tower[0])
 
 
@@ -535,7 +547,7 @@ def refined_coverage(level, extra: int) -> bool:
     carrier = level.carrier
     base_len = max(len(w) for w in carrier.words)
     image_words = []
-    for branch in level.system.maps:
+    for branch in level.maps:
         for w in carrier.refine(base_len + extra):
             image_words.extend(push_word(branch, w))
     return ClopenSet(image_words) == carrier
@@ -543,12 +555,15 @@ def refined_coverage(level, extra: int) -> bool:
 
 def broken_level() -> HierarchyLevel:
     """A ground floor whose second branch misses the carrier's right half."""
-    broken = SymbolicSystem(
+    return HierarchyLevel(
+        level=0,
         maps=(prepend_map("0"), compose(prepend_map("0"), prepend_map("1"))),
         carrier=FULL_SPACE,
         modulus_bound=(0.45, 0.45),
+        quotient=None,
+        hom=None,
+        to_base=identity_map(),
     )
-    return HierarchyLevel(level=0, system=broken, quotient=None, hom=None, to_base=identity_map())
 
 
 class TestSelfSimilarity:
@@ -573,14 +588,13 @@ class TestSelfSimilarity:
         if policy == "explicit":
             # carriers do not depend on the representatives, so a distinct
             # tower shows every floor's first block; list them reversed
-            shape = build_hierarchy(SYS5, 4, HierarchyPolicy(blocks_per_level=n))
+            shape = build_hierarchy(SYS5, 4, n)
             explicit = tuple(tuple(reversed(lv.quotient.representatives)) for lv in shape[1:])
-        chosen = HierarchyPolicy(blocks_per_level=n, representative_policy=policy, explicit_representatives=explicit)
         for levels in range(5):
-            for level in build_hierarchy(SYS5, levels, chosen):
+            for level in build_hierarchy(SYS5, levels, n, policy, explicit):
                 # the floor itself, and the floor with its first branch twice,
                 # whose images miss the second branch's share of the carrier
-                first_twice = floor_with(level, maps=(level.system.maps[0],) * 2)
+                first_twice = floor_with(level, maps=(level.maps[0],) * 2)
                 for floor in (level, first_twice):
                     verdict = verify_self_similarity(floor, samples=1).coverage_exact
                     for extra in range(1, 5):
@@ -589,7 +603,7 @@ class TestSelfSimilarity:
     def test_union_of_branch_images_is_the_carrier(self):
         tower = build_hierarchy(SYS5, 2)
         for level in tower:
-            images = [map_clopen(m, level.carrier) for m in level.system.maps]
+            images = [map_clopen(m, level.carrier) for m in level.maps]
             from cantor_coarse.code_space import clopen_union
 
             assert clopen_union(*images) == level.carrier

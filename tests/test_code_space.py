@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantor_coarse.clopen_partition import build_partition
-from cantor_coarse.coarse_graining import HierarchyPolicy, build_hierarchy
+from cantor_coarse.coarse_graining import build_hierarchy
 from cantor_coarse.code_space import (
     Address,
     ClopenSet,
@@ -626,7 +626,7 @@ def _assert_matches_stages(m: ComposedMap, points, sets) -> None:
 def _tower_maps(level):
     """Every composite one floor holds, with inverses."""
     maps = [level.to_base, level.to_base.inverse(), level.hom, level.hom.inverse()]
-    maps += list(level.system.maps) + [b.inverse() for b in level.system.maps]
+    maps += list(level.maps) + [b.inverse() for b in level.maps]
     return maps
 
 
@@ -639,13 +639,9 @@ class TestFlatComposites:
         if policy == "explicit":
             # carriers do not depend on the representatives, so a distinct
             # tower shows every floor's first block; list them reversed
-            shape = build_hierarchy(real, 8, HierarchyPolicy(blocks_per_level=n))
+            shape = build_hierarchy(real, 8, n)
             explicit = tuple(tuple(reversed(lv.quotient.representatives)) for lv in shape[1:])
-        tower = build_hierarchy(
-            real,
-            8,
-            HierarchyPolicy(blocks_per_level=n, representative_policy=policy, explicit_representatives=explicit),
-        )
+        tower = build_hierarchy(real, 8, n, policy, explicit)
         rng = random.Random(n)
         for prev, level in zip(tower, tower[1:]):
             points = [random_address(rng, 20) for _ in range(15)]

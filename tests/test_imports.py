@@ -23,8 +23,8 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 PUBLIC = set(
     """
     Partition build_partition flatten_refinement refine_block
-    Fiber HierarchyLevel HierarchyPolicy QuotientSpec
-    SelfSimilarityReport SymbolicSystem base_system build_hierarchy
+    Fiber HierarchyLevel QuotientSpec
+    SelfSimilarityReport base_system build_hierarchy
     check_conjugation check_isometry conjugate_system
     default_representatives merged_representatives
     verify_self_similarity
@@ -112,16 +112,28 @@ finally:
 """
 
 
-@pytest.mark.parametrize("command", sorted(LOADED))
-def test_each_command_loads_only_its_modules(tmp_path, command):
+def _new_modules(tmp_path, args: list[str], *flags: str) -> list[str]:
+    """The modules ``python *flags -m cantor_coarse *args`` loads."""
     loaded = tmp_path / "loaded.json"
-    args = [command] if command == "--help" else [command, "--out", str(tmp_path)]
     proc = subprocess.run(
-        [sys.executable, "-c", _NEW_MODULES, str(loaded), *args], env=ENV, cwd=tmp_path, capture_output=True, text=True
+        [sys.executable, *flags, "-c", _NEW_MODULES, str(loaded), *args],
+        env=ENV,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    modules = json.loads(loaded.read_text(encoding="utf-8"))
+    return json.loads(loaded.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(LOADED))
+def test_each_command_loads_only_its_modules(tmp_path, command):
+    args = [command] if command == "--help" else [command, "--out", str(tmp_path)]
+    modules = _new_modules(tmp_path, args)
     assert {m for m in modules if m.split(".")[0] == "cantor_coarse"} == LOADED[command]
     assert {m.split(".")[0] for m in modules} - {"cantor_coarse"} <= set(sys.stdlib_module_names)
     # each costs milliseconds at start-up; ``inspect`` comes with ``dataclasses``
     assert {"dataclasses", "inspect"}.isdisjoint(modules)
+    # so does ``typing``; ``site`` may load it through a ``.pth`` file, so
+    # the command runs again without ``site`` to see whether it loads it
+    assert "typing" not in _new_modules(tmp_path, args, "-S")
