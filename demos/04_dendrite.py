@@ -28,7 +28,7 @@ for prefix, tail in (("", "0"), ("", "1"), ("01", "0"), ("11", "0")):
     print(f"  {str(a):10s} value {str(binary_expansion(a)):6s} -> {spot}")
 
 root_fiber = fiber_of(tree, tree.vertex_point(1), 4)
-print(f"\nroot fiber at depth 4: cylinders {[c.word for c in root_fiber.cylinders]}")
+print(f"\nroot fiber at depth 4: cylinders {list(root_fiber.cylinders)}")
 print(f"witness addresses: {[str(w) for w in root_fiber.witnesses]}")
 
 mid = tree.point(2, Fraction(1, 6))

@@ -37,7 +37,6 @@ _SUBMODULE_OF = {
         (
             "Address",
             "ClopenSet",
-            "Cylinder",
             "FULL_SPACE",
             "clopen_union",
             "code_distance",

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
     from .dendrite import DendriteGraph
     from .quadratic_system import QuadraticParams, WeakContractionSystem
 
-__all__ = ["CheckRecord", "RunConfig", "main", "run_campaign"]
+__all__ = ["RunConfig", "main", "run_campaign"]
 
 log = logging.getLogger("cantor_coarse")
 
@@ -158,6 +158,8 @@ def load_config(config_path: str | None, **overrides) -> RunConfig:
     data: dict = {}
     if config_path is not None:
         data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("the config file must hold a JSON object")
         unknown = set(data).difference(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -174,40 +176,25 @@ def load_config(config_path: str | None, **overrides) -> RunConfig:
     return cfg
 
 
-class CheckRecord:
-    __slots__ = ("check_id", "location", "measured", "bound", "passed")
-
-    def __init__(self, check_id: str, location: str, measured: object, bound: object, passed: bool) -> None:
-        self.check_id = check_id
-        self.location = location
-        self.measured = measured
-        self.bound = bound
-        self.passed = passed
-
-    def as_json(self) -> dict:
-        return {
-            "id": self.check_id,
-            "location": self.location,
-            "measured": self.measured,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
+def _check(check_id: str, location: str, measured: object, bound: object, passed: bool) -> dict:
+    """One entry of the report's ``checks`` list."""
+    return {"id": check_id, "location": location, "measured": measured, "bound": bound, "passed": passed}
 
 
-def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list[CheckRecord], bool]:
+def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list[dict], bool]:
     from .quadratic_system import verify_statement_conditions
 
     report = verify_statement_conditions(sys_)
     records = [
-        CheckRecord("statement.i.injective", f"mu={cfg.mu}", report.injective, True, report.injective),
-        CheckRecord(
+        _check("statement.i.injective", f"mu={cfg.mu}", report.injective, True, report.injective),
+        _check(
             "statement.ii.fixed_points",
             f"mu={cfg.mu}",
             {"points": list(report.fixed_points), "residual": report.fixed_point_residual},
             cfg.tolerance,
             report.not_singleton and report.fixed_point_residual <= cfg.tolerance,
         ),
-        CheckRecord(
+        _check(
             "statement.iii.modulus_sum",
             f"mu={cfg.mu}",
             report.modulus_sum,
@@ -220,7 +207,7 @@ def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list
 
 def _coverage_checks(
     cfg: RunConfig, params: QuadraticParams, sys_: WeakContractionSystem
-) -> tuple[list[CheckRecord], list[float]]:
+) -> tuple[list[dict], list[float]]:
     """The forward-map identity and nesting records along one cover chain
     of ``sys_``, and the identity's distance for each n =
     0..min(depth, MAX_ENUMERATED_DEPTH), by n.  The forward map is the
@@ -235,9 +222,9 @@ def _coverage_checks(
         dist = forward_distance(params, finer, cover)
         nested = finer.subset_of(cover)
         records.append(
-            CheckRecord("cover.identity", f"n={n}", dist, cfg.tolerance, dist <= cfg.tolerance)
+            _check("cover.identity", f"n={n}", dist, cfg.tolerance, dist <= cfg.tolerance)
         )
-        records.append(CheckRecord("cover.nested", f"n={n}", nested, True, nested))
+        records.append(_check("cover.nested", f"n={n}", nested, True, nested))
         distances.append(dist)
     return records, distances
 
@@ -258,7 +245,7 @@ def _partition_chain(top: int):
         yield p
 
 
-def _partition_checks(cfg: RunConfig) -> list[CheckRecord]:
+def _partition_checks(cfg: RunConfig) -> list[dict]:
     from .clopen_partition import build_partition, flatten_refinement, refine_block
     from .code_space import FULL_SPACE
 
@@ -272,7 +259,7 @@ def _partition_checks(cfg: RunConfig) -> list[CheckRecord]:
             worst = p.size
     except Exception:  # noqa: BLE001 - any failure fails the check
         log.info("partition.laws: the step after n=%d raised", worst, exc_info=True)
-    records.append(CheckRecord("partition.laws", "n=1..64", worst, 64, worst == 64))
+    records.append(_check("partition.laws", "n=1..64", worst, 64, worst == 64))
     try:
         p = build_partition(FULL_SPACE, 3)
         flat = flatten_refinement(p, 1, refine_block(p, 1, 3))
@@ -280,13 +267,13 @@ def _partition_checks(cfg: RunConfig) -> list[CheckRecord]:
     except Exception:  # noqa: BLE001 - any failure fails the check
         log.info("partition.refine: a step raised", exc_info=True)
         refined = None
-    records.append(CheckRecord("partition.refine", "depth=3", refined, 6, refined == 6))
+    records.append(_check("partition.refine", "depth=3", refined, 6, refined == 6))
     return records
 
 
 def _hierarchy_checks(
     cfg: RunConfig, sys_: WeakContractionSystem, identity_distances: list[float]
-) -> list[CheckRecord]:
+) -> list[dict]:
     """Quotient, conjugation and self-similarity records of every floor of
     the tower over ``sys_``, which has passed the statement checks.
 
@@ -314,7 +301,7 @@ def _hierarchy_checks(
         tower = build_hierarchy(sys_, cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
     except Exception:  # noqa: BLE001 - any failure fails the check
         log.info("quotient.nontrivial: build_hierarchy raised", exc_info=True)
-        return [CheckRecord("quotient.nontrivial", f"k={k}", None, ">=1", False) for k in range(1, cfg.levels + 1)]
+        return [_check("quotient.nontrivial", f"k={k}", None, ">=1", False) for k in range(1, cfg.levels + 1)]
     records = []
     verify_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     # the coverage leg measured n = 0..min(depth, MAX_ENUMERATED_DEPTH), which
@@ -325,11 +312,11 @@ def _hierarchy_checks(
         expected = cfg.partition_n - 1 if cfg.representatives == "distinct" else None
         nontrivial = bool(multi)
         records.append(
-            CheckRecord("quotient.nontrivial", f"k={level.level}", len(multi), ">=1", nontrivial)
+            _check("quotient.nontrivial", f"k={level.level}", len(multi), ">=1", nontrivial)
         )
         if expected is not None:
             records.append(
-                CheckRecord(
+                _check(
                     "quotient.multi_fiber_count",
                     f"k={level.level}",
                     len(multi),
@@ -339,16 +326,16 @@ def _hierarchy_checks(
             )
         prev = tower[level.level - 1]
         iso = check_isometry(level, prev)
-        records.append(CheckRecord("quotient.isometry", f"k={level.level}", iso, True, iso))
+        records.append(_check("quotient.isometry", f"k={level.level}", iso, True, iso))
         conj = check_conjugation(level, prev)
-        records.append(CheckRecord("hierarchy.conjugation", f"k={level.level}", conj, True, conj))
+        records.append(_check("hierarchy.conjugation", f"k={level.level}", conj, True, conj))
     ground = tower[0]
     rep = verify_self_similarity(ground, samples=300, seed=cfg.seed)
     for level in tower:
         floor = level.level > 0
         exact = check_coverage(level) if floor else rep.coverage_exact
         records.append(
-            CheckRecord(
+            _check(
                 "hierarchy.coverage",
                 f"k={level.level} depth={verify_depth}",
                 {"exact": exact, "hausdorff": hausdorff},
@@ -357,7 +344,7 @@ def _hierarchy_checks(
             )
         )
         records.append(
-            CheckRecord(
+            _check(
                 "hierarchy.ratio",
                 f"k={level.level}",
                 max(rep.max_ratio),
@@ -368,7 +355,7 @@ def _hierarchy_checks(
     return records
 
 
-def _dendrite_checks(cfg: RunConfig) -> list[CheckRecord]:
+def _dendrite_checks(cfg: RunConfig) -> list[dict]:
     from .dendrite import DendriteGraph, check_continuity_modulus, check_surjectivity, check_tour_conservation
 
     tree = DendriteGraph(cfg.dendrite_depth)
@@ -379,7 +366,7 @@ def _dendrite_checks(cfg: RunConfig) -> list[CheckRecord]:
         ("dendrite.continuity", check_continuity_modulus),
     ):
         holds = check(tree)
-        records.append(CheckRecord(check_id, f"L={cfg.dendrite_depth}", holds, True, holds))
+        records.append(_check(check_id, f"L={cfg.dendrite_depth}", holds, True, holds))
     depth = 2 * cfg.dendrite_depth + 4
     try:
         sound = _fiber_soundness(tree, depth)
@@ -387,7 +374,7 @@ def _dendrite_checks(cfg: RunConfig) -> list[CheckRecord]:
         log.info("dendrite.fiber_soundness: measuring a witness raised", exc_info=True)
         sound = None
     records.append(
-        CheckRecord("dendrite.fiber_soundness", f"depth={depth}", sound, 1e-9, sound is not None and sound <= 1e-9)
+        _check("dendrite.fiber_soundness", f"depth={depth}", sound, 1e-9, sound is not None and sound <= 1e-9)
     )
     return records
 
@@ -409,7 +396,7 @@ def run_campaign(cfg: RunConfig) -> dict:
     """Run every verification family and assemble the JSON-ready report."""
     from .quadratic_system import QuadraticParams, inverse_branches
 
-    records: list[CheckRecord] = []
+    records: list[dict] = []
     params = QuadraticParams(cfg.mu)
     sys_ = inverse_branches(params)
     statement, statement_ok = _statement_checks(cfg, sys_)
@@ -422,11 +409,11 @@ def run_campaign(cfg: RunConfig) -> dict:
     elif not statement_ok:
         log.info("statement conditions failed; skipping hierarchy checks")
     records.extend(_dendrite_checks(cfg))
-    passed = sum(1 for r in records if r.passed)
+    passed = sum(1 for r in records if r["passed"])
     return {
         "schema": "verification-report/1",
         "config": cfg.as_json(),
-        "checks": [r.as_json() for r in records],
+        "checks": records,
         "summary": {
             "total": len(records),
             "passed": passed,

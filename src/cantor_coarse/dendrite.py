@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .code_space import Address, Cylinder, _Value
+from .code_space import Address, _Value
 
 __all__ = [
     "DendriteFiber",
@@ -392,15 +392,15 @@ def dendrite_map(tree: DendriteGraph, a: Address) -> DendritePoint:
 class DendriteFiber:
     """Preimage data of one tree point at a fixed cylinder depth.
 
-    ``cylinders`` are all depth-n cylinders whose image interval covers the
-    target; ``witnesses`` are eventually constant addresses mapping onto
-    (dyadic tour times) or within tolerance of (all other times) the
-    target.
+    ``cylinders`` are the sorted words of all depth-n cylinders whose image
+    interval covers the target; ``witnesses`` are eventually constant
+    addresses mapping onto (dyadic tour times) or within tolerance of (all
+    other times) the target.
     """
 
     __slots__ = ("target", "cylinders", "witnesses")
 
-    def __init__(self, target: DendritePoint, cylinders: tuple[Cylinder, ...], witnesses: tuple[Address, ...]) -> None:
+    def __init__(self, target: DendritePoint, cylinders: tuple[str, ...], witnesses: tuple[Address, ...]) -> None:
         self.target = target
         self.cylinders = cylinders
         self.witnesses = witnesses
@@ -450,7 +450,7 @@ def fiber_of(tree: DendriteGraph, p: DendritePoint, depth: int) -> DendriteFiber
         witnesses.update(_time_addresses(a, q, depth))
     return DendriteFiber(
         target=p,
-        cylinders=tuple(Cylinder(w) for w in sorted(words)),
+        cylinders=tuple(sorted(words)),
         witnesses=tuple(sorted(witnesses)),
     )
 

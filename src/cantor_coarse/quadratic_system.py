@@ -61,7 +61,7 @@ def logistic(p: QuadraticParams, x):
 
 
 class WeakContractionSystem:
-    """Finitely many branches of an interval, each with a Lipschitz bound.
+    """Finitely many branches of [0, 1], each with a Lipschitz bound.
 
     ``modulus_inf`` holds one bound per branch: for smooth branches, the
     supremum of |f_j'|.  The constructor judges neither the bounds nor the
@@ -69,14 +69,13 @@ class WeakContractionSystem:
     the bounds contract and sum below one, and each fixed point's residual.
     """
 
-    __slots__ = ("branches", "modulus_inf", "fixed_points", "carrier")
+    __slots__ = ("branches", "modulus_inf", "fixed_points")
 
     def __init__(
         self,
         branches: tuple[Callable, ...],
         modulus_inf: tuple[float, ...],
         fixed_points: tuple[float, ...],
-        carrier: tuple[float, float] = (0.0, 1.0),
     ) -> None:
         if len(branches) < 2:
             raise ValueError("need at least two branches")
@@ -85,7 +84,6 @@ class WeakContractionSystem:
         self.branches = branches
         self.modulus_inf = modulus_inf
         self.fixed_points = fixed_points
-        self.carrier = carrier
 
     @property
     def branch_count(self) -> int:
@@ -177,21 +175,15 @@ def _distinct_count(values: tuple[float, ...], tol: float) -> int:
     return 1 + sum(1 for a, b in zip(xs, xs[1:]) if b - a > tol)
 
 
-def verify_statement_conditions(
-    sys: WeakContractionSystem,
-    grid: int = 2**12 + 1,
-    tol: float = IDENTITY_TOL,
-) -> StatementReport:
+def verify_statement_conditions(sys: WeakContractionSystem) -> StatementReport:
     """Check the three contraction-system conditions; failures are reported,
     not raised.
 
     Injectivity is decided by strict monotonicity of each branch on the
-    grid ``lo + i*(hi-lo)/(grid-1)``, i = 0..grid-1.  The default grid is
-    dyadic and exact on [0, 1], with a step of 1/4096 (about 2.4e-4); the
-    narrowest fold it is tested to catch is 3e-4 wide.
+    dyadic grid ``i / 4096``, i = 0..4096, exact on [0, 1], with a step of
+    about 2.4e-4; the narrowest fold it is tested to catch is 3e-4 wide.
     """
-    lo, hi = sys.carrier
-    ys = [lo + i * (hi - lo) / (grid - 1) for i in range(grid)]
+    ys = [i / 4096 for i in range(4097)]
     monotone = []
     for branch in sys.branches:
         vals = list(map(float, map(branch, ys)))
@@ -203,7 +195,7 @@ def verify_statement_conditions(
     return StatementReport(
         strictly_monotone=tuple(monotone),
         fixed_points=sys.fixed_points,
-        distinct_fixed_points=_distinct_count(sys.fixed_points, tol),
+        distinct_fixed_points=_distinct_count(sys.fixed_points, IDENTITY_TOL),
         fixed_point_residual=residual,
         modulus_sum=float(sum(sys.modulus_inf)),
     )
@@ -268,8 +260,8 @@ class IntervalCover:
 
 def _trusted_cover(depth: int, ends: tuple[float, ...]) -> IntervalCover:
     """An ``IntervalCover`` of flat endpoints known to be sorted and
-    separated: ``_branch_images`` checks its own, and ``forward_distance``
-    says why its sides are.
+    separated: [0, 1] is, ``_branch_images`` checks its own, and
+    ``forward_distance`` says why its sides are.
 
     Skips the validation of ``IntervalCover.__init__``; the branches and
     the map return floats, so the stored endpoints are the same.
@@ -321,12 +313,10 @@ def _paired_images(images: list[list[float]]) -> list[Interval]:
 
 
 def invariant_cover(sys: WeakContractionSystem, n: int) -> IntervalCover:
-    """Depth-n cover of the invariant set: n-fold branch images of the carrier."""
+    """Depth-n cover of the invariant set: n-fold branch images of [0, 1]."""
     if n < 0:
         raise ValueError("depth must be non-negative")
-    if n == 0:  # the carrier comes from the caller, so it is validated
-        return IntervalCover(0, (sys.carrier,))
-    ends = tuple(sys.carrier)
+    ends = (0.0, 1.0)
     for _ in range(n):
         ends = _branch_images(sys, ends)
     return _trusted_cover(n, ends)
@@ -387,14 +377,14 @@ class PointEstimate:
 def itinerary_point(sys: WeakContractionSystem, a: Address, n: int) -> PointEstimate:
     """Locate the point coded by ``a`` at depth ``n``.
 
-    Applies the branches named by the first n symbols to the carrier,
+    Applies the branches named by the first n symbols to [0, 1],
     innermost symbol first, and returns the midpoint and half-width of the
     resulting interval.  The radius shrinks like modulus**n.
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
     word = a.symbols(n)
-    lo, hi = sys.carrier
+    lo, hi = 0.0, 1.0
     for sym in reversed(word):
         branch = sys.branches[int(sym)]
         lo, hi = sorted((float(branch(lo)), float(branch(hi))))

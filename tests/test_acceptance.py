@@ -103,7 +103,7 @@ def test_criterion_3_partition_laws():
         ok &= clopen_union(*p.blocks) == FULL_SPACE
         for i, b in enumerate(p.blocks):
             for other in p.blocks[i + 1:]:
-                ok &= all(cb.disjoint(co) for cb in b.cylinders for co in other.cylinders)
+                ok &= all(not (u.startswith(v) or v.startswith(u)) for u in b.words for v in other.words)
     p = build_partition(FULL_SPACE, 3)
     for _ in range(3):  # three nested refinement rounds
         sub = refine_block(p, 1, 3)

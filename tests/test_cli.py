@@ -259,7 +259,7 @@ class TestPartitionChecks:
 
     def test_laws_pass_at_64(self):
         laws = _partition_checks(RunConfig())[0]
-        assert (laws.check_id, laws.measured, laws.passed) == ("partition.laws", 64, True)
+        assert (laws["id"], laws["measured"], laws["passed"]) == ("partition.laws", 64, True)
 
     @pytest.mark.parametrize("last", [1, 10, 63])
     def test_failing_step_reports_the_last_n_reached(self, monkeypatch, last):
@@ -272,13 +272,13 @@ class TestPartitionChecks:
 
         monkeypatch.setattr(clopen_partition, "flatten_refinement", failing_after_last)
         laws = _partition_checks(RunConfig())[0]
-        assert (laws.measured, laws.passed) == (last, False)
+        assert (laws["measured"], laws["passed"]) == (last, False)
 
     def test_step_adding_two_blocks_fails(self, monkeypatch):
         refine = clopen_partition.refine_block
         monkeypatch.setattr(clopen_partition, "refine_block", lambda p, i, n: refine(p, i, 3 if p.size == 5 else n))
         laws = _partition_checks(RunConfig())[0]
-        assert (laws.measured, laws.passed) == (5, False)
+        assert (laws["measured"], laws["passed"]) == (5, False)
 
     def test_a_partition_fault_fails_both_records_and_writes_the_report(self, monkeypatch, tmp_path, caplog):
         def gapped(block):
@@ -311,7 +311,7 @@ class TestPartitionChecks:
 
     def test_refine_measures_the_six_blocks(self):
         refine = _partition_checks(RunConfig())[1]
-        assert (refine.check_id, refine.measured, refine.bound, refine.passed) == ("partition.refine", 6, 6, True)
+        assert (refine["id"], refine["measured"], refine["bound"], refine["passed"]) == ("partition.refine", 6, 6, True)
 
 
 class TestCoverageRecords:
@@ -382,9 +382,60 @@ def _widened_cover(monkeypatch):
     monkeypatch.setattr(quadratic_system, "refine_cover", widened)
 
 
+def _folded_low_branch(monkeypatch):
+    """A low branch with a 3e-4 wide fold at y = 0.3, a little over one
+    step of the injectivity grid and inside the depth-1 cover's gap."""
+    real = quadratic_system.inverse_branches
+
+    def folded(p):
+        sys_ = real(p)
+        low, high = sys_.branches
+        sys_.branches = (lambda y: low(y) - 0.5 * max(0.0, 3e-4 - abs(y - 0.3)), high)
+        return sys_
+
+    monkeypatch.setattr(quadratic_system, "inverse_branches", folded)
+
+
+def _merged_for_distinct(monkeypatch):
+    """The distinct policy given the merged policy's representatives."""
+    monkeypatch.setattr(coarse_graining, "default_representatives", coarse_graining.merged_representatives)
+
+
+def _broken_floor_2(part):
+    """A plant that breaks floor 2's ``part`` of every tower built, with
+    ``deep_broken``."""
+
+    def plant(monkeypatch):
+        build = coarse_graining.build_hierarchy
+
+        def broken_at_2(*args, **kwargs):
+            tower = build(*args, **kwargs)
+            tower[2] = deep_broken(tower[2], part)
+            return tower
+
+        monkeypatch.setattr(coarse_graining, "build_hierarchy", broken_at_2)
+
+    return plant
+
+
 class TestPlantedFaults:
     """A planted fault makes a check's claim false; every record of the
-    check must then fail."""
+    check must then fail, and no record of an unbroken claim."""
+
+    @pytest.mark.parametrize(
+        ("plant", "partition_n", "failing"),
+        [
+            (_folded_low_branch, 2, {("statement.i.injective", "mu=5.0")}),
+            (_merged_for_distinct, 3, {("quotient.multi_fiber_count", "k=1"), ("quotient.multi_fiber_count", "k=2")}),
+            (_broken_floor_2("to_base"), 2, {("quotient.isometry", "k=2"), ("hierarchy.ratio", "k=2")}),
+            (_broken_floor_2("branch"), 2, {("hierarchy.conjugation", "k=2"), ("hierarchy.ratio", "k=2")}),
+        ],
+        ids=["folded-branch", "merged-for-distinct", "floor-2-to-base", "floor-2-branch"],
+    )
+    def test_only_the_broken_records_fail(self, monkeypatch, plant, partition_n, failing):
+        plant(monkeypatch)
+        checks = run_campaign(RunConfig(depth=4, partition_n=partition_n, dendrite_depth=0))["checks"]
+        assert {(c["id"], c["location"]) for c in checks if not c["passed"]} == failing
 
     @pytest.mark.parametrize(
         ("check_id", "plant"),
@@ -612,14 +663,7 @@ class TestGroundRatio:
 
     @pytest.mark.parametrize("part", ["branch", "to_base"])
     def test_a_floor_that_does_not_intertwine_fails_its_ratio(self, monkeypatch, part):
-        build = coarse_graining.build_hierarchy
-
-        def broken_at_2(*args, **kwargs):
-            tower = build(*args, **kwargs)
-            tower[2] = deep_broken(tower[2], part)
-            return tower
-
-        monkeypatch.setattr(coarse_graining, "build_hierarchy", broken_at_2)
+        _broken_floor_2(part)(monkeypatch)
         checks = run_campaign(RunConfig(depth=4, dendrite_depth=0))["checks"]
         ratio = {c["location"]: c for c in checks if c["id"] == "hierarchy.ratio"}
         assert {loc: c["passed"] for loc, c in ratio.items()} == {"k=0": True, "k=1": True, "k=2": False}
@@ -919,6 +963,15 @@ class TestMalformedConfig:
         assert isinstance(result.exception, SystemExit)  # a usage error, not an escaped exception
         assert "invalid configuration" in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["null", "5", '"x"', "[]"])
+    def test_config_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        result = invoke(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration: the config file must hold a JSON object" in result.stderr
 
     def test_explicit_flag_without_lists(self, tmp_path):
         result = invoke(["verify", "--representatives", "explicit", "--out", str(tmp_path)])

@@ -18,7 +18,6 @@ from cantor_coarse.code_space import (
     Address,
     ClopenSet,
     ComposedMap,
-    Cylinder,
     FULL_SPACE,
     OutsideDomainError,
     PrefixRewrite,
@@ -170,7 +169,6 @@ class TestAddress:
 # that skips validation, where there is one), a different value, a field
 VALUES = {
     "Address": (Address("0111", "1"), _trusted_address("0111", "1"), Address("0", "0"), "prefix"),
-    "Cylinder": (Cylinder("01"), Cylinder("01"), Cylinder("1"), "word"),
     "ClopenSet": (ClopenSet(["00", "01", "1"]), FULL_SPACE, ClopenSet(["0"]), "words"),
     "PrefixRewrite": (prepend_map("0"), compose(identity_map(), prepend_map("0"))._flat, prepend_map("1"), "rules"),
 }
@@ -209,8 +207,7 @@ class TestEmbedding:
 
     def test_cylinder_diameter(self):
         for word in ("", "0", "10", "0110"):
-            c = Cylinder(word)
-            spread = embed_cmts(Address(c.word, "1")) - embed_cmts(Address(c.word, "0"))
+            spread = embed_cmts(Address(word, "1")) - embed_cmts(Address(word, "0"))
             assert spread == Fraction(1, 3 ** len(word))
 
     @given(a=addresses, b=addresses)
@@ -269,14 +266,12 @@ class TestClopenSet:
             ClopenSet(words)
         with pytest.raises(ValueError, match="^not a binary word"):
             ClopenSet(tuple(words))
-        with pytest.raises(ValueError, match=f"^not a binary word: {bad!r}$"):
-            Cylinder(bad)
 
     @given(words=st.lists(st.text(alphabet="01", max_size=6), max_size=8))
     def test_cylinders_view_the_canonical_words(self, words):
         cs = ClopenSet(words)
         assert type(cs.words) is tuple
-        assert cs.cylinders == tuple(Cylinder(w) for w in cs.words)
+        assert cs.cylinders is cs.words
         assert cs.is_empty is (not words)
 
     @given(words=st.lists(st.text(alphabet="01", max_size=6), max_size=8))
@@ -330,7 +325,7 @@ class TestClopenSet:
         assert full == FULL_SPACE
         # the complement of one deep cylinder is its path's 14 siblings
         siblings = {hole[:i] + ("1" if hole[i] == "0" else "0") for i in range(14)}
-        assert len(holed.cylinders) == 14
+        assert len(holed.words) == 14
         assert set(holed.words) == siblings
         assert elapsed < 2.0, f"{elapsed:.2f}s"
 

@@ -142,7 +142,7 @@ def _fiber_mismatches(tree: DendriteGraph, points, depths) -> list:
     for depth in depths:
         for p in points:
             fib = fiber_of(tree, p, depth)
-            got = [c.word for c in fib.cylinders], list(fib.witnesses)
+            got = list(fib.cylinders), list(fib.witnesses)
             if got != _reference_fiber(tree, p, depth):
                 out.append((p, depth))
     return out
@@ -656,7 +656,7 @@ class TestFibers:
         fib = fiber_of(t, t.vertex_point(1), 4)
         assert Address("", "0") in fib.witnesses
         assert Address("", "1") in fib.witnesses
-        words = {c.word for c in fib.cylinders}
+        words = set(fib.cylinders)
         assert "0000" in words and "1111" in words
 
     def test_interior_point_has_two_parameter_families(self):
@@ -666,7 +666,7 @@ class TestFibers:
         assert len(params) == 2
         fib = fiber_of(t, p, 3)
         # t = 1/8 and 3/8 give the down-pass and up-pass cylinder families
-        assert {c.word for c in fib.cylinders} == {"000", "001", "010", "011"}
+        assert set(fib.cylinders) == {"000", "001", "010", "011"}
 
     def test_leaf_has_one_parameter(self):
         t = DendriteGraph(1)
@@ -703,12 +703,12 @@ class TestFibers:
         for i in range(2**depth + 1):
             p = t.tour_point(Fraction(i, 2**depth))
             fib = fiber_of(t, p, depth)
-            words_seen.update(c.word for c in fib.cylinders)
+            words_seen.update(fib.cylinders)
             witnesses_by_point.setdefault(p, set()).update(fib.witnesses)
             # sharing criterion: every listed cylinder's dyadic interval
             # holds a tour time of the point
-            for c in fib.cylinders:
-                lo = Fraction(int(c.word, 2), 2**depth)
+            for w in fib.cylinders:
+                lo = Fraction(int(w, 2), 2**depth)
                 assert any(lo <= s <= lo + Fraction(1, 2**depth) for s in t.tour_parameters(p))
         assert words_seen == {"".join(b) for b in itertools.product("01", repeat=depth)}
         # witnesses map onto their own target, so distinct points never share one
@@ -772,7 +772,7 @@ class TestPlantedFaults:
 
         monkeypatch.setattr(dendrite, "DendriteGraph", faulty_tree)
         records = cli._dendrite_checks(cli.RunConfig(dendrite_depth=depth))
-        failing = {r.check_id for r in records if not r.passed}
+        failing = {r["id"] for r in records if not r["passed"]}
         assert must_fail <= failing, (fault, depth, failing)
 
     def test_a_witness_off_the_tree_fails_fiber_soundness(self, monkeypatch, caplog):
@@ -786,7 +786,7 @@ class TestPlantedFaults:
         monkeypatch.setattr(dendrite, "DendriteGraph", faulty_tree)
         caplog.set_level(logging.INFO, logger="cantor_coarse")
         soundness = cli._dendrite_checks(cli.RunConfig())[-1]
-        assert (soundness.check_id, soundness.measured, soundness.passed) == ("dendrite.fiber_soundness", None, False)
+        assert (soundness["id"], soundness["measured"], soundness["passed"]) == ("dendrite.fiber_soundness", None, False)
         (raised,) = [r for r in caplog.records if r.exc_info]
         assert raised.levelno == logging.INFO
         assert "off the tree" in str(raised.exc_info[1])
@@ -808,4 +808,4 @@ class TestPlantedFaults:
     def test_each_record_reads_its_check(self, monkeypatch, check_id, check):
         monkeypatch.setattr(dendrite, check, lambda tree: False)
         records = cli._dendrite_checks(cli.RunConfig())
-        assert [r.check_id for r in records if not r.passed] == [check_id]
+        assert [r["id"] for r in records if not r["passed"]] == [check_id]

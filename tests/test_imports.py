@@ -28,7 +28,7 @@ PUBLIC = set(
     check_conjugation check_isometry conjugate_system
     default_representatives merged_representatives
     verify_self_similarity
-    Address ClopenSet Cylinder FULL_SPACE clopen_union
+    Address ClopenSet FULL_SPACE clopen_union
     code_distance complete_prefix_code embed_cmts map_clopen prepend_map
     recode_between recode_homeomorphism
     DendriteFiber DendriteGraph DendritePoint binary_expansion

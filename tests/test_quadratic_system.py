@@ -260,7 +260,7 @@ class TestInvariantCover:
         # invariant_cover and refine_cover skip IntervalCover's validation of
         # the branch images; they must store what a validated cover would
         sys_ = inverse_branches(QuadraticParams(mu))
-        reference = IntervalCover(0, (sys_.carrier,))
+        reference = IntervalCover(0, ((0.0, 1.0),))
         for n in range(13):
             built = invariant_cover(sys_, n)
             assert built.depth == n
@@ -591,8 +591,8 @@ class TestWeakContractionSystemValidation:
         sys_ = toy_system(lambda y: y / 2, lambda y: y / 2 + 0.5, (0.0, 1.0), (1.0, 0.5))
         records, all_pass = _statement_checks(RunConfig(), sys_)
         assert not all_pass
-        failing = [r for r in records if not r.passed]
-        assert [(r.check_id, r.measured) for r in failing] == [("statement.iii.modulus_sum", 1.5)]
+        failing = [r for r in records if not r["passed"]]
+        assert [(r["id"], r["measured"]) for r in failing] == [("statement.iii.modulus_sum", 1.5)]
 
     @pytest.mark.parametrize("mu", [4.1, 4.2])
     def test_mu_without_contraction_fails_only_the_modulus_sum(self, mu):
@@ -608,9 +608,9 @@ class TestWeakContractionSystemValidation:
         # 0 is fixed by the first branch; 0.25 is fixed by neither
         sys_ = toy_system(lambda y: y / 3, lambda y: y / 3 + 2 / 3, (0.0, 0.25), (1 / 3, 1 / 3))
         records, _ = _statement_checks(RunConfig(), sys_)
-        (failing,) = [r for r in records if not r.passed]
-        assert failing.check_id == "statement.ii.fixed_points"
-        assert failing.measured == {"points": [0.0, 0.25], "residual": pytest.approx(0.25 - 0.25 / 3)}
+        (failing,) = [r for r in records if not r["passed"]]
+        assert failing["id"] == "statement.ii.fixed_points"
+        assert failing["measured"] == {"points": [0.0, 0.25], "residual": pytest.approx(0.25 - 0.25 / 3)}
 
 
 # Pair-form oracles: the kernels as they were when a cover stored a tuple of
@@ -683,7 +683,7 @@ class TestFlatCoversAgainstPairOracles:
         # refines the covers of depths 0..depth, each one step
         p = QuadraticParams(mu)
         sys_ = inverse_branches(p)
-        cover, pairs = invariant_cover(sys_, 0), (sys_.carrier,)
+        cover, pairs = invariant_cover(sys_, 0), ((0.0, 1.0),)
         for n in range(depth + 1):
             try:
                 want = oracle_branch_images(sys_, pairs)
