@@ -92,6 +92,9 @@ class RunConfig:
         self.out = out
 
     def validate(self) -> None:
+        # a JSON true, string or null would reach the bound tests below
+        if isinstance(self.mu, bool) or not isinstance(self.mu, (int, float)):
+            raise ValueError(f"mu must be a number, got {self.mu!r}")
         if not self.mu > 4:
             raise ValueError("mu must exceed 4")
         # nan and -inf fail the bound above; an integer mu too large for a
@@ -153,6 +156,24 @@ class RunConfig:
         return data
 
 
+def _representatives_from_json(levels: object) -> tuple[tuple[Address, ...], ...]:
+    """A config file's ``explicit_representatives``: a list of lists of
+    ``{"prefix": <string>, "tail": <string>}`` objects, one list per floor."""
+    from .code_space import Address
+
+    if not isinstance(levels, list) or not all(isinstance(level, list) for level in levels):
+        raise ValueError(f"explicit_representatives must be a list of lists, got {levels!r}")
+    for level in levels:
+        for a in level:
+            fields = isinstance(a, dict) and a.keys() == {"prefix", "tail"}
+            if not (fields and all(isinstance(v, str) for v in a.values())):
+                raise ValueError(
+                    "explicit_representatives: a representative must be an object with exactly"
+                    f" the string fields prefix and tail, got {a!r}"
+                )
+    return tuple(tuple(Address(a["prefix"], a["tail"]) for a in level) for level in levels)
+
+
 def load_config(config_path: str | None, **overrides) -> RunConfig:
     """Merge a JSON config file with flag overrides; flags win."""
     data: dict = {}
@@ -163,13 +184,8 @@ def load_config(config_path: str | None, **overrides) -> RunConfig:
         unknown = set(data).difference(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "explicit_representatives" in data and data["explicit_representatives"] is not None:
-            from .code_space import Address
-
-            data["explicit_representatives"] = tuple(
-                tuple(Address(a["prefix"], a["tail"]) for a in level)
-                for level in data["explicit_representatives"]
-            )
+        if data.get("explicit_representatives") is not None:
+            data["explicit_representatives"] = _representatives_from_json(data["explicit_representatives"])
     merged = {**data, **{k: v for k, v in overrides.items() if v is not None}}
     cfg = RunConfig(**merged)
     cfg.validate()

@@ -9,22 +9,25 @@ decomposition of the code space.
 
 The geometry is kept in whole ticks, units of 3**-depth (the shortest
 edge): every edge length, tour break and vertex visit is a whole number
-of ticks.  The kernels run on those integers:
+of ticks, and the tick tables are the tree's only stored geometry.  The
+kernels run on those integers:
 
-- ``tour_point`` bisects the break ticks and builds one ``Fraction``,
-  the offset along its edge;
+- ``_tick_point`` bisects the break ticks at a time ``num / den`` and
+  gives the point as an edge and an offset in units of 3**-depth / den;
+  ``tour_point`` is that one lookup in canonical form;
 - ``fiber_of`` takes a point's tour times as integer pairs ``(a, q)``
   for ``a / q`` and places each in its cylinder by ``divmod`` and its
   witnesses by ``gcd`` and shifts;
 - the conservation, surjectivity and continuity checks are decided on
   the tour's segment table: its edges and break ticks.  The continuity
-  check also runs ``_tick_point`` at one dyadic time k/2**K inside each
-  segment and on each side of each break, measured in whole units of
-  3**-depth * 2**-K.
+  check also runs ``_tick_point`` at one dyadic time inside each segment
+  and on each side of each break, so the kernel it certifies is the one
+  ``dendrite_map`` runs.
 
 The public point API (``tour_point``, ``tour_parameters``, ``point``,
-``distance``, ``dendrite_map``, ``edge_length``, ``tour_length``) still
-returns exact ``Fraction``s, so dyadic tour times invert exactly.
+``distance``, ``dendrite_map``, ``edge_length``, ``root_distance``,
+``tour_length``) still returns exact ``Fraction``s, so dyadic tour times
+invert exactly; each one is formed from the tick tables.
 """
 
 from __future__ import annotations
@@ -125,24 +128,12 @@ class DendriteGraph:
     def edge_length(self, child: int) -> Fraction:
         if not 2 <= child <= self.vertex_count:
             raise ValueError(f"vertex {child} carries no edge")
-        return self._edge_lengths[child]
-
-    @cached_property
-    def _edge_lengths(self) -> tuple[Fraction | None, ...]:
-        """Edge lengths indexed by child vertex, one ``Fraction`` per level;
-        the root and the unused index 0 carry no edge."""
-        by_level = [Fraction(1, 3**level) for level in range(self.depth + 1)]
-        return (None, None) + tuple(by_level[self.level(v)] for v in range(2, self.vertex_count + 1))
-
-    @cached_property
-    def _root_distance(self) -> dict[int, Fraction]:
-        dist = {1: Fraction(0)}
-        for v in range(2, self.vertex_count + 1):
-            dist[v] = dist[v // 2] + self.edge_length(v)
-        return dist
+        return Fraction(self._edge_ticks[child], 3**self.depth)
 
     def root_distance(self, v: int) -> Fraction:
-        return self._root_distance[v]
+        if not 1 <= v <= self.vertex_count:
+            raise ValueError(f"vertex {v} is not on the tree")
+        return Fraction(self._root_ticks[v], 3**self.depth)
 
     # -- points ----------------------------------------------------------
 
@@ -240,39 +231,41 @@ class DendriteGraph:
             dist.append(dist[v // 2] + self._edge_ticks[v])
         return tuple(dist)
 
-    def _tick_point(self, num: int, k: int) -> tuple[int, int]:
-        """The tour point at time ``num / 2**k`` as (edge child, offset), the
-        offset in units of 3**-depth * 2**-k; ``num`` is an address's binary
-        value times 2**k, so this is ``dendrite_map`` on integers.
+    def _tick_point(self, num: int, den: int) -> tuple[int, int]:
+        """The tour point at time ``num / den`` as (edge child, offset), the
+        offset in units of 3**-depth / den.
 
         Not canonical: a vertex may come back as offset 0 on one of its
         child edges, which ``_tick_distance`` measures correctly.
         """
         breaks = self._break_ticks
         arc = num * breaks[-1]
-        i = bisect.bisect_right(breaks, arc >> k) - 1
+        # every break is a whole number of ticks, so the breaks at or below
+        # the arc are those at or below the whole ticks it contains
+        i = bisect.bisect_right(breaks, arc // den) - 1
         if i >= len(self.tour_segments):  # t == 1 closes the tour (always at depth 0)
             return (1, 0)
         child, direction = self.tour_segments[i]
-        delta = arc - (breaks[i] << k)
+        delta = arc - breaks[i] * den
         if direction == "down":
             return (child, delta)
-        return (child, (self._edge_ticks[child] << k) - delta)
+        return (child, self._edge_ticks[child] * den - delta)
 
-    def _tick_distance(self, p: tuple[int, int], q: tuple[int, int], k: int) -> int:
-        """``distance`` between two ``_tick_point`` results, in the same units."""
+    def _tick_distance(self, p: tuple[int, int], q: tuple[int, int], den: int) -> int:
+        """``distance`` between two ``_tick_point`` results at one ``den``, in
+        the same units."""
         (pe, x), (qe, y) = p, q
         if pe == qe:
             return abs(x - y)
         anc = _common_ancestor(pe, qe)
         root = self._root_ticks
-        dp = (root[pe // 2] << k) + x
-        dq = (root[qe // 2] << k) + y
+        dp = root[pe // 2] * den + x
+        dq = root[qe // 2] * den + y
         if anc == pe:  # p's edge lies on q's root path
             return dq - dp
         if anc == qe:
             return dp - dq
-        return dp + dq - (root[anc] << (k + 1))
+        return dp + dq - 2 * root[anc] * den
 
     @property
     def tour_length(self) -> Fraction:
@@ -280,31 +273,20 @@ class DendriteGraph:
         return Fraction(self._break_ticks[-1], 3**self.depth)
 
     def tour_point(self, t) -> DendritePoint:
-        """The point at normalized arc length ``t`` along the closed tour.
-
-        The lookup runs in ticks: the arc ``t * tour ticks`` is the ratio
-        ``num / den``, and its offset past the segment's start break is
-        ``(num - break * den) / den`` ticks, the one ``Fraction`` built.
-        """
+        """The point at normalized arc length ``t`` along the closed tour:
+        ``_tick_point`` at ``t``'s numerator and denominator, in canonical
+        form."""
         if not isinstance(t, Fraction):
             t = Fraction(t)
         num, den = t.numerator, t.denominator
         if not 0 <= num <= den:
             raise ValueError("tour parameter outside [0, 1]")
-        breaks = self._break_ticks
-        num *= breaks[-1]
-        # every break is a whole number of ticks, so the breaks at or below
-        # the arc are those at or below the whole ticks it contains
-        i = bisect.bisect_right(breaks, num // den) - 1
-        if i >= len(self.tour_segments):  # t == 1 closes the tour (always at depth 0)
-            return self.vertex_point(1)
-        child, direction = self.tour_segments[i]
-        delta = num - breaks[i] * den
-        if not delta:  # on the break that opens the segment
-            return self.vertex_point(child // 2 if direction == "down" else child)
-        if direction == "up":
-            delta = self._edge_ticks[child] * den - delta
-        return DendritePoint(child, Fraction(delta, den * 3**self.depth))
+        child, offset = self._tick_point(num, den)
+        if child == 1:
+            return _ROOT
+        if not offset:  # the break that opens a down segment: its parent vertex
+            return self.vertex_point(child // 2)
+        return DendritePoint(child, Fraction(offset, den * 3**self.depth))
 
     @cached_property
     def _visit_ticks(self) -> tuple[tuple[int, ...], ...]:
@@ -550,19 +532,20 @@ def check_continuity_modulus(tree: DendriteGraph) -> bool:
         return False
     total = breaks[-1]
     k = total.bit_length() + 2
+    den = 1 << k
     point, distance = tree._tick_point, tree._tick_distance
     for (child, _), (start, stop), ticks in zip(segments, ends, breaks):
         # the K-bit time at or just below the middle, under a quarter tick
         # from it, so inside the segment; ``run`` is the arc since its start
         num = ((2 * ticks + edges[child]) << (k - 1)) // total
-        run = num * total - (ticks << k)
-        p = point(num, k)
+        run = num * total - ticks * den
+        p = point(num, den)
         # a vertex v sits at full offset on its own edge (the root, edge 1, at 0)
-        if distance(p, (start, edges[start] << k), k) != run:
+        if distance(p, (start, edges[start] * den), den) != run:
             return False
-        if distance(p, (stop, edges[stop] << k), k) != (edges[child] << k) - run:
+        if distance(p, (stop, edges[stop] * den), den) != edges[child] * den - run:
             return False
     return all(
-        distance(point(na, scale), point(nb, scale), scale) <= total << (scale - m)
+        distance(point(na, 1 << scale), point(nb, 1 << scale), 1 << scale) <= total << (scale - m)
         for na, nb, scale, m in _break_pairs(tree)
     )

@@ -944,6 +944,19 @@ MALFORMED_CONFIGS = {
         "levels": 2,
         "explicit_representatives": [[REP], [{"prefix": "01", "tail": "0"}]],
     },
+    # the shape is checked under every policy, before the policy is read
+    "explicit_representatives-5": {"explicit_representatives": 5},
+    "explicit_representatives-['x']": {"explicit_representatives": ["x"]},
+    "explicit_representatives-no-tail": {"explicit_representatives": [[{"prefix": "0"}]]},
+    "explicit_representatives-[[5]]": {"explicit_representatives": [[5]]},
+    "explicit_representatives-integer-prefix": {"explicit_representatives": [[{"prefix": 0, "tail": "0"}]]},
+    "explicit_representatives-extra-key": {"explicit_representatives": [[{"prefix": "0", "tail": "0", "x": 1}]]},
+    "explicit_representatives-extra-string-key": {
+        "explicit_representatives": [[{"prefix": "0", "tail": "0", "note": "x"}]]
+    },
+    "mu-'5'": {"mu": "5"},
+    "mu-null": {"mu": None},
+    "mu-true": {"mu": True},
 }
 
 
@@ -1021,6 +1034,36 @@ class TestMalformedConfig:
             ("tolerance-Infinity", "tolerance must be finite and positive, got inf"),
             ("explicit-level-1-outside-the-first-block", "level 1: representative 1(0)^inf lies outside the first block"),
             ("explicit-level-2-outside-the-first-block", "level 2: representative 01(0)^inf lies outside the first block"),
+            ("explicit_representatives-5", "explicit_representatives must be a list of lists, got 5"),
+            ("explicit_representatives-['x']", "explicit_representatives must be a list of lists, got ['x']"),
+            (
+                "explicit_representatives-no-tail",
+                "explicit_representatives: a representative must be an object with exactly the string fields"
+                " prefix and tail, got {'prefix': '0'}",
+            ),
+            (
+                "explicit_representatives-[[5]]",
+                "explicit_representatives: a representative must be an object with exactly the string fields"
+                " prefix and tail, got 5",
+            ),
+            (
+                "explicit_representatives-integer-prefix",
+                "explicit_representatives: a representative must be an object with exactly the string fields"
+                " prefix and tail, got {'prefix': 0, 'tail': '0'}",
+            ),
+            (
+                "explicit_representatives-extra-key",
+                "explicit_representatives: a representative must be an object with exactly the string fields"
+                " prefix and tail, got {'prefix': '0', 'tail': '0', 'x': 1}",
+            ),
+            (
+                "explicit_representatives-extra-string-key",
+                "explicit_representatives: a representative must be an object with exactly the string fields"
+                " prefix and tail, got {'prefix': '0', 'tail': '0', 'note': 'x'}",
+            ),
+            ("mu-'5'", "mu must be a number, got '5'"),
+            ("mu-null", "mu must be a number, got None"),
+            ("mu-true", "mu must be a number, got True"),
         ],
     )
     def test_message(self, tmp_path, config, message):

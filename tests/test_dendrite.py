@@ -176,7 +176,8 @@ def _scaled(a: Address, k: int) -> int:
 
 def _pair_distance(tree: DendriteGraph, na: int, nb: int, k: int) -> Fraction:
     """The continuity check's integer geodesic, scaled back to length."""
-    d = tree._tick_distance(tree._tick_point(na, k), tree._tick_point(nb, k), k)
+    den = 1 << k
+    d = tree._tick_distance(tree._tick_point(na, den), tree._tick_point(nb, den), den)
     return Fraction(d, 3**tree.depth * 2**k)
 
 
@@ -184,6 +185,14 @@ def _tick_distance(tree: DendriteGraph, a: Address, b: Address) -> Fraction:
     """``_pair_distance`` of two distinct addresses."""
     k = max(len(a.prefix), len(b.prefix), _first_difference(a, b))
     return _pair_distance(tree, _scaled(a, k), _scaled(b, k), k)
+
+
+def _reference_distance(tree: DendriteGraph, a: Address, b: Address) -> Fraction:
+    """The geodesic between the reference tour points at two addresses'
+    binary values, without the tick kernel."""
+    p = _reference_tour_point(tree, binary_expansion(a))
+    q = _reference_tour_point(tree, binary_expansion(b))
+    return tree.distance(p, q)
 
 
 def _reference_break_pairs(tree: DendriteGraph):
@@ -313,7 +322,8 @@ def _run_an_edge_three_times(t: DendriteGraph) -> None:
 
 def _lengthen_a_leaf_edge(t: DendriteGraph) -> None:
     """The last leaf's edge table entry doubles after the tour and root
-    tables are built, so only the point placement sees the longer edge."""
+    tables are built, so the breaks and root distances keep its true
+    length."""
     t._break_ticks, t._root_ticks
     edges = list(t._edge_ticks)
     edges[t.vertex_count] *= 2
@@ -329,21 +339,21 @@ def _misplace_a_vertex(t: DendriteGraph) -> None:
 
 
 def _faulty_kernel(wrong):
-    """Plant ``wrong(tree, num, k, point)`` as the tree's ``_tick_point``,
+    """Plant ``wrong(tree, num, den, point)`` as the tree's ``_tick_point``,
     ``point`` being the true kernel's answer: a fault of the evaluation
     kernel that the segment table cannot see."""
 
     def plant(t: DendriteGraph) -> None:
         true_point = t._tick_point
-        t.__dict__["_tick_point"] = lambda num, k: wrong(t, num, k, true_point(num, k))
+        t.__dict__["_tick_point"] = lambda num, den: wrong(t, num, den, true_point(num, den))
 
     return plant
 
 
 def _on_the_sibling_edge(direction: str):
-    def wrong(t: DendriteGraph, num: int, k: int, point):
+    def wrong(t: DendriteGraph, num: int, den: int, point):
         """Points of the ``direction`` runs land on the sibling edge."""
-        i = bisect.bisect_right(t._break_ticks, (num * t._break_ticks[-1]) >> k) - 1
+        i = bisect.bisect_right(t._break_ticks, num * t._break_ticks[-1] // den) - 1
         if i < len(t.tour_segments) and t.tour_segments[i][1] == direction:
             return (point[0] ^ 1, point[1])
         return point
@@ -352,9 +362,17 @@ def _on_the_sibling_edge(direction: str):
 
 
 @_faulty_kernel
-def _close_the_tour_at_vertex_3(t: DendriteGraph, num: int, k: int, point):
+def _close_the_tour_at_vertex_3(t: DendriteGraph, num: int, den: int, point):
     """Time 1 lands on vertex 3 instead of the root."""
-    return (3, t._edge_ticks[3] << k) if num == 1 << k else point
+    return (3, t._edge_ticks[3] * den) if num == den else point
+
+
+@_faulty_kernel
+def _run_the_last_leaf_edge_twice_its_length(t: DendriteGraph, num: int, den: int, point):
+    """Points on the last leaf's edge lie twice as far from its parent, so
+    the leaf itself lies past the end of its edge, off the tree."""
+    child, offset = point
+    return (child, 2 * offset) if child == t.vertex_count else point
 
 
 # planted fault -> the records it must fail
@@ -385,6 +403,26 @@ PLANTED_FAULTS = {
     "kernel-closes-the-tour-at-vertex-3": (_close_the_tour_at_vertex_3, {"dendrite.continuity"}),
 }
 
+def _planted_trees(plant):
+    """A stand-in for ``DendriteGraph`` that plants ``plant`` in every tree
+    it builds."""
+
+    def build(depth: int) -> DendriteGraph:
+        t = DendriteGraph(depth)
+        plant(t)
+        return t
+
+    return build
+
+
+# planted kernel fault -> the tree depths at which it moves a fiber witness
+# off its target, so that ``dendrite.fiber_soundness`` fails too
+KERNEL_FAULTS_IN_THE_MAP = {
+    "kernel-closes-the-tour-at-vertex-3": range(1, 9),
+    "kernel-runs-down-on-the-sibling-edge": range(2, 9),
+    "wrong-root-distance": range(2, 9),
+}
+
 
 class TestTreeStructure:
     def test_counts(self):
@@ -405,6 +443,16 @@ class TestTreeStructure:
             for v in (0, 1, t.vertex_count + 1):
                 with pytest.raises(ValueError, match="carries no edge"):
                     t.edge_length(v)
+
+    def test_root_distances_sum_the_edges(self):
+        for depth in range(9):
+            t = DendriteGraph(depth)
+            assert t.root_distance(1) == 0
+            for v in range(2, t.vertex_count + 1):
+                assert t.root_distance(v) == t.root_distance(v // 2) + _reference_edge_length(t, v), (depth, v)
+            for v in (0, -1, t.vertex_count + 1):
+                with pytest.raises(ValueError, match="not on the tree"):
+                    t.root_distance(v)
 
     def test_tour_length_is_the_last_break(self):
         for depth in range(9):
@@ -591,15 +639,15 @@ class TestTickGeometry:
             for _ in range(200):
                 a, b = random_address(rng, 30), random_address(rng, 30)
                 if a != b:
-                    assert _tick_distance(t, a, b) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
+                    assert _tick_distance(t, a, b) == _reference_distance(t, a, b), (depth, a, b)
 
     def test_constant_addresses(self):
         a, b = Address("", "0"), Address("", "1")
         for depth in range(9):
             t = DendriteGraph(depth)
             assert _tick_distance(t, a, b) == 0
-            assert t._tick_point(_binary_numerator(a), 0) in ((1, 0), (2, 0))
-            assert t._tick_point(_binary_numerator(b), 0) == (1, 0)
+            assert t._tick_point(_binary_numerator(a), 1) in ((1, 0), (2, 0))
+            assert t._tick_point(_binary_numerator(b), 1) == (1, 0)
 
     def test_tour_breaks(self):
         # depth 0 has no edges; the constant-address test covers it
@@ -609,7 +657,7 @@ class TestTickGeometry:
             # each address against its neighbours in order and one far away
             pairs = list(zip(addrs, addrs[1:])) + list(zip(addrs, addrs[len(addrs) // 2 :]))
             for a, b in pairs:
-                assert _tick_distance(t, a, b) == t.distance(dendrite_map(t, a), dendrite_map(t, b)), (depth, a, b)
+                assert _tick_distance(t, a, b) == _reference_distance(t, a, b), (depth, a, b)
 
     @pytest.mark.parametrize("depth", range(1, 9))
     @pytest.mark.parametrize(
@@ -764,26 +812,26 @@ class TestPlantedFaults:
     @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
     def test_a_fault_fails_its_records(self, monkeypatch, fault, depth):
         plant, must_fail = PLANTED_FAULTS[fault]
-
-        def faulty_tree(d: int) -> DendriteGraph:
-            t = DendriteGraph(d)
-            plant(t)
-            return t
-
-        monkeypatch.setattr(dendrite, "DendriteGraph", faulty_tree)
+        monkeypatch.setattr(dendrite, "DendriteGraph", _planted_trees(plant))
         records = cli._dendrite_checks(cli.RunConfig(dendrite_depth=depth))
         failing = {r["id"] for r in records if not r["passed"]}
         assert must_fail <= failing, (fault, depth, failing)
 
-    def test_a_witness_off_the_tree_fails_fiber_soundness(self, monkeypatch, caplog):
-        # with the last leaf's edge longer in the kernel than on the tree, a
-        # witness maps past the leaf, off the tree, and measuring it raises
-        def faulty_tree(d: int) -> DendriteGraph:
-            t = DendriteGraph(d)
-            _lengthen_a_leaf_edge(t)
-            return t
+    @pytest.mark.parametrize(
+        ("fault", "depth"), [(fault, depth) for fault, depths in KERNEL_FAULTS_IN_THE_MAP.items() for depth in depths]
+    )
+    def test_a_kernel_fault_reaches_the_map(self, monkeypatch, fault, depth):
+        # ``dendrite_map`` runs the kernel the continuity check certifies, so
+        # a kernel fault also moves the fiber witnesses
+        monkeypatch.setattr(dendrite, "DendriteGraph", _planted_trees(PLANTED_FAULTS[fault][0]))
+        soundness = cli._dendrite_checks(cli.RunConfig(dendrite_depth=depth))[-1]
+        assert (soundness["id"], soundness["passed"]) == ("dendrite.fiber_soundness", False), soundness
 
-        monkeypatch.setattr(dendrite, "DendriteGraph", faulty_tree)
+    def test_a_witness_off_the_tree_fails_fiber_soundness(self, monkeypatch, caplog):
+        # with the kernel running the last leaf's edge at twice its length,
+        # the leaf's witness maps past the leaf, off the tree, and measuring
+        # it raises
+        monkeypatch.setattr(dendrite, "DendriteGraph", _planted_trees(_run_the_last_leaf_edge_twice_its_length))
         caplog.set_level(logging.INFO, logger="cantor_coarse")
         soundness = cli._dendrite_checks(cli.RunConfig())[-1]
         assert (soundness["id"], soundness["measured"], soundness["passed"]) == ("dendrite.fiber_soundness", None, False)
