@@ -22,7 +22,6 @@ from pathlib import Path
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .code_space import Address
-    from .coarse_graining import HierarchyLevel
     from .dendrite import DendriteGraph
     from .quadratic_system import QuadraticParams, WeakContractionSystem
 
@@ -439,35 +438,23 @@ def run_campaign(cfg: RunConfig) -> dict:
     }
 
 
-def _document_tower(cfg: RunConfig, sys_: WeakContractionSystem) -> list[HierarchyLevel]:
-    """The configured tower over ``sys_`` for the document commands, which
-    refuse a base system that fails the contraction conditions."""
-    from .coarse_graining import build_hierarchy
-    from .quadratic_system import verify_statement_conditions
-
-    report = verify_statement_conditions(sys_)
-    if not report.all_pass:
-        raise ValueError(
-            "base system fails the contraction conditions: "
-            f"injective={report.injective} fixed_points={report.not_singleton} "
-            f"modulus_sum={report.modulus_sum:.6f}"
-        )
-    return build_hierarchy(sys_, cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
-
-
 def _floor_name(k: int) -> str:
     """The name of floor ``k`` of the tower: S, D1, D2, ..."""
     return f"D{k}" if k else "S"
 
 
 def hierarchy_document(cfg: RunConfig) -> dict:
-    """Serialize the tower: carriers, homeomorphism rules, moduli, distances."""
-    from .coarse_graining import verify_self_similarity
+    """Serialize the tower: carriers, homeomorphism rules, moduli, distances.
+
+    The tower is symbolic, so every configured floor is written at every
+    valid ``mu``; only ``verify`` judges the contraction conditions.
+    """
+    from .coarse_graining import build_hierarchy, verify_self_similarity
     from .quadratic_system import QuadraticParams, cover_chain, forward_distance, inverse_branches
 
     params = QuadraticParams(cfg.mu)
     sys_ = inverse_branches(params)
-    tower = _document_tower(cfg, sys_)
+    tower = build_hierarchy(sys_, cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
     doc_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     cover_depth = _capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH")
     # MAX_COVER_DEPTH <= MAX_DOCUMENT_DEPTH, so the chain reaches cover_depth
@@ -482,7 +469,7 @@ def hierarchy_document(cfg: RunConfig) -> dict:
         rep = verify_self_similarity(level, samples=100, seed=cfg.seed)
         entry: dict = {
             "carrier": list(level.carrier.words),
-            "cylinders": list(level.carrier.refine(base_len + doc_depth)) if doc_depth else list(level.carrier.words),
+            "cylinders": list(level.carrier.refine(base_len + doc_depth)),
             "interval_cover": {"depth": cover_depth, "intervals": [list(iv) for iv in cover.intervals]},
             "modulus_bound": list(level.modulus_bound),
             "coverage_exact": rep.coverage_exact,
@@ -597,6 +584,7 @@ def _fiber_counts(tree: DendriteGraph, depth: int) -> dict[int, int]:
 
 def render(cfg: RunConfig) -> None:
     """Write the Cantor-bar, hierarchy and dendrite SVG renderings."""
+    from .coarse_graining import build_hierarchy
     from .dendrite import DendriteGraph
     from .quadratic_system import QuadraticParams, cover_chain, inverse_branches
     from .svg import cantor_bars_svg, dendrite_svg, hierarchy_svg
@@ -606,7 +594,7 @@ def render(cfg: RunConfig) -> None:
     out_dir = Path(cfg.out)
     _write_text(out_dir / "cantor_bars.svg", cantor_bars_svg(cover_chain(sys_, bar_depth)))
 
-    tower = _document_tower(cfg, sys_)
+    tower = build_hierarchy(sys_, cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
     names = [_floor_name(k) for k in range(cfg.levels + 1)]
     moduli = [max(level.modulus_bound) for level in tower]
     _write_text(out_dir / "hierarchy.svg", hierarchy_svg(names, moduli, len(tower[0].maps)))

@@ -215,8 +215,9 @@ def build_hierarchy(
     ``merged_representatives`` (``merged``), or floor k's list from
     ``explicit_representatives`` (``explicit``).
 
-    Building a tower checks nothing; the commands check the base system's
-    contraction conditions first, and floors are verified on demand:
+    Building a tower checks nothing and reads no modulus, so a tower
+    exists over every base system; only the verify command judges the base
+    system's contraction conditions, and floors are verified on demand:
     check_coverage decides each floor's coverage identity exactly, and
     check_isometry, check_conjugation and check_intertwining decide their
     map equalities exactly, over every point of a carrier.  Only the
