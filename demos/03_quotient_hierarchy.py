@@ -44,7 +44,7 @@ for level in tower:
     rep = verify_self_similarity(level, samples=200, seed=0)
     print(
         f"  {name:3s} carrier {level.carrier.words}  coverage exact: {rep.coverage_exact}"
-        f"  max contraction ratio: {max(rep.max_ratio):.6f} (bound {max(rep.ratio_bound):.6f})"
+        f"  max contraction ratio: {max(rep.max_ratio):.6f} (bound {max(level.modulus_bound):.6f})"
     )
 
 # the floor map h^1 sends x to the fiber labeled hom(x); no collapsed block

@@ -2,8 +2,9 @@
 SVG renderings.
 
 Configuration comes from an optional JSON file plus flag overrides (flags
-win).  All randomized checks draw from the configured seed, reports carry
-no timestamps, and the SVG builders format every number with fixed
+win).  ``verify`` draws no random number, and the hierarchy document's
+sampled ratios draw from the configured seed.  Reports carry no
+timestamps, and the SVG builders format every number with fixed
 precision, so repeated runs with one configuration are byte-identical.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 output
 I/O error.
@@ -23,7 +24,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .code_space import Address
     from .dendrite import DendriteGraph
-    from .quadratic_system import QuadraticParams, WeakContractionSystem
+    from .quadratic_system import IntervalCover, QuadraticParams, WeakContractionSystem
 
 __all__ = ["RunConfig", "main", "run_campaign"]
 
@@ -35,6 +36,9 @@ MAX_ENUMERATED_DEPTH = 14
 MAX_DOCUMENT_DEPTH = 10
 # the interval cover a hierarchy document lists
 MAX_COVER_DEPTH = 8
+# verify reads the ground's contraction ratio on the deepest cover with
+# alpha**(3n) >= this, whose intervals stay far above their rounding error
+RATIO_RESOLUTION = 2.0**-30
 
 _POLICIES = ("distinct", "merged", "explicit")
 
@@ -196,11 +200,11 @@ def _check(check_id: str, location: str, measured: object, bound: object, passed
     return {"id": check_id, "location": location, "measured": measured, "bound": bound, "passed": passed}
 
 
-def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list[dict], bool]:
+def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> list[dict]:
     from .quadratic_system import verify_statement_conditions
 
     report = verify_statement_conditions(sys_)
-    records = [
+    return [
         _check("statement.i.injective", f"mu={cfg.mu}", report.injective, True, report.injective),
         _check(
             "statement.ii.fixed_points",
@@ -217,16 +221,15 @@ def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> tuple[list
             report.modulus_sum_below_one,
         ),
     ]
-    return records, report.all_pass
 
 
 def _coverage_checks(
     cfg: RunConfig, params: QuadraticParams, sys_: WeakContractionSystem
-) -> tuple[list[dict], list[float]]:
+) -> tuple[list[dict], list[IntervalCover], list[float]]:
     """The forward-map identity and nesting records along one cover chain
-    of ``sys_``, and the identity's distance for each n =
-    0..min(depth, MAX_ENUMERATED_DEPTH), by n.  The forward map is the
-    quadratic map of ``params``."""
+    of ``sys_``, and for each n = 0..min(depth, MAX_ENUMERATED_DEPTH), by
+    n, the depth-n cover and the identity's distance there.  The forward
+    map is the quadratic map of ``params``."""
     from .quadratic_system import cover_chain, forward_distance
 
     records = []
@@ -241,7 +244,7 @@ def _coverage_checks(
         )
         records.append(_check("cover.nested", f"n={n}", nested, True, nested))
         distances.append(dist)
-    return records, distances
+    return records, covers[:-1], distances
 
 
 def _partition_chain(top: int):
@@ -287,15 +290,16 @@ def _partition_checks(cfg: RunConfig) -> list[dict]:
 
 
 def _hierarchy_checks(
-    cfg: RunConfig, sys_: WeakContractionSystem, identity_distances: list[float]
+    cfg: RunConfig, sys_: WeakContractionSystem, covers: list[IntervalCover], identity_distances: list[float]
 ) -> list[dict]:
     """Quotient, conjugation and self-similarity records of every floor of
     the tower over ``sys_``, which has passed the statement checks.
 
-    ``identity_distances`` are the coverage leg's forward-map identity
-    distances by n.  Every floor realizes to the same covers, so each floor's
-    coverage record reads the one at the verification depth.  The
-    contraction ratio is sampled once, on the ground floor.  Each higher
+    ``covers`` and ``identity_distances`` are the coverage leg's covers and
+    forward-map identity distances by n.  Every floor realizes to the same
+    covers, so each floor's coverage record reads the distance at the
+    verification depth.  The contraction ratio is read once, on the ground
+    floor, from one cover's endpoints in the real metric.  Each higher
     floor's ratio record cites it, and passes when the ground's does and
     the floor intertwines with the ground, which gives the floor the
     ground's ratio at every pair.
@@ -304,12 +308,12 @@ def _hierarchy_checks(
     ``quotient.nontrivial`` record that measures nothing.
     """
     from .coarse_graining import (
+        RATIO_SLACK,
         build_hierarchy,
         check_conjugation,
         check_coverage,
         check_intertwining,
         check_isometry,
-        verify_self_similarity,
     )
 
     try:
@@ -345,10 +349,19 @@ def _hierarchy_checks(
         conj = check_conjugation(level, prev)
         records.append(_check("hierarchy.conjugation", f"k={level.level}", conj, True, conj))
     ground = tower[0]
-    rep = verify_self_similarity(ground, samples=300, seed=cfg.seed)
+    # |f_j(hi) - f_j(lo)| / (hi - lo) over the intervals of the deepest cover
+    # with alpha**(3n) >= RATIO_RESOLUTION: each endpoint is f_w(0) or f_w(1),
+    # a point of the invariant set, so each quotient is a pair ratio in the
+    # metric alpha bounds, including the pairs at y = 1, where |f_j'| peaks
+    alpha = max(ground.modulus_bound)
+    n = len(covers) - 1
+    while n and alpha ** (3 * n) < RATIO_RESOLUTION:
+        n -= 1
+    ends = covers[n].ends
+    ratio = max(abs(f(hi) - f(lo)) / (hi - lo) for f in sys_.branches for lo, hi in zip(ends[::2], ends[1::2]))
+    bound = alpha + RATIO_SLACK
     for level in tower:
-        floor = level.level > 0
-        exact = check_coverage(level) if floor else rep.coverage_exact
+        exact = check_coverage(level)
         records.append(
             _check(
                 "hierarchy.coverage",
@@ -358,15 +371,8 @@ def _hierarchy_checks(
                 exact and hausdorff <= cfg.tolerance,
             )
         )
-        records.append(
-            _check(
-                "hierarchy.ratio",
-                f"k={level.level}",
-                max(rep.max_ratio),
-                max(rep.ratio_bound),
-                rep.ratio_pass and (not floor or check_intertwining(level, ground)),
-            )
-        )
+        holds = ratio <= bound and (level is ground or check_intertwining(level, ground))
+        records.append(_check("hierarchy.ratio", f"k={level.level}", ratio, bound, holds))
     return records
 
 
@@ -414,13 +420,14 @@ def run_campaign(cfg: RunConfig) -> dict:
     records: list[dict] = []
     params = QuadraticParams(cfg.mu)
     sys_ = inverse_branches(params)
-    statement, statement_ok = _statement_checks(cfg, sys_)
+    statement = _statement_checks(cfg, sys_)
+    statement_ok = all(r["passed"] for r in statement)
     records.extend(statement)
-    coverage, identity_distances = _coverage_checks(cfg, params, sys_)
+    coverage, covers, identity_distances = _coverage_checks(cfg, params, sys_)
     records.extend(coverage)
     records.extend(_partition_checks(cfg))
     if statement_ok and cfg.levels >= 1:
-        records.extend(_hierarchy_checks(cfg, sys_, identity_distances))
+        records.extend(_hierarchy_checks(cfg, sys_, covers, identity_distances))
     elif not statement_ok:
         log.info("statement conditions failed; skipping hierarchy checks")
     records.extend(_dendrite_checks(cfg))
@@ -537,7 +544,7 @@ _OPTIONS = (
     ("--levels", {"type": int, "help": "coarse-graining levels (0..8)"}),
     ("--dendrite-depth", {"type": int, "help": "dendrite tree depth (0..8)"}),
     ("--tolerance", {"type": float, "help": "identity tolerance"}),
-    ("--seed", {"type": int, "help": "seed for sampled checks"}),
+    ("--seed", {"type": int, "help": "seed for the hierarchy document's sampled ratios; no verify check reads it"}),
     ("--representatives", {"choices": _POLICIES}),
     ("--config", {"dest": "config_path", "metavar": "PATH", "type": _config_file, "help": "JSON config file"}),
     ("--out", {"type": _out_dir, "help": "output directory"}),

@@ -149,14 +149,6 @@ class StatementReport:
     def modulus_sum_below_one(self) -> bool:
         return self.modulus_sum < 1.0
 
-    @property
-    def conditions(self) -> tuple[bool, bool, bool]:
-        return (self.injective, self.not_singleton, self.modulus_sum_below_one)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.conditions)
-
 
 def _increasing(v: list[float]) -> bool:
     """Whether ``v`` is strictly increasing."""

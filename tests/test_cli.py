@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -421,23 +422,57 @@ def _broken_floor_2(part):
     return plant
 
 
+def _understated_modulus(monkeypatch):
+    """Branches whose recorded modulus is 0.999 of the real sup|f'|."""
+    real = quadratic_system.inverse_branches
+
+    def understated(p):
+        sys_ = real(p)
+        sys_.modulus_inf = tuple(0.999 * m for m in sys_.modulus_inf)
+        return sys_
+
+    monkeypatch.setattr(quadratic_system, "inverse_branches", understated)
+
+
+# every floor cites the ground's ratio, so an understated ground modulus
+# fails each floor's ratio record and nothing else; the rows run at the
+# default depth, since below depth 5 at mu=5 the ratio reads more than 0.1%
+# under alpha and cannot catch the understatement
+_EVERY_RATIO = {("hierarchy.ratio", f"k={k}") for k in range(3)}
+
+
 class TestPlantedFaults:
     """A planted fault makes a check's claim false; every record of the
     check must then fail, and no record of an unbroken claim."""
 
     @pytest.mark.parametrize(
-        ("plant", "partition_n", "failing"),
+        ("plant", "knobs", "failing"),
         [
-            (_folded_low_branch, 2, {("statement.i.injective", "mu=5.0")}),
-            (_merged_for_distinct, 3, {("quotient.multi_fiber_count", "k=1"), ("quotient.multi_fiber_count", "k=2")}),
-            (_broken_floor_2("to_base"), 2, {("quotient.isometry", "k=2"), ("hierarchy.ratio", "k=2")}),
-            (_broken_floor_2("branch"), 2, {("hierarchy.conjugation", "k=2"), ("hierarchy.ratio", "k=2")}),
+            (_folded_low_branch, {}, {("statement.i.injective", "mu=5.0")}),
+            (
+                _merged_for_distinct,
+                {"partition_n": 3},
+                {("quotient.multi_fiber_count", "k=1"), ("quotient.multi_fiber_count", "k=2")},
+            ),
+            (_broken_floor_2("to_base"), {}, {("quotient.isometry", "k=2"), ("hierarchy.ratio", "k=2")}),
+            (_broken_floor_2("branch"), {}, {("hierarchy.conjugation", "k=2"), ("hierarchy.ratio", "k=2")}),
+            (_understated_modulus, {"mu": 4.9, "depth": 12}, _EVERY_RATIO),
+            (_understated_modulus, {"mu": 5.0, "depth": 12}, _EVERY_RATIO),
+            (_understated_modulus, {"mu": 5.5, "depth": 12}, _EVERY_RATIO),
         ],
-        ids=["folded-branch", "merged-for-distinct", "floor-2-to-base", "floor-2-branch"],
+        ids=[
+            "folded-branch",
+            "merged-for-distinct",
+            "floor-2-to-base",
+            "floor-2-branch",
+            "understated-modulus-mu4.9",
+            "understated-modulus-mu5",
+            "understated-modulus-mu5.5",
+        ],
     )
-    def test_only_the_broken_records_fail(self, monkeypatch, plant, partition_n, failing):
+    def test_only_the_broken_records_fail(self, monkeypatch, plant, knobs, failing):
         plant(monkeypatch)
-        checks = run_campaign(RunConfig(depth=4, partition_n=partition_n, dendrite_depth=0))["checks"]
+        checks = run_campaign(RunConfig(**{"depth": 4, "dendrite_depth": 0, **knobs}))["checks"]
         assert {(c["id"], c["location"]) for c in checks if not c["passed"]} == failing
 
     @pytest.mark.parametrize(
@@ -635,6 +670,20 @@ class TestContractionGate:
         run_campaign(RunConfig())
         assert gate_calls == self.ONCE
 
+    def test_a_failing_fixed_point_record_skips_the_tower(self, caplog):
+        # the fixed points' residual, about 1.1e-16, exceeds the tolerance:
+        # every statement record passes but statement.ii.fixed_points
+        caplog.set_level(logging.INFO, logger="cantor_coarse")
+        checks = run_campaign(RunConfig(mu=6.0, tolerance=1e-300, depth=3))["checks"]
+        statement = {c["id"]: c["passed"] for c in checks if c["id"].startswith("statement.")}
+        assert statement == {
+            "statement.i.injective": True,
+            "statement.ii.fixed_points": False,
+            "statement.iii.modulus_sum": True,
+        }
+        assert not [c for c in checks if c["id"].startswith(("quotient.", "hierarchy."))]
+        assert "statement conditions failed; skipping hierarchy checks" in caplog.messages
+
     def test_hierarchy_document_gates_once(self, gate_calls):
         cli.hierarchy_document(RunConfig())
         assert gate_calls == self.BUILD_ONLY
@@ -693,14 +742,18 @@ class TestDocumentsAtAnyMu:
 
 
 class TestGroundRatio:
-    """verify samples the contraction ratio on the ground floor only, and
-    every higher floor's hierarchy.ratio record cites it when the floor
-    intertwines with the ground."""
+    """verify reads the contraction ratio on the ground floor only, from
+    the coverage leg's cover chain, and every higher floor's
+    hierarchy.ratio record cites it when the floor intertwines with the
+    ground."""
 
-    def test_one_sampling_per_campaign(self, monkeypatch):
-        calls = count_calls(monkeypatch, coarse_graining, ("verify_self_similarity", "check_intertwining"))
+    def test_no_sampling_per_campaign(self, monkeypatch):
+        names = ("verify_self_similarity", "random_address", "check_intertwining")
+        calls = count_calls(monkeypatch, coarse_graining, names)
+        chains = count_calls(monkeypatch, quadratic_system, ("cover_chain",))
         run_campaign(RunConfig(levels=8, partition_n=5))
-        assert calls == {"verify_self_similarity": 1, "check_intertwining": 8}
+        assert calls == {"verify_self_similarity": 0, "random_address": 0, "check_intertwining": 8}
+        assert chains == {"cover_chain": 1}
 
     @pytest.mark.parametrize("part", ["branch", "to_base"])
     def test_a_floor_that_does_not_intertwine_fails_its_ratio(self, monkeypatch, part):
@@ -708,15 +761,39 @@ class TestGroundRatio:
         checks = run_campaign(RunConfig(depth=4, dendrite_depth=0))["checks"]
         ratio = {c["location"]: c for c in checks if c["id"] == "hierarchy.ratio"}
         assert {loc: c["passed"] for loc, c in ratio.items()} == {"k=0": True, "k=1": True, "k=2": False}
-        # every floor cites the ground's sampled ratio and bound
+        # every floor cites the ground's ratio and bound
         assert {(c["measured"], c["bound"]) for c in ratio.values()} == {(ratio["k=0"]["measured"], ratio["k=0"]["bound"])}
 
-    def test_a_failing_ground_ratio_fails_every_floor(self):
-        checks = run_campaign(RunConfig(mu=12.0, depth=4, levels=3, dendrite_depth=0))["checks"]
-        ratio = [c for c in checks if c["id"] == "hierarchy.ratio"]
-        assert [c["location"] for c in ratio] == ["k=0", "k=1", "k=2", "k=3"]
-        assert not any(c["passed"] for c in ratio)
-        assert {c["measured"] for c in ratio} == {1 / 3}
+
+class TestVerdictsAcrossTheConfigSpace:
+    """verify exits with the known answer over mu in (4, 12], every depth,
+    block count, floor count and dendrite depth up to 4, under both
+    computed policies: 0 exactly when the modulus sum is below one (mu >
+    2+2sqrt2) and every floor collapses something (no floors, or n >= 2),
+    and 1 otherwise, never with a traceback."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        mu=st.floats(min_value=4.0, max_value=12.0, exclude_min=True),
+        depth=st.integers(0, 30),
+        n=st.integers(1, 64),
+        levels=st.integers(0, 8),
+        dendrite_depth=st.integers(0, 4),
+        policy=st.sampled_from(["distinct", "merged"]),
+    )
+    # the default config above 2+sqrt13, where a contraction ratio read in
+    # the middle-thirds code metric (1/3) exceeds the modulus bound
+    @example(mu=6.0, depth=12, n=2, levels=2, dendrite_depth=4, policy="distinct")
+    @example(mu=12.0, depth=12, n=2, levels=2, dendrite_depth=4, policy="distinct")
+    def test_verify_exits_with_the_known_answer(self, mu, depth, n, levels, dendrite_depth, policy):
+        expected = 0 if mu > 2 + 2 * math.sqrt(2) and (levels == 0 or n >= 2) else 1
+        with tempfile.TemporaryDirectory() as out:
+            result = invoke(
+                ["verify", "--mu", repr(mu), "--depth", str(depth), "--n", str(n), "--levels", str(levels),
+                 "--dendrite-depth", str(dendrite_depth), "--representatives", policy, "--out", out]
+            )
+        assert not isinstance(result.exception, Exception), result.exception
+        assert result.exit_code == expected, result.stderr
 
 
 class TestOtherCommands:

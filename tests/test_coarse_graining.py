@@ -28,6 +28,7 @@ from cantor_coarse.coarse_graining import (
     Fiber,
     HierarchyLevel,
     QuotientSpec,
+    RATIO_SLACK,
     base_system,
     build_hierarchy,
     check_conjugation,
@@ -279,7 +280,7 @@ class TestHierarchy:
     def test_builds_over_a_system_failing_the_contraction_conditions(self):
         # the commands gate the base system; the construction checks nothing
         sys45 = inverse_branches(QuadraticParams(4.5))
-        assert not verify_statement_conditions(sys45).all_pass
+        assert not verify_statement_conditions(sys45).modulus_sum_below_one
         tower = build_hierarchy(sys45, 2)
         assert [lv.carrier.words for lv in tower] == [("",), ("0",), ("00",)]
         for prev, level in zip(tower, tower[1:]):
@@ -530,7 +531,7 @@ class TestIntertwining:
         for y in sampled_points(broken, 1000):
             for p, q in zip(tower[0].maps, broken.maps):
                 assert broken.to_base(q(y)) == p(broken.to_base(y))
-        assert verify_self_similarity(broken, samples=300).ratio_pass
+        assert max(verify_self_similarity(broken, samples=300).max_ratio) <= max(broken.modulus_bound) + RATIO_SLACK
         assert check_intertwining(tower[k], tower[0])
         assert not check_intertwining(broken, tower[0])
 
@@ -572,8 +573,7 @@ class TestSelfSimilarity:
         for level in tower:
             report = verify_self_similarity(level, samples=150, seed=0)
             assert report.coverage_exact
-            assert report.ratio_pass
-            assert all(r <= 1.0 / 5.0**0.5 + 1e-9 for r in report.max_ratio)
+            assert all(r <= 1.0 / 5.0**0.5 + RATIO_SLACK for r in report.max_ratio)
 
     def test_coverage_detects_a_broken_system(self):
         report = verify_self_similarity(broken_level(), samples=30, seed=0)

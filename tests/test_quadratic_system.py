@@ -111,14 +111,14 @@ class TestInverseBranches:
 class TestStatementConditions:
     def test_mu_five_passes_all_three(self):
         report = verify_statement_conditions(inverse_branches(MU5))
-        assert report.conditions == (True, True, True)
+        assert (report.injective, report.not_singleton, report.modulus_sum_below_one) == (True, True, True)
         assert report.distinct_fixed_points == 2
         assert report.fixed_point_residual < 1e-12
         assert abs(report.modulus_sum - 2.0 / math.sqrt(5.0)) < 1e-9
 
     def test_mu_four_and_a_half_fails_the_modulus_sum(self):
         report = verify_statement_conditions(inverse_branches(QuadraticParams(4.5)))
-        assert report.conditions == (True, True, False)
+        assert (report.injective, report.not_singleton, report.modulus_sum_below_one) == (True, True, False)
         assert report.modulus_sum == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_threshold_for_the_modulus_sum(self):
@@ -589,8 +589,7 @@ class TestWeakContractionSystemValidation:
 
     def test_modulus_at_least_one_fails_the_modulus_sum_record(self):
         sys_ = toy_system(lambda y: y / 2, lambda y: y / 2 + 0.5, (0.0, 1.0), (1.0, 0.5))
-        records, all_pass = _statement_checks(RunConfig(), sys_)
-        assert not all_pass
+        records = _statement_checks(RunConfig(), sys_)
         failing = [r for r in records if not r["passed"]]
         assert [(r["id"], r["measured"]) for r in failing] == [("statement.iii.modulus_sum", 1.5)]
 
@@ -607,7 +606,7 @@ class TestWeakContractionSystemValidation:
     def test_a_false_fixed_point_fails_the_fixed_point_record(self):
         # 0 is fixed by the first branch; 0.25 is fixed by neither
         sys_ = toy_system(lambda y: y / 3, lambda y: y / 3 + 2 / 3, (0.0, 0.25), (1 / 3, 1 / 3))
-        records, _ = _statement_checks(RunConfig(), sys_)
+        records = _statement_checks(RunConfig(), sys_)
         (failing,) = [r for r in records if not r["passed"]]
         assert failing["id"] == "statement.ii.fixed_points"
         assert failing["measured"] == {"points": [0.0, 0.25], "residual": pytest.approx(0.25 - 0.25 / 3)}
