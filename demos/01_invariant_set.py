@@ -7,7 +7,6 @@ or with PYTHONPATH=src.
 import math
 
 from cantor_coarse import (
-    QuadraticParams,
     hausdorff_distance,
     invariant_cover,
     inverse_branches,
@@ -17,11 +16,11 @@ from cantor_coarse import (
 )
 from cantor_coarse.code_space import Address
 
-params = QuadraticParams(5.0)
-print(f"map: {params.mu} * x * (1 - x)")
-print(f"peak value at x = 1/2: {logistic(params, 0.5)}  (> 1, so orbits escape)")
+mu = 5.0
+print(f"map: {mu} * x * (1 - x)")
+print(f"peak value at x = 1/2: {logistic(mu, 0.5)}  (> 1, so orbits escape)")
 
-system = inverse_branches(params)
+system = inverse_branches(mu)
 print(f"\ninverse branches map [0,1] into [0, {float(system.branches[0](1.0)):.6f}]"
       f" and [{float(system.branches[1](1.0)):.6f}, 1]")
 print(f"fixed points: {system.fixed_points}")
@@ -34,7 +33,7 @@ print(f" ii) fixed set not a point:  {report.not_singleton}  {report.fixed_point
 print(f"iii) modulus sum below one:  {report.modulus_sum_below_one}  (sum = {report.modulus_sum:.6f})")
 print(f"the sum dips below one only past mu = {2.0 + 2.0 * math.sqrt(2.0):.6f}")
 
-bad = verify_statement_conditions(inverse_branches(QuadraticParams(4.5)))
+bad = verify_statement_conditions(inverse_branches(4.5))
 print(f"at mu = 4.5 the sum is {bad.modulus_sum:.4f}, so condition iii fails there")
 
 print("\nnested interval covers of the invariant set:")

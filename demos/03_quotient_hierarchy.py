@@ -2,7 +2,6 @@
 
 from cantor_coarse import (
     FULL_SPACE,
-    QuadraticParams,
     QuotientSpec,
     build_hierarchy,
     build_partition,
@@ -31,20 +30,22 @@ for pt in (Address("00", "0"), Address("", "1"), Address("1", "0")):
     print(f"  f({pt}) = {collapse(spec, pt)}")
 
 print(f"\nmulti-point fibers: {[(str(f.label), f.block_indices) for f in spec.multi_fibers]}")
-tower = build_hierarchy(inverse_branches(QuadraticParams(5.0)), 3)
+tower = build_hierarchy(3)
 level1 = tower[1]
 x1, x2 = Address("001", "0"), Address("010", "1")
 print("the floor map is an isometry for the transported metric, exactly:")
 print(f"  d1(h(x1), h(x2)) = {level1.metric(level1.hom(x1), level1.hom(x2))}")
 print(f"  d(x1, x2)        = {code_distance(x1, x2)}")
 
+# the tower is symbolic: every floor's branches contract as the mu=5 ground's
+bound = max(inverse_branches(5.0).modulus_inf)
 print("\nstacking three levels over the mu=5 invariant set:")
 for level in tower:
     name = "S" if level.level == 0 else f"D{level.level}"
     rep = verify_self_similarity(level, samples=200, seed=0)
     print(
         f"  {name:3s} carrier {level.carrier.words}  coverage exact: {rep.coverage_exact}"
-        f"  max contraction ratio: {max(rep.max_ratio):.6f} (bound {max(level.modulus_bound):.6f})"
+        f"  max contraction ratio: {max(rep.max_ratio):.6f} (bound {bound:.6f})"
     )
 
 # the floor map h^1 sends x to the fiber labeled hom(x); no collapsed block

@@ -67,7 +67,6 @@ _SUBMODULE_OF = {
         (
             "IntervalCover",
             "PointEstimate",
-            "QuadraticParams",
             "StatementReport",
             "WeakContractionSystem",
             "hausdorff_distance",

@@ -24,7 +24,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .code_space import Address
     from .dendrite import DendriteGraph
-    from .quadratic_system import IntervalCover, QuadraticParams, WeakContractionSystem
+    from .quadratic_system import IntervalCover, WeakContractionSystem
 
 __all__ = ["RunConfig", "main", "run_campaign"]
 
@@ -130,6 +130,11 @@ class RunConfig:
             raise ValueError(f"out must be a string, got {self.out!r}")
         if self.representatives not in _POLICIES:
             raise ValueError(f"representative policy must be one of {_POLICIES}")
+        # another policy would ignore the lists, and every report would echo them
+        if self.representatives != "explicit" and self.explicit_representatives is not None:
+            raise ValueError(
+                f"explicit_representatives is given, but representatives is {self.representatives!r}, not 'explicit'"
+            )
         if self.representatives == "explicit":
             reps = self.explicit_representatives
             if reps is None:
@@ -224,12 +229,12 @@ def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> list[dict]
 
 
 def _coverage_checks(
-    cfg: RunConfig, params: QuadraticParams, sys_: WeakContractionSystem
+    cfg: RunConfig, sys_: WeakContractionSystem
 ) -> tuple[list[dict], list[IntervalCover], list[float]]:
     """The forward-map identity and nesting records along one cover chain
     of ``sys_``, and for each n = 0..min(depth, MAX_ENUMERATED_DEPTH), by
     n, the depth-n cover and the identity's distance there.  The forward
-    map is the quadratic map of ``params``."""
+    map is the quadratic map at ``cfg.mu``."""
     from .quadratic_system import cover_chain, forward_distance
 
     records = []
@@ -237,7 +242,7 @@ def _coverage_checks(
     top = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
     covers = cover_chain(sys_, top + 1)
     for n, (cover, finer) in enumerate(zip(covers, covers[1:])):
-        dist = forward_distance(params, finer, cover)
+        dist = forward_distance(cfg.mu, finer, cover)
         nested = finer.subset_of(cover)
         records.append(
             _check("cover.identity", f"n={n}", dist, cfg.tolerance, dist <= cfg.tolerance)
@@ -293,7 +298,8 @@ def _hierarchy_checks(
     cfg: RunConfig, sys_: WeakContractionSystem, covers: list[IntervalCover], identity_distances: list[float]
 ) -> list[dict]:
     """Quotient, conjugation and self-similarity records of every floor of
-    the tower over ``sys_``, which has passed the statement checks.
+    the configured tower.  ``sys_`` is the ground's realization, which has
+    passed the statement checks, and its modulus bounds every floor's ratio.
 
     ``covers`` and ``identity_distances`` are the coverage leg's covers and
     forward-map identity distances by n.  Every floor realizes to the same
@@ -317,7 +323,7 @@ def _hierarchy_checks(
     )
 
     try:
-        tower = build_hierarchy(sys_, cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
+        tower = build_hierarchy(cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
     except Exception:  # noqa: BLE001 - any failure fails the check
         log.info("quotient.nontrivial: build_hierarchy raised", exc_info=True)
         return [_check("quotient.nontrivial", f"k={k}", None, ">=1", False) for k in range(1, cfg.levels + 1)]
@@ -353,7 +359,7 @@ def _hierarchy_checks(
     # with alpha**(3n) >= RATIO_RESOLUTION: each endpoint is f_w(0) or f_w(1),
     # a point of the invariant set, so each quotient is a pair ratio in the
     # metric alpha bounds, including the pairs at y = 1, where |f_j'| peaks
-    alpha = max(ground.modulus_bound)
+    alpha = max(sys_.modulus_inf)
     n = len(covers) - 1
     while n and alpha ** (3 * n) < RATIO_RESOLUTION:
         n -= 1
@@ -415,15 +421,14 @@ def _fiber_soundness(tree: DendriteGraph, depth: int) -> float:
 
 def run_campaign(cfg: RunConfig) -> dict:
     """Run every verification family and assemble the JSON-ready report."""
-    from .quadratic_system import QuadraticParams, inverse_branches
+    from .quadratic_system import inverse_branches
 
     records: list[dict] = []
-    params = QuadraticParams(cfg.mu)
-    sys_ = inverse_branches(params)
+    sys_ = inverse_branches(cfg.mu)
     statement = _statement_checks(cfg, sys_)
     statement_ok = all(r["passed"] for r in statement)
     records.extend(statement)
-    coverage, covers, identity_distances = _coverage_checks(cfg, params, sys_)
+    coverage, covers, identity_distances = _coverage_checks(cfg, sys_)
     records.extend(coverage)
     records.extend(_partition_checks(cfg))
     if statement_ok and cfg.levels >= 1:
@@ -454,14 +459,16 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     """Serialize the tower: carriers, homeomorphism rules, moduli, distances.
 
     The tower is symbolic, so every configured floor is written at every
-    valid ``mu``; only ``verify`` judges the contraction conditions.
+    valid ``mu``; only ``verify`` judges the contraction conditions.  Each
+    floor's ``modulus_bound`` is the ground branches' modulus, which bounds
+    every floor's ratio.
     """
     from .coarse_graining import build_hierarchy, verify_self_similarity
-    from .quadratic_system import QuadraticParams, cover_chain, forward_distance, inverse_branches
+    from .quadratic_system import cover_chain, forward_distance, inverse_branches
 
-    params = QuadraticParams(cfg.mu)
-    sys_ = inverse_branches(params)
-    tower = build_hierarchy(sys_, cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
+    sys_ = inverse_branches(cfg.mu)
+    modulus = list(sys_.modulus_inf)
+    tower = build_hierarchy(cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
     doc_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
     cover_depth = _capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH")
     # MAX_COVER_DEPTH <= MAX_DOCUMENT_DEPTH, so the chain reaches cover_depth
@@ -469,7 +476,7 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     cover = covers[cover_depth]
     # the realized point set is the same at every floor: labels pull back to
     # ground addresses, and those realize to these covers
-    hausdorff = forward_distance(params, covers[doc_depth + 1], covers[doc_depth])
+    hausdorff = forward_distance(cfg.mu, covers[doc_depth + 1], covers[doc_depth])
     levels: dict[str, dict] = {}
     for level in tower:
         base_len = max((len(w) for w in level.carrier.words), default=0)
@@ -478,7 +485,7 @@ def hierarchy_document(cfg: RunConfig) -> dict:
             "carrier": list(level.carrier.words),
             "cylinders": list(level.carrier.refine(base_len + doc_depth)),
             "interval_cover": {"depth": cover_depth, "intervals": [list(iv) for iv in cover.intervals]},
-            "modulus_bound": list(level.modulus_bound),
+            "modulus_bound": modulus,
             "coverage_exact": rep.coverage_exact,
             "coverage_hausdorff": hausdorff,
             "max_contraction_ratio": list(rep.max_ratio),
@@ -591,20 +598,18 @@ def _fiber_counts(tree: DendriteGraph, depth: int) -> dict[int, int]:
 
 def render(cfg: RunConfig) -> None:
     """Write the Cantor-bar, hierarchy and dendrite SVG renderings."""
-    from .coarse_graining import build_hierarchy
     from .dendrite import DendriteGraph
-    from .quadratic_system import QuadraticParams, cover_chain, inverse_branches
+    from .quadratic_system import cover_chain, inverse_branches
     from .svg import cantor_bars_svg, dendrite_svg, hierarchy_svg
 
-    sys_ = inverse_branches(QuadraticParams(cfg.mu))
+    sys_ = inverse_branches(cfg.mu)
     bar_depth = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
     out_dir = Path(cfg.out)
     _write_text(out_dir / "cantor_bars.svg", cantor_bars_svg(cover_chain(sys_, bar_depth)))
 
-    tower = build_hierarchy(sys_, cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
+    # the tower is symbolic: every floor has the ground's branches and modulus
     names = [_floor_name(k) for k in range(cfg.levels + 1)]
-    moduli = [max(level.modulus_bound) for level in tower]
-    _write_text(out_dir / "hierarchy.svg", hierarchy_svg(names, moduli, len(tower[0].maps)))
+    _write_text(out_dir / "hierarchy.svg", hierarchy_svg(names, max(sys_.modulus_inf)))
 
     tree = DendriteGraph(cfg.dendrite_depth)
     _write_text(out_dir / "dendrite.svg", dendrite_svg(tree, _fiber_counts(tree, cfg.depth)))

@@ -5,9 +5,11 @@ onto a chosen representative inside the first block.  Its fibers form a
 decomposition space whose points are labeled by first-block points; the
 labeling is a bijection, so transporting the metric across it is exact and
 turns the labeling into an isometry.  Conjugating the branch maps through
-the label coordinates makes each decomposition space self-similar again
-with the same modulus bound, and the construction stacks indefinitely:
-space, first quotient, quotient of the quotient, and so on.
+the label coordinates makes each decomposition space self-similar again,
+and the construction stacks indefinitely: space, first quotient, quotient
+of the quotient, and so on.  The tower is purely symbolic: only the ground
+space's realization by the quadratic system carries numbers, and the
+floors' branches contract as the ground's do.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ from .code_space import (
     random_address,
     recode_between,
 )
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .quadratic_system import WeakContractionSystem
 
 __all__ = [
     "Fiber",
@@ -131,26 +129,25 @@ def merged_representatives(partition: Partition) -> tuple[Address, ...]:
 class HierarchyLevel:
     """One floor of the coarse-graining tower, in label coordinates.
 
-    ``maps`` are the floor's branch maps, acting on its clopen ``carrier``,
-    and ``modulus_bound`` bounds their contraction ratios.  ``hom``
-    recodes the previous carrier onto this one, and is the floor-to-floor
-    homeomorphism: it sends x to the fiber of ``quotient`` labeled
-    ``hom(x)``.  ``to_base`` pulls label coordinates all the way back to
+    ``maps`` are the floor's branch maps, acting on its clopen ``carrier``.
+    ``hom`` recodes the previous carrier onto this one, and is the
+    floor-to-floor homeomorphism: it sends x to the fiber of ``quotient``
+    labeled ``hom(x)``.  ``to_base`` pulls label coordinates all the way back to
     the ground space, which is how the transported metric is evaluated.
     The ground floor has no quotient and no ``hom``.  A floor is purely
-    symbolic: labels pull back to ground addresses, so every floor
-    realizes to the same interval covers of the quadratic system, and
-    callers build those once rather than per floor.
+    symbolic and carries no modulus: labels pull back to ground addresses,
+    so every floor realizes to the same interval covers of the quadratic
+    system, with the ground's contraction bound, and callers build those
+    once rather than per floor.
     """
 
-    __slots__ = ("level", "maps", "carrier", "modulus_bound", "quotient", "hom", "to_base")
+    __slots__ = ("level", "maps", "carrier", "quotient", "hom", "to_base")
 
     def __init__(
         self,
         level: int,
         maps: tuple[AddressMap, ...],
         carrier: ClopenSet,
-        modulus_bound: tuple[float, ...],
         quotient: QuotientSpec | None,
         hom: AddressMap | None,
         to_base: AddressMap,
@@ -158,7 +155,6 @@ class HierarchyLevel:
         self.level = level
         self.maps = maps
         self.carrier = carrier
-        self.modulus_bound = modulus_bound
         self.quotient = quotient
         self.hom = hom
         self.to_base = to_base
@@ -168,20 +164,17 @@ class HierarchyLevel:
         return code_distance(self.to_base(y1), self.to_base(y2))
 
 
-def base_system(sys: WeakContractionSystem) -> HierarchyLevel:
-    """The ground floor: the branch system in exact symbolic coordinates.
+def base_system() -> HierarchyLevel:
+    """The ground floor: the two inverse branches in exact symbolic
+    coordinates.
 
     Under the coding map the inverse branches act on addresses by
-    prepending one symbol, so the symbolic model is exact; the recorded
-    bounds are the branch moduli.
+    prepending one symbol, so the symbolic model is exact.
     """
-    if sys.branch_count != 2:
-        raise ValueError("the symbolic model covers two-branch systems")
     return HierarchyLevel(
         level=0,
         maps=(prepend_map("0"), prepend_map("1")),
         carrier=FULL_SPACE,
-        modulus_bound=tuple(sys.modulus_inf),
         quotient=None,
         hom=None,
         to_base=identity_map(),
@@ -192,21 +185,20 @@ def conjugate_system(maps: tuple[AddressMap, ...], hom: AddressMap) -> tuple[Add
     """Transport branch maps through a homeomorphism: q_j = h o p_j o h^-1.
 
     In the transported metric each conjugate contracts exactly as its
-    source does, so the modulus bounds carry over unchanged, and the
-    coverage identity transports along with it.
+    source does, so the ground's modulus bound holds on every floor, and
+    the coverage identity transports along with it.
     """
     inv = hom.inverse()
     return tuple(compose(inv, m, hom) for m in maps)
 
 
 def build_hierarchy(
-    real: WeakContractionSystem,
     levels: int,
     partition_n: int = 2,
     representatives: str = "distinct",
     explicit_representatives: tuple[tuple[Address, ...], ...] | None = None,
 ) -> list[HierarchyLevel]:
-    """Stack ``levels`` coarse grainings over the invariant set of ``real``.
+    """Stack ``levels`` coarse grainings over the ground code space.
 
     Each new floor partitions the previous carrier into ``partition_n``
     blocks, collapses everything onto the first block, and conjugates the
@@ -215,9 +207,10 @@ def build_hierarchy(
     ``merged_representatives`` (``merged``), or floor k's list from
     ``explicit_representatives`` (``explicit``).
 
-    Building a tower checks nothing and reads no modulus, so a tower
-    exists over every base system; only the verify command judges the base
-    system's contraction conditions, and floors are verified on demand:
+    Building a tower takes no base system, checks nothing and reads no
+    modulus, so a tower exists at every ``mu``; only the verify command
+    judges the base system's contraction conditions, and floors are
+    verified on demand:
     check_coverage decides each floor's coverage identity exactly, and
     check_isometry, check_conjugation and check_intertwining decide their
     map equalities exactly, over every point of a carrier.  The verify
@@ -231,7 +224,7 @@ def build_hierarchy(
             raise ValueError(f"the explicit policy needs representatives for each of {levels} levels")
     elif representatives not in ("distinct", "merged"):
         raise ValueError(f"unknown representative policy {representatives!r}")
-    tower = [base_system(real)]
+    tower = [base_system()]
     for k in range(1, levels + 1):
         prev = tower[-1]
         partition = build_partition(prev.carrier, partition_n)
@@ -247,7 +240,6 @@ def build_hierarchy(
                 level=k,
                 maps=conjugate_system(prev.maps, g),
                 carrier=map_clopen(g, prev.carrier),
-                modulus_bound=prev.modulus_bound,
                 quotient=QuotientSpec(partition, reps),
                 hom=g,
                 to_base=compose(g.inverse(), prev.to_base),

@@ -25,7 +25,6 @@ __all__ = [
     "IDENTITY_TOL",
     "IntervalCover",
     "PointEstimate",
-    "QuadraticParams",
     "StatementReport",
     "WeakContractionSystem",
     "cover_chain",
@@ -42,22 +41,9 @@ __all__ = [
 IDENTITY_TOL = 1e-12
 
 
-class QuadraticParams:
-    """Rate constant of the map mu*x*(1-x)."""
-
-    __slots__ = ("mu",)
-
-    def __init__(self, mu: float) -> None:
-        # the inverse branches are defined on all of [0, 1] only past the
-        # escape threshold
-        if not mu > 4:
-            raise ValueError("mu must exceed 4: branch domain does not cover [0, 1]")
-        self.mu = mu
-
-
-def logistic(p: QuadraticParams, x):
+def logistic(mu: float, x):
     """Evaluate mu*x*(1-x)."""
-    return p.mu * x * (1.0 - x)
+    return mu * x * (1.0 - x)
 
 
 class WeakContractionSystem:
@@ -85,21 +71,19 @@ class WeakContractionSystem:
         self.modulus_inf = modulus_inf
         self.fixed_points = fixed_points
 
-    @property
-    def branch_count(self) -> int:
-        return len(self.branches)
 
-
-def inverse_branches(p: QuadraticParams) -> WeakContractionSystem:
+def inverse_branches(mu: float) -> WeakContractionSystem:
     """The two inverse branches of the quadratic map as a contraction system.
 
     Solving mu*x*(1-x) = y gives x = (1 -+ sqrt(1 - 4y/mu))/2.  The low
     branch takes values in [0, 1/2] and the high branch in [1/2, 1], which
     fixes the symbolic coding orientation.  |f'| peaks at y = 1 with value
     1/sqrt(mu*(mu-4)), recorded as each branch's modulus; the fixed points
-    are 0 (low branch) and 1 - 1/mu (high branch).
+    are 0 (low branch) and 1 - 1/mu (high branch).  The branches are
+    defined on all of [0, 1] only past the escape threshold mu = 4.
     """
-    mu = p.mu
+    if not mu > 4:
+        raise ValueError("mu must exceed 4: branch domain does not cover [0, 1]")
 
     def low(y):
         return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * y / mu))
@@ -327,7 +311,7 @@ def cover_chain(sys: WeakContractionSystem, depth: int) -> list[IntervalCover]:
     return covers
 
 
-def forward_distance(p: QuadraticParams, finer: IntervalCover, cover: IntervalCover) -> float:
+def forward_distance(mu: float, finer: IntervalCover, cover: IntervalCover) -> float:
     """How far mu*x*(1-x) is from taking ``finer`` onto ``cover``.
 
     The depth-(n + 1) cover of the invariant set has one copy of the
@@ -346,7 +330,6 @@ def forward_distance(p: QuadraticParams, finer: IntervalCover, cover: IntervalCo
     """
     ends = finer.ends
     k = 2 * bisect_left(ends[::2], 0.5)  # endpoints of the intervals starting left of 1/2
-    mu = p.mu
     images = [mu * x * (1.0 - x) for x in ends]  # logistic's expression
     sides = (images[:k], images[k:][::-1])
     return max(hausdorff_distance(_trusted_cover(cover.depth, tuple(side)), cover) for side in sides)

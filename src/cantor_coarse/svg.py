@@ -45,9 +45,10 @@ def cantor_bars_svg(covers: list[IntervalCover]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def hierarchy_svg(level_names: list[str], moduli: list[float], branch_count: int) -> str:
+def hierarchy_svg(level_names: list[str], modulus: float) -> str:
     """Level nodes in a row, homeomorphism arrows between them, and a
-    self-map loop per level for the branch system."""
+    self-map loop per level for its two branches, which contract by
+    ``modulus`` on every level."""
     spacing, r, y = 220.0, 46.0, 130.0
     width = spacing * len(level_names) + 60.0
     lines = [
@@ -65,10 +66,10 @@ def hierarchy_svg(level_names: list[str], moduli: list[float], branch_count: int
             f"{_f(cx + 42)} {_f(y - r - 58)}, {_f(cx + 18)} {_f(y - r)}"
         )
         lines.append(f'<path class="selfmap-loop" d="{loop}" fill="none" stroke="#888888" stroke-width="1.5"/>')
-        branch_label = ",".join(f"f{j + 1}^{i}" if i else f"f{j + 1}" for j in range(branch_count))
+        branch_label = f"f1^{i},f2^{i}" if i else "f1,f2"
         lines.append(
             f'<text x="{_f(cx)}" y="{_f(y - r - 46)}" text-anchor="middle" font-size="14" '
-            f'fill="#555555">{branch_label} (alpha={moduli[i]:.6f})</text>'
+            f'fill="#555555">{branch_label} (alpha={modulus:.6f})</text>'
         )
         lines.append("</g>")
     for i in range(len(level_names) - 1):

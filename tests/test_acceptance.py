@@ -25,7 +25,6 @@ from cantor_coarse.coarse_graining import (
 )
 from cantor_coarse.dendrite import DendriteGraph, check_continuity_modulus, fiber_of
 from cantor_coarse.quadratic_system import (
-    QuadraticParams,
     cover_chain,
     forward_distance,
     inverse_branches,
@@ -34,8 +33,7 @@ from cantor_coarse.quadratic_system import (
 )
 from conftest import invoke
 
-MU5 = QuadraticParams(5.0)
-SYS5 = inverse_branches(MU5)
+MU5 = 5.0
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -50,7 +48,7 @@ def test_criterion_1_statement_conditions():
     ok &= rep5.not_singleton and rep5.fixed_point_residual <= 1e-12
     ok &= sorted(rep5.fixed_points) == [0.0, 0.8]
     ok &= abs(rep5.modulus_sum - 2.0 / math.sqrt(5.0)) <= 1e-9 and rep5.modulus_sum < 1.0
-    rep45 = verify_statement_conditions(inverse_branches(QuadraticParams(4.5)))
+    rep45 = verify_statement_conditions(inverse_branches(4.5))
     ok &= not rep45.modulus_sum_below_one
     ok &= abs(rep45.modulus_sum - 4.0 / 3.0) <= 1e-9
     elapsed = time.perf_counter() - start
@@ -115,7 +113,7 @@ def test_criterion_3_partition_laws():
 
 
 def test_criterion_4_quotient_isometry():
-    ground, floor = build_hierarchy(SYS5, 1)
+    ground, floor = build_hierarchy(1)
     rng = random.Random(0)
     ok = True
     for _ in range(1000):
@@ -128,7 +126,7 @@ def test_criterion_4_quotient_isometry():
 
 def test_criterion_5_conjugation_at_all_levels():
     start = time.perf_counter()
-    tower = build_hierarchy(SYS5, 3)
+    tower = build_hierarchy(3)
     bound = 1.0 / math.sqrt(5.0) + 1e-9
     ok = True
     worst_ratio = 0.0

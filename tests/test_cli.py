@@ -349,9 +349,9 @@ class TestCoverageRecords:
     def test_a_branch_missing_its_image_fails_every_floor(self, monkeypatch):
         real = coarse_graining.base_system
 
-        def broken(sys_):
+        def broken():
             # the second branch lands inside the first one's image
-            ground = real(sys_)
+            ground = real()
             ground.maps = (prepend_map("0"), compose(prepend_map("0"), prepend_map("1")))
             return ground
 
@@ -369,9 +369,7 @@ class TestCoverageRecords:
 def _shifted_branches(monkeypatch):
     """Branches built at mu + 1e-9, while the forward map stays at mu."""
     real = quadratic_system.inverse_branches
-    monkeypatch.setattr(
-        quadratic_system, "inverse_branches", lambda p: real(quadratic_system.QuadraticParams(p.mu + 1e-9))
-    )
+    monkeypatch.setattr(quadratic_system, "inverse_branches", lambda mu: real(mu + 1e-9))
 
 
 def _widened_cover(monkeypatch):
@@ -391,8 +389,8 @@ def _folded_low_branch(monkeypatch):
     step of the injectivity grid and inside the depth-1 cover's gap."""
     real = quadratic_system.inverse_branches
 
-    def folded(p):
-        sys_ = real(p)
+    def folded(mu):
+        sys_ = real(mu)
         low, high = sys_.branches
         sys_.branches = (lambda y: low(y) - 0.5 * max(0.0, 3e-4 - abs(y - 0.3)), high)
         return sys_
@@ -426,8 +424,8 @@ def _understated_modulus(monkeypatch):
     """Branches whose recorded modulus is 0.999 of the real sup|f'|."""
     real = quadratic_system.inverse_branches
 
-    def understated(p):
-        sys_ = real(p)
+    def understated(mu):
+        sys_ = real(mu)
         sys_.modulus_inf = tuple(0.999 * m for m in sys_.modulus_inf)
         return sys_
 
@@ -739,6 +737,14 @@ class TestDocumentsAtAnyMu:
             assert result.exit_code == 0, result.exception
             assert result.exception is None
             _assert_documents(Path(out), command, levels)
+            # every floor cites the ground branches' modulus
+            modulus = list(quadratic_system.inverse_branches(mu).modulus_inf)
+            if command == "hierarchy":
+                doc = json.loads((Path(out) / "hierarchy.json").read_text())
+                assert [entry["modulus_bound"] for entry in doc["levels"].values()] == [modulus] * (levels + 1)
+            else:
+                svg = (Path(out) / "hierarchy.svg").read_text()
+                assert svg.count(f"(alpha={max(modulus):.6f})</text>") == levels + 1
 
 
 class TestGroundRatio:
@@ -1062,6 +1068,11 @@ MALFORMED_CONFIGS = {
         "levels": 2,
         "explicit_representatives": [[REP], [{"prefix": "01", "tail": "0"}]],
     },
+    # another policy would ignore the lists, so giving them is an error
+    "distinct-with-explicit_representatives": {
+        "representatives": "distinct",
+        "explicit_representatives": [[{"prefix": "1", "tail": "0"}]],
+    },
     # the shape is checked under every policy, before the policy is read
     "explicit_representatives-5": {"explicit_representatives": 5},
     "explicit_representatives-['x']": {"explicit_representatives": ["x"]},
@@ -1152,6 +1163,10 @@ class TestMalformedConfig:
             ("tolerance-Infinity", "tolerance must be finite and positive, got inf"),
             ("explicit-level-1-outside-the-first-block", "level 1: representative 1(0)^inf lies outside the first block"),
             ("explicit-level-2-outside-the-first-block", "level 2: representative 01(0)^inf lies outside the first block"),
+            (
+                "distinct-with-explicit_representatives",
+                "explicit_representatives is given, but representatives is 'distinct', not 'explicit'",
+            ),
             ("explicit_representatives-5", "explicit_representatives must be a list of lists, got 5"),
             ("explicit_representatives-['x']", "explicit_representatives must be a list of lists, got ['x']"),
             (

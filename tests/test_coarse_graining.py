@@ -40,10 +40,10 @@ from cantor_coarse.coarse_graining import (
     merged_representatives,
     verify_self_similarity,
 )
-from cantor_coarse.quadratic_system import QuadraticParams, inverse_branches, verify_statement_conditions
+from cantor_coarse.quadratic_system import inverse_branches
 
-MU5 = QuadraticParams(5.0)
-SYS5 = inverse_branches(MU5)
+# the modulus of the mu=5 branches, which bounds every floor's ratio
+ALPHA5 = max(inverse_branches(5.0).modulus_inf)
 
 
 def floor_with(level: HierarchyLevel, *, maps=None, hom=None, to_base=None) -> HierarchyLevel:
@@ -52,7 +52,6 @@ def floor_with(level: HierarchyLevel, *, maps=None, hom=None, to_base=None) -> H
         level.level,
         level.maps if maps is None else tuple(maps),
         level.carrier,
-        level.modulus_bound,
         level.quotient,
         level.hom if hom is None else hom,
         level.to_base if to_base is None else to_base,
@@ -177,17 +176,17 @@ class TestFloorMetric:
     """HierarchyLevel.metric: the ground metric pulled back to a floor."""
 
     def test_zero_on_equal_points(self):
-        level = build_hierarchy(SYS5, 1)[1]
+        level = build_hierarchy(1)[1]
         y = Address("00", "0")
         assert level.metric(y, y) == 0
 
     def test_matches_code_distance_through_the_floor_map(self):
-        level = build_hierarchy(SYS5, 1)[1]
+        level = build_hierarchy(1)[1]
         x1, x2 = Address("001", "0"), Address("110", "1")
         assert level.metric(level.hom(x1), level.hom(x2)) == code_distance(x1, x2)
 
     def test_distance_between_representative_fibers(self):
-        level = build_hierarchy(SYS5, 1, 3)[1]
+        level = build_hierarchy(1, 3)[1]
         q2, q3 = level.quotient.representatives
         assert {f.label for f in level.quotient.multi_fibers} == {q2, q3}
         # independent evaluation through the embedding of the ground points
@@ -197,13 +196,13 @@ class TestFloorMetric:
         assert level.metric(q2, q3) == expected
 
     def test_point_outside_the_carrier_rejected(self):
-        level = build_hierarchy(SYS5, 1)[1]
+        level = build_hierarchy(1)[1]
         with pytest.raises(OutsideDomainError):
             level.metric(Address("1", "0"), Address("0", "0"))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_floor_map_preserves_the_metric_on_random_pairs(self, k):
-        tower = build_hierarchy(SYS5, 3)
+        tower = build_hierarchy(3)
         level, prev = tower[k], tower[k - 1]
         rng = random.Random(k)
         for _ in range(300):
@@ -214,7 +213,7 @@ class TestFloorMetric:
 
 class TestConjugateSystem:
     def test_identity_hom_keeps_the_maps(self):
-        ground = base_system(inverse_branches(MU5))
+        ground = base_system()
         conj = conjugate_system(ground.maps, identity_map())
         rng = random.Random(2)
         for _ in range(50):
@@ -223,7 +222,7 @@ class TestConjugateSystem:
                 assert p(x) == q(x)
 
     def test_composition_order(self):
-        ground = base_system(inverse_branches(MU5))
+        ground = base_system()
         hom = recode_homeomorphism(ClopenSet(["0"]))
         conj = conjugate_system(ground.maps, hom)
         inv = hom.inverse()
@@ -235,24 +234,22 @@ class TestConjugateSystem:
             for p, q in zip(ground.maps, conj):
                 assert q(y) == hom(p(inv(y)))
 
-    def test_floors_carry_the_transported_carrier_and_bounds(self):
-        tower = build_hierarchy(SYS5, 3, 3)
+    def test_floors_carry_the_transported_carrier(self):
+        tower = build_hierarchy(3, 3)
         for prev, level in zip(tower, tower[1:]):
             assert level.carrier == map_clopen(level.hom, prev.carrier)
-            assert level.modulus_bound == prev.modulus_bound == tuple(SYS5.modulus_inf)
 
     def test_points_outside_the_target_are_rejected(self):
-        ground = base_system(inverse_branches(MU5))
+        ground = base_system()
         hom = recode_homeomorphism(ClopenSet(["0"]))
         conj = conjugate_system(ground.maps, hom)
         with pytest.raises(OutsideDomainError):
             conj[0](Address("1", "0"))  # not in the transported carrier
 
     def test_contraction_ratio_in_transported_metric(self):
-        tower = build_hierarchy(SYS5, 1)
+        tower = build_hierarchy(1)
         level = tower[1]
         rng = random.Random(4)
-        alpha = level.modulus_bound[0]
         for _ in range(500):
             y1 = random_address(rng, 20, level.carrier)
             y2 = random_address(rng, 20, level.carrier)
@@ -262,38 +259,28 @@ class TestConjugateSystem:
             for branch in level.maps:
                 ratio = level.metric(branch(y1), branch(y2)) / dy
                 assert ratio == Fraction(1, 3)  # exact for the symbolic branches
-                assert float(ratio) <= alpha + 1e-9
+                assert float(ratio) <= ALPHA5 + 1e-9
 
 
 class TestHierarchy:
     def test_level_zero_only(self):
-        tower = build_hierarchy(SYS5, 0)
+        tower = build_hierarchy(0)
         assert len(tower) == 1
         assert tower[0].carrier == FULL_SPACE
         assert tower[0].quotient is None
 
     def test_three_levels(self):
-        tower = build_hierarchy(SYS5, 3)
+        tower = build_hierarchy(3)
         assert [lv.level for lv in tower] == [0, 1, 2, 3]
         assert [lv.carrier.words for lv in tower] == [("",), ("0",), ("00",), ("000",)]
 
-    def test_builds_over_a_system_failing_the_contraction_conditions(self):
-        # the commands gate the base system; the construction checks nothing
-        sys45 = inverse_branches(QuadraticParams(4.5))
-        assert not verify_statement_conditions(sys45).modulus_sum_below_one
-        tower = build_hierarchy(sys45, 2)
-        assert [lv.carrier.words for lv in tower] == [("",), ("0",), ("00",)]
-        for prev, level in zip(tower, tower[1:]):
-            assert check_isometry(level, prev)
-            assert check_conjugation(level, prev)
-
     def test_conjugation_identity_at_every_level(self):
-        tower = build_hierarchy(SYS5, 3)
+        tower = build_hierarchy(3)
         for k in range(1, 4):
             assert check_conjugation(tower[k], tower[k - 1])
 
     def test_conjugation_detects_a_swapped_branch(self):
-        tower = build_hierarchy(SYS5, 2)
+        tower = build_hierarchy(2)
         for k in (1, 2):
             level = tower[k]
             maps = level.maps
@@ -302,27 +289,27 @@ class TestHierarchy:
             assert not check_conjugation(broken, tower[k - 1]), k
 
     def test_floor_map_lands_on_first_block_labels(self):
-        level = build_hierarchy(SYS5, 1)[1]
+        level = build_hierarchy(1)[1]
         x = Address("10", "1")
         assert level.quotient.partition.blocks[0].contains(level.hom(x))
 
     def test_base_level_has_no_quotient(self):
-        ground = build_hierarchy(SYS5, 1)[0]
+        ground = build_hierarchy(1)[0]
         assert ground.quotient is None and ground.hom is None
 
     def test_three_block_policy(self):
-        tower = build_hierarchy(SYS5, 2, 3)
+        tower = build_hierarchy(2, 3)
         for level in tower[1:]:
             assert level.quotient.partition.size == 3
             assert len(level.quotient.multi_fibers) == 2
 
     def test_merged_policy(self):
-        tower = build_hierarchy(SYS5, 1, 3, "merged")
+        tower = build_hierarchy(1, 3, "merged")
         assert len(tower[1].quotient.multi_fibers) == 1
 
     def test_explicit_policy(self):
         reps = ((Address("000", "0"),),)
-        tower = build_hierarchy(SYS5, 1, representatives="explicit", explicit_representatives=reps)
+        tower = build_hierarchy(1, representatives="explicit", explicit_representatives=reps)
         assert tower[1].quotient.representatives == reps[0]
 
     @pytest.mark.parametrize(
@@ -342,29 +329,29 @@ class TestHierarchy:
     def test_bad_input_is_a_value_error(self, levels, knobs):
         # an IndexError or a TypeError would escape pytest.raises
         with pytest.raises(ValueError):
-            build_hierarchy(SYS5, levels, **knobs)
+            build_hierarchy(levels, **knobs)
 
     @pytest.mark.parametrize("policy", ["distinct", "merged"])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_floor_maps_are_isometries(self, n, policy):
-        tower = build_hierarchy(SYS5, 3, n, policy)
+        tower = build_hierarchy(3, n, policy)
         for prev, level in zip(tower, tower[1:]):
             assert check_isometry(level, prev)
 
     def test_isometry_detects_a_wrong_pull_back(self):
-        tower = build_hierarchy(SYS5, 2)
+        tower = build_hierarchy(2)
         assert check_isometry(tower[2], tower[1])
         # floor 2 pulled back by floor 1's map measures a third of the distance
         broken = floor_with(tower[2], to_base=tower[1].to_base)
         assert not check_isometry(broken, tower[1])
 
     def test_isometry_needs_a_floor_map(self):
-        tower = build_hierarchy(SYS5, 1)
+        tower = build_hierarchy(1)
         with pytest.raises(ValueError, match="no floor map"):
             check_isometry(tower[0], tower[0])
 
     def test_fibers_partition_the_carrier(self):
-        tower = build_hierarchy(SYS5, 1)
+        tower = build_hierarchy(1)
         level = tower[1]
         spec = level.quotient
         # every depth-5 endpoint of the carrier belongs to exactly one
@@ -441,7 +428,7 @@ class TestExactFloorChecks:
     @pytest.mark.parametrize("knobs", EXACT_TOWERS)
     def test_exact_checks_hold_with_the_pointwise_identities(self, knobs):
         levels = 2 if knobs["representatives"] == "explicit" else 8
-        tower = build_hierarchy(SYS5, levels, **knobs)
+        tower = build_hierarchy(levels, **knobs)
         for prev, level in zip(tower, tower[1:]):
             assert check_isometry(level, prev), level.level
             assert check_conjugation(level, prev), level.level
@@ -453,7 +440,7 @@ class TestExactFloorChecks:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_isometry_fails_a_pull_back_wrong_only_deep_down(self, k):
-        tower = build_hierarchy(SYS5, 3)
+        tower = build_hierarchy(3)
         level, prev = tower[k], tower[k - 1]
         broken = floor_with(level, to_base=compose(level.to_base, deep_swap(DEEP)))
         # the fault lies beyond every sampled point
@@ -465,7 +452,7 @@ class TestExactFloorChecks:
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_conjugation_fails_a_branch_wrong_only_deep_down(self, k, j):
-        tower = build_hierarchy(SYS5, 3)
+        tower = build_hierarchy(3)
         level, prev = tower[k], tower[k - 1]
         maps = list(level.maps)
         # this floor's branch j maps its carrier [0^k] onto [0^k j]
@@ -478,7 +465,7 @@ class TestExactFloorChecks:
         assert not check_conjugation(broken, prev)
 
     def test_a_floor_map_undefined_on_part_of_the_carrier_fails(self):
-        tower = build_hierarchy(SYS5, 2)
+        tower = build_hierarchy(2)
         # floor 2's recoding of [0] onto [00], defined on [00] only
         partial = floor_with(tower[2], hom=PrefixRewrite((("00", "000"),)))
         with pytest.raises(OutsideDomainError):
@@ -507,7 +494,7 @@ class TestIntertwining:
     @pytest.mark.parametrize("knobs", EXACT_TOWERS)
     def test_holds_on_every_floor_with_the_pointwise_identity(self, knobs):
         levels = 2 if knobs["representatives"] == "explicit" else 8
-        tower = build_hierarchy(SYS5, levels, **knobs)
+        tower = build_hierarchy(levels, **knobs)
         ground = tower[0]
         for level in tower:
             assert check_intertwining(level, ground), level.level
@@ -524,19 +511,19 @@ class TestIntertwining:
     @pytest.mark.parametrize("part", ["branch", "to_base"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fails_a_floor_wrong_only_deep_down(self, k, part):
-        tower = build_hierarchy(SYS5, 3)
+        tower = build_hierarchy(3)
         broken = deep_broken(tower[k], part)
         # the fault lies beyond every sampled point: the pointwise identity
         # holds there, and the floor's sampled ratios still pass
         for y in sampled_points(broken, 1000):
             for p, q in zip(tower[0].maps, broken.maps):
                 assert broken.to_base(q(y)) == p(broken.to_base(y))
-        assert max(verify_self_similarity(broken, samples=300).max_ratio) <= max(broken.modulus_bound) + RATIO_SLACK
+        assert max(verify_self_similarity(broken, samples=300).max_ratio) <= ALPHA5 + RATIO_SLACK
         assert check_intertwining(tower[k], tower[0])
         assert not check_intertwining(broken, tower[0])
 
     def test_fails_another_branch_count(self):
-        tower = build_hierarchy(SYS5, 1)
+        tower = build_hierarchy(1)
         level = tower[1]
         three = floor_with(level, maps=level.maps + level.maps[:1])
         assert not check_intertwining(three, tower[0])
@@ -560,7 +547,6 @@ def broken_level() -> HierarchyLevel:
         level=0,
         maps=(prepend_map("0"), compose(prepend_map("0"), prepend_map("1"))),
         carrier=FULL_SPACE,
-        modulus_bound=(0.45, 0.45),
         quotient=None,
         hom=None,
         to_base=identity_map(),
@@ -569,7 +555,7 @@ def broken_level() -> HierarchyLevel:
 
 class TestSelfSimilarity:
     def test_reports_pass_on_all_levels(self):
-        tower = build_hierarchy(SYS5, 3)
+        tower = build_hierarchy(3)
         for level in tower:
             report = verify_self_similarity(level, samples=150, seed=0)
             assert report.coverage_exact
@@ -588,10 +574,10 @@ class TestSelfSimilarity:
         if policy == "explicit":
             # carriers do not depend on the representatives, so a distinct
             # tower shows every floor's first block; list them reversed
-            shape = build_hierarchy(SYS5, 4, n)
+            shape = build_hierarchy(4, n)
             explicit = tuple(tuple(reversed(lv.quotient.representatives)) for lv in shape[1:])
         for levels in range(5):
-            for level in build_hierarchy(SYS5, levels, n, policy, explicit):
+            for level in build_hierarchy(levels, n, policy, explicit):
                 # the floor itself, and the floor with its first branch twice,
                 # whose images miss the second branch's share of the carrier
                 first_twice = floor_with(level, maps=(level.maps[0],) * 2)
@@ -601,7 +587,7 @@ class TestSelfSimilarity:
                         assert verdict == refined_coverage(floor, extra), (levels, level.level, extra)
 
     def test_union_of_branch_images_is_the_carrier(self):
-        tower = build_hierarchy(SYS5, 2)
+        tower = build_hierarchy(2)
         for level in tower:
             images = [map_clopen(m, level.carrier) for m in level.maps]
             from cantor_coarse.code_space import clopen_union

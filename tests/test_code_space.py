@@ -35,7 +35,6 @@ from cantor_coarse.code_space import (
     recode_between,
     recode_homeomorphism,
 )
-from cantor_coarse.quadratic_system import QuadraticParams, inverse_branches
 
 addresses = st.builds(
     Address,
@@ -629,14 +628,13 @@ class TestFlatComposites:
     @pytest.mark.parametrize("n", [2, 3, 5, 64])
     @pytest.mark.parametrize("policy", ["distinct", "merged", "explicit"])
     def test_tower_maps_match_their_stages(self, n, policy):
-        real = inverse_branches(QuadraticParams(5.0))
         explicit = None
         if policy == "explicit":
             # carriers do not depend on the representatives, so a distinct
             # tower shows every floor's first block; list them reversed
-            shape = build_hierarchy(real, 8, n)
+            shape = build_hierarchy(8, n)
             explicit = tuple(tuple(reversed(lv.quotient.representatives)) for lv in shape[1:])
-        tower = build_hierarchy(real, 8, n, policy, explicit)
+        tower = build_hierarchy(8, n, policy, explicit)
         rng = random.Random(n)
         for prev, level in zip(tower, tower[1:]):
             points = [random_address(rng, 20) for _ in range(15)]

@@ -34,7 +34,7 @@ PUBLIC = set(
     DendriteFiber DendriteGraph DendritePoint binary_expansion
     check_continuity_modulus check_surjectivity check_tour_conservation
     dendrite_map fiber_of
-    IntervalCover PointEstimate QuadraticParams StatementReport
+    IntervalCover PointEstimate StatementReport
     WeakContractionSystem hausdorff_distance invariant_cover
     inverse_branches itinerary_point logistic
     verify_statement_conditions
@@ -51,7 +51,7 @@ LOADED = {
     "dendrite": CORE | {"cantor_coarse.code_space", "cantor_coarse.dendrite"},
     "hierarchy": ALL_MODULES - {"cantor_coarse.dendrite", "cantor_coarse.svg"},
     "verify": ALL_MODULES - {"cantor_coarse.svg"},
-    "render": ALL_MODULES,
+    "render": ALL_MODULES - {"cantor_coarse.coarse_graining", "cantor_coarse.clopen_partition"},
 }
 
 

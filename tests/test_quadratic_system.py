@@ -17,7 +17,6 @@ from cantor_coarse.cli import RunConfig, _statement_checks, run_campaign
 from cantor_coarse.code_space import Address
 from cantor_coarse.quadratic_system import (
     IntervalCover,
-    QuadraticParams,
     WeakContractionSystem,
     _branch_images,
     _directed_hausdorff,
@@ -32,7 +31,7 @@ from cantor_coarse.quadratic_system import (
     verify_statement_conditions,
 )
 
-MU5 = QuadraticParams(5.0)
+MU5 = 5.0
 
 
 def toy_system(b1, b2, fixed, moduli):
@@ -53,16 +52,16 @@ class TestLogistic:
         assert logistic(MU5, x) == pytest.approx(x, abs=1e-15)
 
     def test_peak_escapes_for_mu_above_four(self):
-        assert logistic(QuadraticParams(4.5), 0.5) == pytest.approx(1.125)
-
-    def test_mu_validation(self):
-        with pytest.raises(ValueError, match="mu must exceed 4"):
-            QuadraticParams(3.9)
-        with pytest.raises(ValueError, match="mu must exceed 4"):
-            QuadraticParams(4.0)
+        assert logistic(4.5, 0.5) == pytest.approx(1.125)
 
 
 class TestInverseBranches:
+    def test_mu_validation(self):
+        with pytest.raises(ValueError, match="mu must exceed 4"):
+            inverse_branches(3.9)
+        with pytest.raises(ValueError, match="mu must exceed 4"):
+            inverse_branches(4.0)
+
     def test_endpoint_values(self):
         sys5 = inverse_branches(MU5)
         assert sys5.branches[0](0.0) == 0.0
@@ -117,7 +116,7 @@ class TestStatementConditions:
         assert abs(report.modulus_sum - 2.0 / math.sqrt(5.0)) < 1e-9
 
     def test_mu_four_and_a_half_fails_the_modulus_sum(self):
-        report = verify_statement_conditions(inverse_branches(QuadraticParams(4.5)))
+        report = verify_statement_conditions(inverse_branches(4.5))
         assert (report.injective, report.not_singleton, report.modulus_sum_below_one) == (True, True, False)
         assert report.modulus_sum == pytest.approx(4.0 / 3.0, abs=1e-12)
 
@@ -125,10 +124,10 @@ class TestStatementConditions:
         # 2/sqrt(mu*(mu-4)) = 1 exactly at mu = 2 + 2*sqrt(2)
         thr = 2.0 + 2.0 * math.sqrt(2.0)
         assert verify_statement_conditions(
-            inverse_branches(QuadraticParams(thr + 1e-4))
+            inverse_branches(thr + 1e-4)
         ).modulus_sum_below_one
         assert not verify_statement_conditions(
-            inverse_branches(QuadraticParams(thr - 1e-4))
+            inverse_branches(thr - 1e-4)
         ).modulus_sum_below_one
 
     def test_shared_fixed_point_fails_not_singleton(self):
@@ -259,7 +258,7 @@ class TestInvariantCover:
     def test_built_covers_equal_validated_ones(self, mu):
         # invariant_cover and refine_cover skip IntervalCover's validation of
         # the branch images; they must store what a validated cover would
-        sys_ = inverse_branches(QuadraticParams(mu))
+        sys_ = inverse_branches(mu)
         reference = IntervalCover(0, ((0.0, 1.0),))
         for n in range(13):
             built = invariant_cover(sys_, n)
@@ -320,7 +319,7 @@ class TestInvariantCover:
 def _resolved_chain(mu: float, top: int = 14):
     """The chain of covers of mu to depth ``top``, or to the deepest depth
     whose branch images double precision still separates."""
-    sys_ = inverse_branches(QuadraticParams(mu))
+    sys_ = inverse_branches(mu)
     covers = [invariant_cover(sys_, 0)]
     while len(covers) <= top:
         try:
@@ -337,18 +336,16 @@ class TestForwardIdentity:
     def test_holds_along_the_resolved_chain(self, mu):
         covers = _resolved_chain(mu)
         assert len(covers) >= 6
-        p = QuadraticParams(mu)
         for cover, finer in zip(covers, covers[1:]):
-            assert 0.0 <= forward_distance(p, finer, cover) <= 1e-13, (mu, cover.depth)
+            assert 0.0 <= forward_distance(mu, finer, cover) <= 1e-13, (mu, cover.depth)
 
     @pytest.mark.parametrize("mu", [5.0, 12.0])
     def test_branches_of_a_nearby_mu_fail_at_every_depth(self, mu):
         # the images of branches built at mu + 1e-9 miss by about 2e-10
-        sys_ = inverse_branches(QuadraticParams(mu + 1e-9))
+        sys_ = inverse_branches(mu + 1e-9)
         covers = cover_chain(sys_, 13)
-        p = QuadraticParams(mu)
         for cover, finer in zip(covers, covers[1:]):
-            assert forward_distance(p, finer, cover) > 1e-11, (mu, cover.depth)
+            assert forward_distance(mu, finer, cover) > 1e-11, (mu, cover.depth)
 
     @pytest.mark.parametrize("side", [0, -1])
     def test_each_side_is_measured(self, side):
@@ -598,7 +595,7 @@ class TestWeakContractionSystemValidation:
         # just above 4 the branch slope at y=1 exceeds 1
         alpha = 1.0 / math.sqrt(mu * (mu - 4.0))
         assert alpha > 1.0
-        assert inverse_branches(QuadraticParams(mu)).modulus_inf == (alpha, alpha)
+        assert inverse_branches(mu).modulus_inf == (alpha, alpha)
         report = run_campaign(RunConfig(mu=mu))
         failing = [c for c in report["checks"] if not c["passed"]]
         assert [(c["id"], c["measured"]) for c in failing] == [("statement.iii.modulus_sum", 2 * alpha)]
@@ -650,10 +647,10 @@ def oracle_hausdorff(A, B):
     return max(_directed_hausdorff(A, B), _directed_hausdorff(B, A))
 
 
-def oracle_forward_distance(p, finer, cover):
+def oracle_forward_distance(mu, finer, cover):
     k = bisect_left(finer, (0.5,))  # the intervals that start left of 1/2
-    low = [(logistic(p, lo), logistic(p, hi)) for lo, hi in finer[:k]]
-    high = [(logistic(p, hi), logistic(p, lo)) for lo, hi in reversed(finer[k:])]
+    low = [(logistic(mu, lo), logistic(mu, hi)) for lo, hi in finer[:k]]
+    high = [(logistic(mu, hi), logistic(mu, lo)) for lo, hi in reversed(finer[k:])]
     return max(oracle_hausdorff(side, cover) for side in (low, high))
 
 
@@ -680,8 +677,7 @@ class TestFlatCoversAgainstPairOracles:
     @example(1000.0, 14)
     def test_chain_matches_bit_for_bit(self, mu, depth):
         # refines the covers of depths 0..depth, each one step
-        p = QuadraticParams(mu)
-        sys_ = inverse_branches(p)
+        sys_ = inverse_branches(mu)
         cover, pairs = invariant_cover(sys_, 0), ((0.0, 1.0),)
         for n in range(depth + 1):
             try:
@@ -695,7 +691,7 @@ class TestFlatCoversAgainstPairOracles:
             finer = refine_cover(sys_, cover)
             assert bits(finer.ends) == bits(chain.from_iterable(want)), (mu, n + 1)
             assert finer.intervals == tuple(want)
-            assert bits([forward_distance(p, finer, cover)]) == bits([oracle_forward_distance(p, want, pairs)])
+            assert bits([forward_distance(mu, finer, cover)]) == bits([oracle_forward_distance(mu, want, pairs)])
             assert bits([hausdorff_distance(finer, cover)]) == bits([oracle_hausdorff(want, pairs)])
             assert finer.subset_of(cover) is oracle_subset_of(want, pairs) is True
             assert cover.subset_of(finer) is oracle_subset_of(pairs, want)
@@ -703,7 +699,7 @@ class TestFlatCoversAgainstPairOracles:
 
     @pytest.mark.parametrize(("mu", "depth"), [(95.75, 8), (431.0, 6)])
     def test_refining_the_deepest_resolved_cover_raises(self, mu, depth):
-        sys_ = inverse_branches(QuadraticParams(mu))
+        sys_ = inverse_branches(mu)
         covers = cover_chain(sys_, depth)
         with pytest.raises(ValueError, match="^open set condition violated$"):
             oracle_branch_images(sys_, covers[-1].intervals)
@@ -713,14 +709,14 @@ class TestFlatCoversAgainstPairOracles:
     @pytest.mark.parametrize("mu", [4.0001, 4.5, 5.0, 7.3, 10.0])
     def test_small_mu_takes_the_fast_path_to_depth_15(self, monkeypatch, mu):
         calls = _count_pair_sorts(monkeypatch)
-        assert len(cover_chain(inverse_branches(QuadraticParams(mu)), 15)[-1]) == 2**15
+        assert len(cover_chain(inverse_branches(mu), 15)[-1]) == 2**15
         assert not calls
 
     @pytest.mark.parametrize("mu", [95.0, 500.0])
     def test_large_mu_takes_the_pair_sort(self, monkeypatch, mu):
         calls = _count_pair_sorts(monkeypatch)
         with pytest.raises(ValueError, match="open set condition"):
-            cover_chain(inverse_branches(QuadraticParams(mu)), 15)
+            cover_chain(inverse_branches(mu), 15)
         assert calls
 
     @pytest.mark.parametrize(
