@@ -50,49 +50,35 @@ def _capped(depth: int, cap: int, name: str) -> int:
     return min(depth, cap)
 
 
-# RunConfig's fields, in the order the reports' ``config`` lists them
-_CONFIG_KEYS = (
-    "mu",
-    "depth",
-    "partition_n",
-    "levels",
-    "dendrite_depth",
-    "representatives",
-    "explicit_representatives",
-    "tolerance",
-    "seed",
-    "out",
-)
+def _cover_chain(sys_: WeakContractionSystem, depth: int) -> list[IntervalCover]:
+    """``cover_chain(sys_, depth)``, logged at INFO like ``_capped`` when
+    double precision ends it short of ``depth``."""
+    from .quadratic_system import cover_chain
+
+    covers = cover_chain(sys_, depth)
+    if len(covers) <= depth:
+        log.info("double precision caps cover depth %d to %d", depth, len(covers) - 1)
+    return covers
+
+
+# RunConfig's fields and their defaults, in the order the reports' ``config`` lists them
+_DEFAULTS = {
+    "mu": 5.0, "depth": 12, "partition_n": 2, "levels": 2, "dendrite_depth": 4, "representatives": "distinct",
+    "explicit_representatives": None, "tolerance": 1e-12, "seed": 0, "out": ".",
+}
 
 
 class RunConfig:
-    """One verification campaign's worth of knobs."""
+    """One verification campaign's worth of knobs: the fields of
+    ``_DEFAULTS``, each given by keyword or taking its default."""
 
-    __slots__ = _CONFIG_KEYS
+    __slots__ = tuple(_DEFAULTS)
 
-    def __init__(
-        self,
-        mu: float = 5.0,
-        depth: int = 12,
-        partition_n: int = 2,
-        levels: int = 2,
-        dendrite_depth: int = 4,
-        representatives: str = "distinct",
-        explicit_representatives: tuple[tuple[Address, ...], ...] | None = None,
-        tolerance: float = 1e-12,
-        seed: int = 0,
-        out: str = ".",
-    ) -> None:
-        self.mu = mu
-        self.depth = depth
-        self.partition_n = partition_n
-        self.levels = levels
-        self.dendrite_depth = dendrite_depth
-        self.representatives = representatives
-        self.explicit_representatives = explicit_representatives
-        self.tolerance = tolerance
-        self.seed = seed
-        self.out = out
+    def __init__(self, **fields) -> None:
+        for key, default in _DEFAULTS.items():
+            setattr(self, key, fields.pop(key, default))
+        if fields:
+            raise TypeError(f"RunConfig got unexpected keyword arguments {sorted(fields)}")
 
     def validate(self) -> None:
         # a JSON true, string or null would reach the bound tests below
@@ -155,7 +141,7 @@ class RunConfig:
                         raise ValueError(f"level {k}: representative {q} lies outside the first block")
 
     def as_json(self) -> dict:
-        data = {key: getattr(self, key) for key in _CONFIG_KEYS}
+        data = {key: getattr(self, key) for key in _DEFAULTS}
         if self.explicit_representatives is not None:
             data["explicit_representatives"] = [
                 [{"prefix": a.prefix, "tail": a.tail} for a in level]
@@ -189,7 +175,7 @@ def load_config(config_path: str | None, **overrides) -> RunConfig:
         data = json.loads(Path(config_path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("the config file must hold a JSON object")
-        unknown = set(data).difference(_CONFIG_KEYS)
+        unknown = set(data).difference(_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if data.get("explicit_representatives") is not None:
@@ -234,13 +220,14 @@ def _coverage_checks(
     """The forward-map identity and nesting records along one cover chain
     of ``sys_``, and for each n = 0..min(depth, MAX_ENUMERATED_DEPTH), by
     n, the depth-n cover and the identity's distance there.  The forward
-    map is the quadratic map at ``cfg.mu``."""
-    from .quadratic_system import cover_chain, forward_distance
+    map is the quadratic map at ``cfg.mu``.  The chain may stop short at
+    the deepest cover double precision separates, and then so do both."""
+    from .quadratic_system import forward_distance
 
     records = []
     distances = []
     top = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
-    covers = cover_chain(sys_, top + 1)
+    covers = _cover_chain(sys_, top + 1)
     for n, (cover, finer) in enumerate(zip(covers, covers[1:])):
         dist = forward_distance(cfg.mu, finer, cover)
         nested = finer.subset_of(cover)
@@ -304,11 +291,11 @@ def _hierarchy_checks(
     ``covers`` and ``identity_distances`` are the coverage leg's covers and
     forward-map identity distances by n.  Every floor realizes to the same
     covers, so each floor's coverage record reads the distance at the
-    verification depth.  The contraction ratio is read once, on the ground
-    floor, from one cover's endpoints in the real metric.  Each higher
-    floor's ratio record cites it, and passes when the ground's does and
-    the floor intertwines with the ground, which gives the floor the
-    ground's ratio at every pair.
+    verification depth, or the chain's deepest.  The contraction ratio is
+    read once, on the ground floor, from one cover's endpoints in the real
+    metric.  Each higher floor's ratio record cites it, and passes when the
+    ground's does and the floor intertwines with the ground, which gives
+    the floor the ground's ratio at every pair.
 
     When the tower cannot be built, each floor gets one failing
     ``quotient.nontrivial`` record that measures nothing.
@@ -328,9 +315,9 @@ def _hierarchy_checks(
         log.info("quotient.nontrivial: build_hierarchy raised", exc_info=True)
         return [_check("quotient.nontrivial", f"k={k}", None, ">=1", False) for k in range(1, cfg.levels + 1)]
     records = []
-    verify_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
-    # the coverage leg measured n = 0..min(depth, MAX_ENUMERATED_DEPTH), which
-    # reaches verify_depth only while MAX_DOCUMENT_DEPTH <= MAX_ENUMERATED_DEPTH
+    # the coverage leg measured n = 0..min(depth, MAX_ENUMERATED_DEPTH), or up
+    # to where its chain stopped; MAX_DOCUMENT_DEPTH <= MAX_ENUMERATED_DEPTH
+    verify_depth = min(_capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH"), len(identity_distances) - 1)
     hausdorff = identity_distances[verify_depth]
     for level in tower[1:]:
         multi = level.quotient.multi_fibers
@@ -464,19 +451,18 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     every floor's ratio.
     """
     from .coarse_graining import build_hierarchy, verify_self_similarity
-    from .quadratic_system import cover_chain, forward_distance, inverse_branches
+    from .quadratic_system import forward_distance, inverse_branches
 
     sys_ = inverse_branches(cfg.mu)
     modulus = list(sys_.modulus_inf)
     tower = build_hierarchy(cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
     doc_depth = _capped(cfg.depth, MAX_DOCUMENT_DEPTH, "MAX_DOCUMENT_DEPTH")
-    cover_depth = _capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH")
-    # MAX_COVER_DEPTH <= MAX_DOCUMENT_DEPTH, so the chain reaches cover_depth
-    covers = cover_chain(sys_, doc_depth + 1)
-    cover = covers[cover_depth]
+    covers = _cover_chain(sys_, doc_depth + 1)
+    # MAX_COVER_DEPTH <= MAX_DOCUMENT_DEPTH, so only the chain's end clips it
+    cover = covers[min(_capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH"), len(covers) - 1)]
     # the realized point set is the same at every floor: labels pull back to
     # ground addresses, and those realize to these covers
-    hausdorff = forward_distance(cfg.mu, covers[doc_depth + 1], covers[doc_depth])
+    hausdorff = forward_distance(cfg.mu, covers[-1], covers[-2])
     levels: dict[str, dict] = {}
     for level in tower:
         base_len = max((len(w) for w in level.carrier.words), default=0)
@@ -484,7 +470,7 @@ def hierarchy_document(cfg: RunConfig) -> dict:
         entry: dict = {
             "carrier": list(level.carrier.words),
             "cylinders": list(level.carrier.refine(base_len + doc_depth)),
-            "interval_cover": {"depth": cover_depth, "intervals": [list(iv) for iv in cover.intervals]},
+            "interval_cover": {"depth": cover.depth, "intervals": [list(iv) for iv in cover.intervals]},
             "modulus_bound": modulus,
             "coverage_exact": rep.coverage_exact,
             "coverage_hausdorff": hausdorff,
@@ -599,13 +585,13 @@ def _fiber_counts(tree: DendriteGraph, depth: int) -> dict[int, int]:
 def render(cfg: RunConfig) -> None:
     """Write the Cantor-bar, hierarchy and dendrite SVG renderings."""
     from .dendrite import DendriteGraph
-    from .quadratic_system import cover_chain, inverse_branches
+    from .quadratic_system import inverse_branches
     from .svg import cantor_bars_svg, dendrite_svg, hierarchy_svg
 
     sys_ = inverse_branches(cfg.mu)
     bar_depth = _capped(cfg.depth, MAX_ENUMERATED_DEPTH, "MAX_ENUMERATED_DEPTH")
     out_dir = Path(cfg.out)
-    _write_text(out_dir / "cantor_bars.svg", cantor_bars_svg(cover_chain(sys_, bar_depth)))
+    _write_text(out_dir / "cantor_bars.svg", cantor_bars_svg(_cover_chain(sys_, bar_depth)))
 
     # the tower is symbolic: every floor has the ground's branches and modulus
     names = [_floor_name(k) for k in range(cfg.levels + 1)]

@@ -27,7 +27,10 @@ kernels run on those integers:
 The public point API (``tour_point``, ``tour_parameters``, ``point``,
 ``distance``, ``dendrite_map``, ``edge_length``, ``root_distance``,
 ``tour_length``) still returns exact ``Fraction``s, so dyadic tour times
-invert exactly; each one is formed from the tick tables.
+invert exactly, and it answers from the tick tables: a point's offset is
+checked against its edge by one integer test, and ``distance`` is
+``_tick_distance`` at the offsets' common denominator, so the continuity
+and fiber soundness records trust one geodesic.
 """
 
 from __future__ import annotations
@@ -125,10 +128,14 @@ class DendriteGraph:
             return ()
         return (2 * v, 2 * v + 1)
 
-    def edge_length(self, child: int) -> Fraction:
+    def _edge(self, child: int) -> int:
+        """The length of the edge into ``child``, in ticks."""
         if not 2 <= child <= self.vertex_count:
             raise ValueError(f"vertex {child} carries no edge")
-        return Fraction(self._edge_ticks[child], 3**self.depth)
+        return self._edge_ticks[child]
+
+    def edge_length(self, child: int) -> Fraction:
+        return Fraction(self._edge(child), 3**self.depth)
 
     def root_distance(self, v: int) -> Fraction:
         if not 1 <= v <= self.vertex_count:
@@ -144,8 +151,7 @@ class DendriteGraph:
             if off != 0:
                 raise ValueError("the root carries no edge")
             return _ROOT
-        length = self.edge_length(edge_child)
-        if not 0 <= off <= length:
+        if not 0 <= off.numerator * 3**self.depth <= self._edge(edge_child) * off.denominator:
             raise ValueError(f"offset {off} off the edge into {edge_child}")
         if off == 0:
             return self.vertex_point(self.parent(edge_child))
@@ -160,39 +166,38 @@ class DendriteGraph:
         """The vertex a point sits on, or None for interior edge points."""
         if p.edge_child == 1:
             return 1
-        if p.offset == self.edge_length(p.edge_child):
+        off = p.offset
+        if off.numerator * 3**self.depth == self._edge(p.edge_child) * off.denominator:
             return p.edge_child
         return None
 
     def _validate(self, p: DendritePoint) -> None:
-        if p.edge_child == 1:
-            if p.offset != 0:
-                raise ValueError("point off the tree")
+        """Raise unless ``p`` is the root or lies on an edge of the tree, past
+        its parent end and at most at its child end."""
+        child, off = p.edge_child, p.offset
+        if child == 1 and off == 0:
             return
-        if not 2 <= p.edge_child <= self.vertex_count:
+        if not (
+            2 <= child <= self.vertex_count
+            and 0 < off.numerator * 3**self.depth <= self._edge_ticks[child] * off.denominator
+        ):
             raise ValueError("point off the tree")
-        if not 0 < p.offset <= self.edge_length(p.edge_child):
-            raise ValueError("point off the tree")
-
-    def point_root_distance(self, p: DendritePoint) -> Fraction:
-        if p.edge_child == 1:
-            return Fraction(0)
-        return self.root_distance(self.parent(p.edge_child)) + p.offset
 
     def distance(self, p: DendritePoint, q: DendritePoint) -> Fraction:
-        """Tree geodesic distance between two points."""
+        """Tree geodesic distance between two points: ``_tick_distance``
+        with both offsets in units of 3**-depth / den, den the least common
+        denominator of the two offsets."""
         self._validate(p)
         self._validate(q)
-        if p.edge_child == q.edge_child:
-            return abs(p.offset - q.offset)
-        anc = _common_ancestor(p.edge_child, q.edge_child)
-        dp = self.point_root_distance(p)
-        dq = self.point_root_distance(q)
-        if anc == p.edge_child:  # p's edge lies on q's root path
-            return dq - dp
-        if anc == q.edge_child:
-            return dp - dq
-        return dp + dq - 2 * self.root_distance(anc)
+        x, y = p.offset, q.offset
+        den = math.lcm(x.denominator, y.denominator)
+        scale = 3**self.depth
+        ticks = self._tick_distance(
+            (p.edge_child, x.numerator * (den // x.denominator) * scale),
+            (q.edge_child, y.numerator * (den // y.denominator) * scale),
+            den,
+        )
+        return Fraction(ticks, den * scale)
 
     # -- the closed tour ---------------------------------------------------
 
@@ -252,8 +257,9 @@ class DendriteGraph:
         return (child, self._edge_ticks[child] * den - delta)
 
     def _tick_distance(self, p: tuple[int, int], q: tuple[int, int], den: int) -> int:
-        """``distance`` between two ``_tick_point`` results at one ``den``, in
-        the same units."""
+        """The tree geodesic between two points given as ``_tick_point``
+        gives them, (edge child, offset in units of 3**-depth / den), in
+        the same units.  ``distance`` measures through it too."""
         (pe, x), (qe, y) = p, q
         if pe == qe:
             return abs(x - y)
@@ -344,7 +350,7 @@ class DendriteGraph:
                 a = lo + (hi - lo) * i / len(kids)
                 b = lo + (hi - lo) * (i + 1) / len(kids)
                 theta = 0.5 * (a + b)
-                length = float(self.edge_length(c))
+                length = self._edge_ticks[c] / 3**self.depth
                 x, y = pos[v]
                 pos[c] = (x + length * math.sin(theta), y + length * math.cos(theta))
                 place(c, a, b)
@@ -375,15 +381,14 @@ class DendriteFiber:
     """Preimage data of one tree point at a fixed cylinder depth.
 
     ``cylinders`` are the sorted words of all depth-n cylinders whose image
-    interval covers the target; ``witnesses`` are eventually constant
+    interval covers the point; ``witnesses`` are eventually constant
     addresses mapping onto (dyadic tour times) or within tolerance of (all
-    other times) the target.
+    other times) the point.
     """
 
-    __slots__ = ("target", "cylinders", "witnesses")
+    __slots__ = ("cylinders", "witnesses")
 
-    def __init__(self, target: DendritePoint, cylinders: tuple[str, ...], witnesses: tuple[Address, ...]) -> None:
-        self.target = target
+    def __init__(self, cylinders: tuple[str, ...], witnesses: tuple[Address, ...]) -> None:
         self.cylinders = cylinders
         self.witnesses = witnesses
 
@@ -430,11 +435,7 @@ def fiber_of(tree: DendriteGraph, p: DendritePoint, depth: int) -> DendriteFiber
             words.add(bin(scale | (i - 1))[3:])
         words.add(bin(scale | i)[3:])
         witnesses.update(_time_addresses(a, q, depth))
-    return DendriteFiber(
-        target=p,
-        cylinders=tuple(sorted(words)),
-        witnesses=tuple(sorted(witnesses)),
-    )
+    return DendriteFiber(tuple(sorted(words)), tuple(sorted(witnesses)))
 
 
 def _segment_ends(child: int, direction: str) -> tuple[int, int]:

@@ -304,10 +304,17 @@ def refine_cover(sys: WeakContractionSystem, cover: IntervalCover) -> IntervalCo
 
 
 def cover_chain(sys: WeakContractionSystem, depth: int) -> list[IntervalCover]:
-    """The covers of depths 0..depth, each refining the one before."""
+    """The covers of depths 0..depth, each refining the one before, or up
+    to the deepest one double precision separates: the chain stops where a
+    refinement's branch images meet in floating point, a resolution limit
+    that falls with ``mu``, not a false claim.  ``invariant_cover`` and
+    ``refine_cover`` raise there instead."""
     covers = [invariant_cover(sys, 0)]
     for _ in range(depth):
-        covers.append(refine_cover(sys, covers[-1]))
+        try:
+            covers.append(refine_cover(sys, covers[-1]))
+        except ValueError:  # the open set condition fails in floating point
+            break
     return covers
 
 

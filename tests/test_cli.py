@@ -65,10 +65,10 @@ class TestConfig:
             RunConfig(tolerance=0.0).validate()
 
     def test_as_json_lists_the_config_keys_in_order(self):
-        assert tuple(RunConfig().as_json()) == cli._CONFIG_KEYS
+        assert tuple(RunConfig().as_json()) == tuple(cli._DEFAULTS)
         for name in VERIFY_GOLDENS:
             golden = json.loads((DATA / name).read_text(encoding="utf-8"))
-            assert tuple(golden["config"]) == cli._CONFIG_KEYS
+            assert tuple(golden["config"]) == tuple(cli._DEFAULTS)
 
     def test_file_plus_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -706,15 +706,21 @@ def _assert_documents(out: Path, command: str, levels: int) -> None:
         assert (out / "hierarchy.svg").read_text().count('class="level-node"') == levels + 1
 
 
+# mu in (4, 1e4], with mu - 4 log-uniform from 1e-6, so that every decade
+# is drawn: past about mu = 13.8 the cover chain stops short of depth 15
+ANY_MU = st.floats(min_value=-6.0, max_value=4.0).map(lambda e: min(4.0 + 10.0**e, 1e4))
+
+
 class TestDocumentsAtAnyMu:
     """The tower is symbolic, so the document commands write every
     configured floor at every valid mu, including below 2+2sqrt2, where
-    the contraction conditions fail and only verify says so."""
+    the contraction conditions fail and only verify says so, and above
+    the mu where double precision stops the cover chain."""
 
     @settings(max_examples=50, deadline=None)
     @given(
         command=st.sampled_from(["hierarchy", "render"]),
-        mu=st.floats(min_value=4.0, max_value=12.0, exclude_min=True),
+        mu=ANY_MU,
         depth=st.integers(0, 30),
         n=st.integers(1, 64),
         levels=st.integers(0, 8),
@@ -728,6 +734,12 @@ class TestDocumentsAtAnyMu:
     @example(command="render", mu=4.3701, depth=8, n=33, levels=1, dendrite_depth=4)
     @example(command="hierarchy", mu=4.5, depth=12, n=2, levels=2, dendrite_depth=4)
     @example(command="render", mu=4.5, depth=12, n=2, levels=2, dendrite_depth=4)
+    # the default config where the cover chain stops short: these raised
+    # "open set condition violated" before the chain stopped there
+    @example(command="hierarchy", mu=50.0, depth=12, n=2, levels=2, dendrite_depth=4)
+    @example(command="render", mu=300.0, depth=12, n=2, levels=2, dendrite_depth=4)
+    @example(command="render", mu=1000.0, depth=8, n=2, levels=2, dendrite_depth=4)
+    @example(command="hierarchy", mu=1e4, depth=30, n=64, levels=8, dendrite_depth=4)
     def test_document_commands_answer_any_mu(self, command, mu, depth, n, levels, dendrite_depth):
         with tempfile.TemporaryDirectory() as out:
             result = invoke(
@@ -772,7 +784,7 @@ class TestGroundRatio:
 
 
 class TestVerdictsAcrossTheConfigSpace:
-    """verify exits with the known answer over mu in (4, 12], every depth,
+    """verify exits with the known answer over mu in (4, 1e4], every depth,
     block count, floor count and dendrite depth up to 4, under both
     computed policies: 0 exactly when the modulus sum is below one (mu >
     2+2sqrt2) and every floor collapses something (no floors, or n >= 2),
@@ -780,7 +792,7 @@ class TestVerdictsAcrossTheConfigSpace:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        mu=st.floats(min_value=4.0, max_value=12.0, exclude_min=True),
+        mu=ANY_MU,
         depth=st.integers(0, 30),
         n=st.integers(1, 64),
         levels=st.integers(0, 8),
@@ -791,6 +803,14 @@ class TestVerdictsAcrossTheConfigSpace:
     # the middle-thirds code metric (1/3) exceeds the modulus bound
     @example(mu=6.0, depth=12, n=2, levels=2, dendrite_depth=4, policy="distinct")
     @example(mu=12.0, depth=12, n=2, levels=2, dendrite_depth=4, policy="distinct")
+    # configs whose cover chain stops short of the verify depth: these
+    # raised "open set condition violated" before the chain stopped there
+    @example(mu=21.0, depth=12, n=2, levels=2, dendrite_depth=4, policy="distinct")
+    @example(mu=50.0, depth=12, n=2, levels=2, dendrite_depth=4, policy="distinct")
+    @example(mu=95.0, depth=8, n=2, levels=2, dendrite_depth=4, policy="distinct")
+    @example(mu=431.0, depth=8, n=17, levels=0, dendrite_depth=4, policy="distinct")  # a mu-sweep anchor
+    @example(mu=1000.0, depth=30, n=2, levels=2, dendrite_depth=4, policy="distinct")
+    @example(mu=1e4, depth=30, n=64, levels=8, dendrite_depth=4, policy="merged")
     def test_verify_exits_with_the_known_answer(self, mu, depth, n, levels, dendrite_depth, policy):
         expected = 0 if mu > 2 + 2 * math.sqrt(2) and (levels == 0 or n >= 2) else 1
         with tempfile.TemporaryDirectory() as out:

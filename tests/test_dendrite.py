@@ -375,6 +375,14 @@ def _run_the_last_leaf_edge_twice_its_length(t: DendriteGraph, num: int, den: in
     return (child, 2 * offset) if child == t.vertex_count else point
 
 
+def _one_tick_along_an_edge(t: DendriteGraph) -> None:
+    """The geodesic puts any two points of one edge one tick apart, even a
+    point and itself.  Both the continuity check and ``distance``, which
+    fiber soundness measures with, read it."""
+    true_distance = t._tick_distance
+    t.__dict__["_tick_distance"] = lambda p, q, den: den if p[0] == q[0] else true_distance(p, q, den)
+
+
 # planted fault -> the records it must fail
 PLANTED_FAULTS = {
     "two-segments-swapped": (_swap_two_segments, {"dendrite.continuity"}),
@@ -401,6 +409,7 @@ PLANTED_FAULTS = {
     "kernel-runs-down-on-the-sibling-edge": (_on_the_sibling_edge("down"), {"dendrite.continuity"}),
     "kernel-runs-up-on-the-sibling-edge": (_on_the_sibling_edge("up"), {"dendrite.continuity"}),
     "kernel-closes-the-tour-at-vertex-3": (_close_the_tour_at_vertex_3, {"dendrite.continuity"}),
+    "same-edge-distance-one-tick": (_one_tick_along_an_edge, {"dendrite.continuity", "dendrite.fiber_soundness"}),
 }
 
 def _planted_trees(plant):

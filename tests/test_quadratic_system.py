@@ -714,10 +714,16 @@ class TestFlatCoversAgainstPairOracles:
 
     @pytest.mark.parametrize("mu", [95.0, 500.0])
     def test_large_mu_takes_the_pair_sort(self, monkeypatch, mu):
+        # the chain stops at the deepest cover double precision separates,
+        # and refining that cover raises
         calls = _count_pair_sorts(monkeypatch)
-        with pytest.raises(ValueError, match="open set condition"):
-            cover_chain(inverse_branches(mu), 15)
+        sys_ = inverse_branches(mu)
+        covers = cover_chain(sys_, 15)
         assert calls
+        assert len(covers) < 16
+        assert [c.depth for c in covers] == list(range(len(covers)))
+        with pytest.raises(ValueError, match="^open set condition violated$"):
+            refine_cover(sys_, covers[-1])
 
     @pytest.mark.parametrize(
         ("low", "high"),
