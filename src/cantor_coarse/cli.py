@@ -8,13 +8,16 @@ timestamps, and the SVG builders format every number with fixed
 precision, so repeated runs with one configuration are byte-identical.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 output
 I/O error.
+
+Set ``CANTOR_COARSE_LOG`` to a level name (``INFO``) to see the depth
+caps and the faults behind failed checks on stderr.  The process imports
+``logging`` only when the variable is set, and each command imports
+``json`` and the package's modules only where it uses them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import math
 import os
 import sys
@@ -28,7 +31,18 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "main", "run_campaign"]
 
-log = logging.getLogger("cantor_coarse")
+
+def _info(msg: str, *args: object, exc_info: bool = False) -> None:
+    """Log ``msg % args`` at INFO on the ``cantor_coarse`` logger.
+
+    The record is dropped when no module has imported ``logging``: then no
+    level or handler can have been set that lets an INFO record through, so
+    a command need not pay the milliseconds of start-up the import costs.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("cantor_coarse").info(msg, *args, exc_info=exc_info, stacklevel=2)
+
 
 # full covers double per depth step; past this the verification legs that
 # enumerate them are capped (the config may still ask for depth up to 30)
@@ -46,7 +60,7 @@ _POLICIES = ("distinct", "merged", "explicit")
 def _capped(depth: int, cap: int, name: str) -> int:
     """``min(depth, cap)``, logged at INFO when the cap clips ``depth``."""
     if depth > cap:
-        log.info("%s=%d caps depth %d to %d", name, cap, depth, cap)
+        _info("%s=%d caps depth %d to %d", name, cap, depth, cap)
     return min(depth, cap)
 
 
@@ -57,7 +71,7 @@ def _cover_chain(sys_: WeakContractionSystem, depth: int) -> list[IntervalCover]
 
     covers = cover_chain(sys_, depth)
     if len(covers) <= depth:
-        log.info("double precision caps cover depth %d to %d", depth, len(covers) - 1)
+        _info("double precision caps cover depth %d to %d", depth, len(covers) - 1)
     return covers
 
 
@@ -172,6 +186,8 @@ def load_config(config_path: str | None, **overrides) -> RunConfig:
     """Merge a JSON config file with flag overrides; flags win."""
     data: dict = {}
     if config_path is not None:
+        import json
+
         data = json.loads(Path(config_path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("the config file must hold a JSON object")
@@ -268,14 +284,14 @@ def _partition_checks(cfg: RunConfig) -> list[dict]:
                 break
             worst = p.size
     except Exception:  # noqa: BLE001 - any failure fails the check
-        log.info("partition.laws: the step after n=%d raised", worst, exc_info=True)
+        _info("partition.laws: the step after n=%d raised", worst, exc_info=True)
     records.append(_check("partition.laws", "n=1..64", worst, 64, worst == 64))
     try:
         p = build_partition(FULL_SPACE, 3)
         flat = flatten_refinement(p, 1, refine_block(p, 1, 3))
         refined = flatten_refinement(flat, 2, refine_block(flat, 2, 2)).size
     except Exception:  # noqa: BLE001 - any failure fails the check
-        log.info("partition.refine: a step raised", exc_info=True)
+        _info("partition.refine: a step raised", exc_info=True)
         refined = None
     records.append(_check("partition.refine", "depth=3", refined, 6, refined == 6))
     return records
@@ -312,7 +328,7 @@ def _hierarchy_checks(
     try:
         tower = build_hierarchy(cfg.levels, cfg.partition_n, cfg.representatives, cfg.explicit_representatives)
     except Exception:  # noqa: BLE001 - any failure fails the check
-        log.info("quotient.nontrivial: build_hierarchy raised", exc_info=True)
+        _info("quotient.nontrivial: build_hierarchy raised", exc_info=True)
         return [_check("quotient.nontrivial", f"k={k}", None, ">=1", False) for k in range(1, cfg.levels + 1)]
     records = []
     # the coverage leg measured n = 0..min(depth, MAX_ENUMERATED_DEPTH), or up
@@ -385,7 +401,7 @@ def _dendrite_checks(cfg: RunConfig) -> list[dict]:
     try:
         sound = _fiber_soundness(tree, depth)
     except Exception:  # noqa: BLE001 - any failure fails the check
-        log.info("dendrite.fiber_soundness: measuring a witness raised", exc_info=True)
+        _info("dendrite.fiber_soundness: measuring a witness raised", exc_info=True)
         sound = None
     records.append(
         _check("dendrite.fiber_soundness", f"depth={depth}", sound, 1e-9, sound is not None and sound <= 1e-9)
@@ -421,7 +437,7 @@ def run_campaign(cfg: RunConfig) -> dict:
     if statement_ok and cfg.levels >= 1:
         records.extend(_hierarchy_checks(cfg, sys_, covers, identity_distances))
     elif not statement_ok:
-        log.info("statement conditions failed; skipping hierarchy checks")
+        _info("statement conditions failed; skipping hierarchy checks")
     records.extend(_dendrite_checks(cfg))
     passed = sum(1 for r in records if r["passed"])
     return {
@@ -507,6 +523,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _dump(doc: dict) -> str:
+    import json
+
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -555,6 +573,8 @@ def verify(cfg: RunConfig) -> None:
     _write_text(out, _dump(report))
     print(f"report: {out}")
     if not report["summary"]["all_passed"]:
+        import json
+
         for check in report["checks"]:
             if not check["passed"]:
                 print(
@@ -647,12 +667,14 @@ def _parser() -> argparse.ArgumentParser:
         "Cantor-type invariant set of the quadratic map.",
         allow_abbrev=False,
     )
+    # every command takes the same options: added once, shared by each
+    options = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in _OPTIONS:
+        options.add_argument(flag, **kwargs)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
     for run in (verify, hierarchy, render, partition, dendrite):
         doc = run.__doc__.strip()
-        sub = commands.add_parser(run.__name__, help=doc, description=doc, allow_abbrev=False)
-        for flag, kwargs in _OPTIONS:
-            sub.add_argument(flag, **kwargs)
+        sub = commands.add_parser(run.__name__, help=doc, description=doc, allow_abbrev=False, parents=[options])
         sub.set_defaults(run=run, fail=sub.error)
     return parser
 
@@ -681,11 +703,15 @@ def main(argv: list[str] | None = None) -> None:
     """Run one command on ``argv`` (default: ``sys.argv[1:]``)."""
     args = vars(_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv)))
     run, fail = args.pop("run"), args.pop("fail")
-    level_name = os.environ.get("CANTOR_COARSE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
+    level_name = os.environ.get("CANTOR_COARSE_LOG")
+    if level_name is not None:
+        import logging
+
+        logging.basicConfig(level=getattr(logging, level_name.upper(), logging.WARNING))
     try:
         cfg = load_config(args.pop("config_path"), **args)
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    # a file that is not JSON raises json.JSONDecodeError, a ValueError
+    except (ValueError, TypeError, KeyError) as exc:
         fail(f"invalid configuration: {exc}")
     run(cfg)
 

@@ -15,7 +15,6 @@ floors' branches contract as the ground's do.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .clopen_partition import Partition, build_partition
 from .code_space import (
@@ -34,6 +33,10 @@ from .code_space import (
     random_address,
     recode_between,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Fiber",

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import cached_property, total_ordering
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Address",
@@ -136,6 +139,8 @@ def embed_cmts(a: Address) -> Fraction:
     with each 1 written as 2, over 3**len(prefix); a constant tail of ones
     sums in closed form to 3**-len(prefix).
     """
+    from fractions import Fraction
+
     return Fraction(int("0" + a.prefix.replace("1", "2"), 3) + (a.tail == "1"), 3 ** len(a.prefix))
 
 

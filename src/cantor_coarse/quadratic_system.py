@@ -248,6 +248,14 @@ def _trusted_cover(depth: int, ends: tuple[float, ...]) -> IntervalCover:
     return cover
 
 
+class _OpenSetViolation(ValueError):
+    """Two branch images of a cover meet: the open set condition fails.
+
+    ``cover_chain`` stops at this error alone; any other error of a branch
+    propagates.
+    """
+
+
 def _branch_images(sys: WeakContractionSystem, ends: tuple[float, ...]) -> tuple[float, ...]:
     """Endpoints of the images of the cover ``ends`` under every branch,
     sorted and disjoint.
@@ -274,7 +282,7 @@ def _branch_images(sys: WeakContractionSystem, ends: tuple[float, ...]) -> tuple
             return tuple(chain.from_iterable(runs))
     pieces = _paired_images(images)
     if any(b[0] <= a[1] for a, b in zip(pieces, pieces[1:])):
-        raise ValueError("open set condition violated")
+        raise _OpenSetViolation("open set condition violated")
     return tuple(chain.from_iterable(pieces))
 
 
@@ -308,12 +316,13 @@ def cover_chain(sys: WeakContractionSystem, depth: int) -> list[IntervalCover]:
     to the deepest one double precision separates: the chain stops where a
     refinement's branch images meet in floating point, a resolution limit
     that falls with ``mu``, not a false claim.  ``invariant_cover`` and
-    ``refine_cover`` raise there instead."""
+    ``refine_cover`` raise there instead, and any other error of a branch
+    propagates."""
     covers = [invariant_cover(sys, 0)]
     for _ in range(depth):
         try:
             covers.append(refine_cover(sys, covers[-1]))
-        except ValueError:  # the open set condition fails in floating point
+        except _OpenSetViolation:  # branch images meet in floating point
             break
     return covers
 

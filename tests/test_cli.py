@@ -1011,10 +1011,11 @@ class TestCommandLine:
         for command in ("verify", "hierarchy", "render", "partition", "dendrite"):
             assert command in result.stdout
 
-    def test_command_help_lists_every_option(self):
-        result = invoke(["verify", "--help"])
+    @pytest.mark.parametrize("command", ["verify", "hierarchy", "render", "partition", "dendrite"])
+    def test_command_help_lists_every_option(self, command):
+        result = invoke([command, "--help"])
         assert (result.exit_code, result.stderr) == (0, "")
-        assert result.stdout.startswith("usage: cantor-coarse verify")
+        assert result.stdout.startswith(f"usage: cantor-coarse {command} [-h] [--mu MU]")
         for flag in ("--mu", "--depth", "--n", "--levels", "--dendrite-depth", "--tolerance", "--seed",
                      "--representatives", "--config", "--out"):
             assert f"{flag} " in result.stdout

@@ -5,7 +5,6 @@ standard library."""
 from __future__ import annotations
 
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -17,6 +16,8 @@ import cantor_coarse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+# the commands' environment: logging stays off
+QUIET = {key: value for key, value in ENV.items() if key != "CANTOR_COARSE_LOG"}
 
 # every name the package root exports; it has exported each since it
 # imported its submodules eagerly
@@ -53,6 +54,12 @@ LOADED = {
     "verify": ALL_MODULES - {"cantor_coarse.svg"},
     "render": ALL_MODULES - {"cantor_coarse.coarse_graining", "cantor_coarse.clopen_partition"},
 }
+# standard-library modules a command has no use for, each milliseconds of
+# start-up: no command loads ``logging`` unless CANTOR_COARSE_LOG is set,
+# ``inspect`` comes with ``dataclasses``, a command that writes no JSON
+# loads no ``json``, and one that builds no ``Fraction`` no ``fractions``
+UNUSED = {"logging", "dataclasses", "inspect"}
+UNUSED_BY = {"--help": {"json", "fractions"}, "partition": {"fractions"}, "render": {"json"}}
 
 
 def _fresh(code: str) -> str:
@@ -99,31 +106,34 @@ class TestPackageRoot:
 
 
 # runs cantor_coarse as ``python -m`` does and writes the names of the
-# modules the command loaded to the file named by its first argument
+# modules the command loaded, one a line, to the file named by its first
+# argument; it imports nothing of its own after the ``before`` snapshot
 _NEW_MODULES = """
-import json, runpy, sys
+import runpy, sys
 out, sys.argv = sys.argv[1], ["cantor-coarse", *sys.argv[2:]]
 before = set(sys.modules)
 try:
     runpy.run_module("cantor_coarse", run_name="__main__", alter_sys=True)
 finally:
+    loaded = sorted(set(sys.modules) - before)
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(sorted(set(sys.modules) - before), fh)
+        fh.write("\\n".join(loaded))
 """
 
 
-def _new_modules(tmp_path, args: list[str], *flags: str) -> list[str]:
-    """The modules ``python *flags -m cantor_coarse *args`` loads."""
-    loaded = tmp_path / "loaded.json"
+def _new_modules(tmp_path, args: list[str], *flags: str, env: dict | None = None) -> list[str]:
+    """The modules ``python *flags -m cantor_coarse *args`` loads, with
+    CANTOR_COARSE_LOG unset unless ``env`` sets it."""
+    loaded = tmp_path / "loaded.txt"
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _NEW_MODULES, str(loaded), *args],
-        env=ENV,
+        env={**QUIET, **(env or {})},
         cwd=tmp_path,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(loaded.read_text(encoding="utf-8"))
+    return loaded.read_text(encoding="utf-8").split()
 
 
 @pytest.mark.parametrize("command", sorted(LOADED))
@@ -132,8 +142,12 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     modules = _new_modules(tmp_path, args)
     assert {m for m in modules if m.split(".")[0] == "cantor_coarse"} == LOADED[command]
     assert {m.split(".")[0] for m in modules} - {"cantor_coarse"} <= set(sys.stdlib_module_names)
-    # each costs milliseconds at start-up; ``inspect`` comes with ``dataclasses``
-    assert {"dataclasses", "inspect"}.isdisjoint(modules)
-    # so does ``typing``; ``site`` may load it through a ``.pth`` file, so
-    # the command runs again without ``site`` to see whether it loads it
-    assert "typing" not in _new_modules(tmp_path, args, "-S")
+    assert UNUSED.union(UNUSED_BY.get(command, ())).isdisjoint(modules)
+    # nor ``typing``; ``site`` may load it or ``logging`` through a ``.pth``
+    # file, before the snapshot, so the command runs again without ``site``
+    assert {"typing", "logging"}.isdisjoint(_new_modules(tmp_path, args, "-S"))
+
+
+def test_the_log_variable_loads_logging(tmp_path):
+    args = ["partition", "--out", str(tmp_path)]
+    assert "logging" in _new_modules(tmp_path, args, env={"CANTOR_COARSE_LOG": "INFO"})

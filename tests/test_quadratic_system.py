@@ -725,6 +725,28 @@ class TestFlatCoversAgainstPairOracles:
         with pytest.raises(ValueError, match="^open set condition violated$"):
             refine_cover(sys_, covers[-1])
 
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_a_branch_error_propagates_out_of_the_chain(self, depth):
+        # only meeting branch images end the chain short: a branch that
+        # raises on its own, here on the first endpoint of the refinement
+        # to ``depth``, is a fault, and the chain must not stop before it
+        sys_ = inverse_branches(MU5)
+        low, high = sys_.branches
+        # the refinements to depths 1..depth-1 call a branch on 2 + 4 + ... ends
+        safe_calls = 2**depth - 2
+        calls = []
+
+        def faulty(y):
+            calls.append(y)
+            if len(calls) > safe_calls:
+                raise ValueError("math domain error")
+            return low(y)
+
+        planted = WeakContractionSystem((faulty, high), sys_.modulus_inf, sys_.fixed_points)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            cover_chain(planted, depth + 2)
+        assert len(calls) == safe_calls + 1
+
     @pytest.mark.parametrize(
         ("low", "high"),
         [
