@@ -6,9 +6,26 @@ Every public name resolves on first access (PEP 562), so ``import
 cantor_coarse`` loads no submodule and each command loads only the
 modules it runs; ``from cantor_coarse import build_hierarchy`` works as a
 plain import would.
+
+The package root also holds ``_Value``, the immutable base of the value
+types of several submodules, so a module that defines such a type loads
+only the package root for it.
 """
 
 import importlib
+
+
+class _Value:
+    """Base of the value types: ``__init__`` sets each field once, and
+    assigning or deleting a field afterwards raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
 
 # public name -> the submodule that defines it
 _SUBMODULE_OF = {

@@ -22,7 +22,8 @@ carrier keeps it canonical and prepends w to every block, so
 
 from __future__ import annotations
 
-from .code_space import ClopenSet, _Value, clopen_union
+from . import _Value
+from .code_space import ClopenSet, clopen_union
 
 __all__ = [
     "Partition",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 
+from . import _Value
 from .clopen_partition import Partition, build_partition
 from .code_space import (
     Address,
@@ -23,7 +24,6 @@ from .code_space import (
     ClopenSet,
     FULL_SPACE,
     OutsideDomainError,
-    _Value,
     clopen_union,
     code_distance,
     compose,

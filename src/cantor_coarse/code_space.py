@@ -15,6 +15,8 @@ import itertools
 import random
 from functools import cached_property, total_ordering
 
+from . import _Value
+
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -51,18 +53,6 @@ class OutsideDomainError(ValueError):
 def _check_word(word: str) -> None:
     if not set(word) <= _BITS:
         raise ValueError(f"not a binary word: {word!r}")
-
-
-class _Value:
-    """Base of the value types: ``__init__`` sets each field once, and
-    assigning or deleting a field afterwards raises ``AttributeError``."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
 
 
 @total_ordering

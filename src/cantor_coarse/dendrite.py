@@ -15,9 +15,11 @@ kernels run on those integers:
 - ``_tick_point`` bisects the break ticks at a time ``num / den`` and
   gives the point as an edge and an offset in units of 3**-depth / den;
   ``tour_point`` is that one lookup in canonical form;
-- ``fiber_of`` takes a point's tour times as integer pairs ``(a, q)``
-  for ``a / q`` and places each in its cylinder by ``divmod`` and its
-  witnesses by ``gcd`` and shifts;
+- ``_cylinders`` takes a point's tour times as integer pairs ``(a, q)``
+  for ``a / q`` and places each in its cylinder by ``divmod``;
+  ``fiber_of`` runs it and places the witnesses by ``gcd`` and shifts,
+  and ``_cylinder_counts`` runs it on each vertex's visit ticks alone,
+  which is all the documents' fiber counts need;
 - the conservation, surjectivity and continuity checks are decided on
   the tour's segment table: its edges and break ticks.  The continuity
   check also runs ``_tick_point`` at one dyadic time inside each segment
@@ -31,6 +33,10 @@ invert exactly, and it answers from the tick tables: a point's offset is
 checked against its edge by one integer test, and ``distance`` is
 ``_tick_distance`` at the offsets' common denominator, so the continuity
 and fiber soundness records trust one geodesic.
+
+Only the witnesses are ``code_space`` addresses, so ``fiber_of`` loads
+that module when it builds them, and a command that counts fibers never
+loads it.
 """
 
 from __future__ import annotations
@@ -41,7 +47,11 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .code_space import Address, _Value
+from . import _Value
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .code_space import Address
 
 __all__ = [
     "DendriteFiber",
@@ -315,19 +325,26 @@ class DendriteGraph:
         visit and leaves it one edge length after the child's last.
         """
         self._validate(p)
-        if self.depth == 0:  # the tour never leaves the root
-            return ((0, 1),)
-        total = self._break_ticks[-1]
         v = self.as_vertex(p)
         if v is not None:
-            return tuple((ticks, total) for ticks in self._visit_ticks[v])
+            return self._vertex_times(v)
         child = p.edge_child
         n, d = p.offset.numerator, p.offset.denominator
         n *= 3**self.depth
+        total = self._break_ticks[-1]
         edge, visits = self._edge_ticks[child], self._visit_ticks[child]
         down = (visits[0] - edge) * d + n
         up = (visits[-1] + edge) * d - n
         return ((down, d * total), (up, d * total))
+
+    def _vertex_times(self, v: int) -> tuple[tuple[int, int], ...]:
+        """``_tour_times`` of vertex ``v``: its visit ticks over the tour
+        ticks, or the root's one time 0 / 1 at depth 0, where the tour
+        never leaves the root."""
+        if self.depth == 0:
+            return ((0, 1),)
+        total = self._break_ticks[-1]
+        return tuple((ticks, total) for ticks in self._visit_ticks[v])
 
     def tour_parameters(self, p: DendritePoint) -> tuple[Fraction, ...]:
         """All normalized tour times landing on ``p``.
@@ -393,24 +410,42 @@ class DendriteFiber:
         self.witnesses = witnesses
 
 
-def _time_addresses(a: int, q: int, depth: int) -> list[Address]:
-    """Addresses at the tour time ``a / q``: both binary expansions of a
-    dyadic time, else its first ``max(depth, WITNESS_DEPTH)`` binary digits."""
+def _time_words(a: int, q: int, depth: int) -> list[tuple[str, str]]:
+    """The (prefix, tail) of each address at the tour time ``a / q``: both
+    binary expansions of a dyadic time, else its first
+    ``max(depth, WITNESS_DEPTH)`` binary digits."""
     if a == 0:
-        return [Address("", "0")]
+        return [("", "0")]
     if a == q:
-        return [Address("", "1")]
+        return [("", "1")]
     g = math.gcd(a, q)
     den = q // g
     if den & (den - 1) == 0:  # dyadic: both exact binary expansions
         m = den.bit_length() - 1
         num = a // g
-        return [
-            Address(format(num, f"0{m}b"), "0"),
-            Address(format(num - 1, f"0{m}b"), "1"),
-        ]
+        return [(format(num, f"0{m}b"), "0"), (format(num - 1, f"0{m}b"), "1")]
     w = max(depth, WITNESS_DEPTH)
-    return [Address(format((a << w) // q, f"0{w}b"), "0")]
+    return [(format((a << w) // q, f"0{w}b"), "0")]
+
+
+def _cylinders(times, depth: int) -> set[int]:
+    """The numbers of the depth-``depth`` cylinders whose tour image covers
+    one of the tour times ``times``, integer pairs ``(a, q)`` for ``a / q``.
+
+    Cylinder i maps to the tour arc over [i, i + 1] * 2**-depth, so the
+    time ``a / q`` lies in the cylinder numbered ``(a << depth) // q``,
+    and on its left boundary too when the division leaves no remainder.
+    """
+    scale = 1 << depth
+    found: set[int] = set()
+    for a, q in times:
+        i, r = divmod(a << depth, q)
+        if i == scale:  # t == 1 lies in the last cylinder only
+            i -= 1
+        elif not r and i:  # boundary time also belongs to the left cylinder
+            found.add(i - 1)
+        found.add(i)
+    return found
 
 
 def fiber_of(tree: DendriteGraph, p: DendritePoint, depth: int) -> DendriteFiber:
@@ -418,24 +453,24 @@ def fiber_of(tree: DendriteGraph, p: DendritePoint, depth: int) -> DendriteFiber
 
     A cylinder [w] maps to the tour arc over the dyadic interval of width
     2**-len(w) starting at the binary value of w, so membership of each
-    tour time of ``p`` is decided exactly: the time ``a / q`` lies in the
-    cylinder numbered ``(a << depth) // q``, and on its left boundary too
-    when the division leaves no remainder.
+    tour time of ``p`` is decided exactly, by ``_cylinders``.
     """
+    from .code_space import Address
+
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    scale = 1 << depth
-    words: set[str] = set()  # bin(scale | i)[3:] is i as a depth-digit word
-    witnesses: set[Address] = set()
-    for a, q in tree._tour_times(p):
-        i, r = divmod(a << depth, q)
-        if i == scale:  # t == 1 lies in the last cylinder only
-            i -= 1
-        elif not r and i:  # boundary time also belongs to the left cylinder
-            words.add(bin(scale | (i - 1))[3:])
-        words.add(bin(scale | i)[3:])
-        witnesses.update(_time_addresses(a, q, depth))
-    return DendriteFiber(tuple(sorted(words)), tuple(sorted(witnesses)))
+    times = tree._tour_times(p)
+    scale = 1 << depth  # bin(scale | i)[3:] is i as a depth-digit word
+    words = tuple(bin(scale | i)[3:] for i in sorted(_cylinders(times, depth)))
+    witnesses = {Address(prefix, tail) for a, q in times for prefix, tail in _time_words(a, q, depth)}
+    return DendriteFiber(words, tuple(sorted(witnesses)))
+
+
+def _cylinder_counts(tree: DendriteGraph, depth: int) -> dict[int, int]:
+    """``len(fiber_of(tree, tree.vertex_point(v), depth).cylinders)`` for
+    every vertex v, by ``_cylinders`` on the vertex's tour times, with no
+    point, word or witness built."""
+    return {v: len(_cylinders(tree._vertex_times(v), depth)) for v in tree.vertices}
 
 
 def _segment_ends(child: int, direction: str) -> tuple[int, int]:

@@ -19,7 +19,9 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import gt, itemgetter, le, lt, sub
 
-from .code_space import Address
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .code_space import Address
 
 __all__ = [
     "IDENTITY_TOL",

@@ -33,12 +33,11 @@ def cantor_bars_svg(covers: list[IntervalCover]) -> str:
     for n, cover in enumerate(covers):
         y = _f(margin + n * (row_h + gap))
         lines.append(f'<g class="bar-row" data-depth="{cover.depth}">')
-        # 2**n bars a row: x and width formatted inline, with _f's spec
+        # 2**n bars a row: one template per row, x and width by _f's spec
+        bar = f'<rect class="bar" x="%.4f" y="{y}" width="%.4f" height="{bar_h}" fill="#1f4e79"/>'
         ends = cover.ends
         lines.extend(
-            f'<rect class="bar" x="{margin + lo * _W:.4f}" y="{y}" '
-            f'width="{max((hi - lo) * _W, 0.35):.4f}" height="{bar_h}" fill="#1f4e79"/>'
-            for lo, hi in zip(ends[::2], ends[1::2])
+            bar % (margin + lo * _W, max((hi - lo) * _W, 0.35)) for lo, hi in zip(ends[::2], ends[1::2])
         )
         lines.append("</g>")
     lines.append("</svg>")

@@ -17,14 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantor_coarse import cli, clopen_partition, coarse_graining, dendrite, quadratic_system
-from cantor_coarse.cli import (
-    RunConfig,
-    _dump,
-    _partition_chain,
-    _partition_checks,
-    load_config,
-    run_campaign,
-)
+from cantor_coarse.campaign import _partition_chain, _partition_checks
+from cantor_coarse.cli import RunConfig, _dump, load_config, run_campaign
 from cantor_coarse.clopen_partition import build_partition
 from cantor_coarse.code_space import FULL_SPACE, ClopenSet, compose, prepend_map
 from cantor_coarse.quadratic_system import IntervalCover
@@ -472,6 +466,30 @@ class TestPlantedFaults:
         plant(monkeypatch)
         checks = run_campaign(RunConfig(**{"depth": 4, "dendrite_depth": 0, **knobs}))["checks"]
         assert {(c["id"], c["location"]) for c in checks if not c["passed"]} == failing
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_a_refinement_that_drops_an_interval_fails_nesting_from_there(self, monkeypatch, n):
+        real = quadratic_system.refine_cover
+        pairs = []
+
+        def dropping(sys_, cover):
+            out = real(sys_, cover)
+            if out.depth == n + 1:
+                kept = list(out.intervals)
+                del kept[len(kept) // 2]
+                out = IntervalCover(out.depth, kept)
+            pairs.append((cover, out))
+            return out
+
+        monkeypatch.setattr(quadratic_system, "refine_cover", dropping)
+        checks = run_campaign(RunConfig(depth=8, levels=0, dendrite_depth=0))["checks"]
+        # every later refinement inherits the gap, so nesting fails from n on
+        failing = [c["location"] for c in checks if c["id"] == "cover.nested" and not c["passed"]]
+        assert failing == [f"n={m}" for m in range(n, 9)]
+        # at n, each interval of the plant lies inside one of its parent
+        # cover's, so a containment test passes it there
+        (planted,) = [(cover, finer) for cover, finer in pairs if finer.depth == n + 1]
+        assert planted[1].subset_of(planted[0])
 
     @pytest.mark.parametrize(
         ("check_id", "plant"),
@@ -926,6 +944,31 @@ class TestSubprocessHarness:
         assert [c["id"] for c in report["checks"] if not c["passed"]] == failing
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(report, json.loads((SCHEMAS / "verification_report.schema.json").read_text()))
+
+    @pytest.mark.parametrize("value", ["basic_format", "raiseExceptions", "Level 5", ""])
+    def test_a_log_value_that_names_no_level_is_ignored(self, tmp_path, value):
+        args = ("dendrite", "--depth", "12", "--dendrite-depth", "2", "--out", str(tmp_path))
+        env = {key: item for key, item in os.environ.items() if key != "CANTOR_COARSE_LOG"}
+        runs = []
+        for extra in ({}, {"CANTOR_COARSE_LOG": value}):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cantor_coarse", *args],
+                capture_output=True,
+                text=True,
+                env={**env, **extra, "PYTHONPATH": str(SRC)},
+                timeout=300,
+            )
+            runs.append((proc.returncode, proc.stdout, proc.stderr, (tmp_path / "dendrite.json").read_bytes()))
+        assert "Traceback" not in runs[1][2]
+        assert runs[1] == runs[0]
+        assert runs[0][:3] == (0, f"document: {tmp_path / 'dendrite.json'}\n", "")
+
+    @pytest.mark.parametrize("value", ["info", "DEBUG"])
+    def test_a_level_name_in_any_case_logs(self, tmp_path, value):
+        proc = self._run("dendrite", "--depth", "12", "--dendrite-depth", "2", "--out", str(tmp_path),
+                         env={"CANTOR_COARSE_LOG": value})
+        assert proc.returncode == 0
+        assert proc.stderr == "INFO:cantor_coarse:MAX_DOCUMENT_DEPTH=10 caps depth 12 to 10\n"
 
     def test_exit_two_on_usage_error(self, tmp_path):
         proc = self._run("verify", "--mu", "3.9", "--out", str(tmp_path))

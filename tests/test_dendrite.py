@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cantor_coarse import cli, dendrite
+from cantor_coarse import campaign, cli, dendrite
 from cantor_coarse.code_space import Address, random_address
 from cantor_coarse.dendrite import (
     DendriteGraph,
@@ -104,17 +104,23 @@ def _reference_fiber(tree: DendriteGraph, p, depth: int):
     """``fiber_of`` as (cylinder words, witnesses), each tour time placed by
     Fraction arithmetic: the depth-``depth`` cylinders whose closed dyadic
     interval holds it."""
+    params = _reference_tour_parameters(tree, p)
+    witnesses = {a for t in params for a in _reference_time_addresses(t, depth)}
+    return sorted(_reference_words(params, depth)), sorted(witnesses)
+
+
+def _reference_words(params, depth: int) -> set[str]:
+    """The words of the depth-``depth`` cylinders whose closed dyadic
+    interval holds one of the tour times ``params``."""
     scale = 2**depth
     words: set[str] = set()
-    witnesses: set[Address] = set()
-    for t in _reference_tour_parameters(tree, p):
+    for t in params:
         x = t * scale
         i = min(int(x), scale - 1)
         words.add(format(i, f"0{depth}b") if depth else "")
         if x == i and i > 0:
             words.add(format(i - 1, f"0{depth}b"))
-        witnesses.update(_reference_time_addresses(t, depth))
-    return sorted(words), sorted(witnesses)
+    return words
 
 
 def _fiber_points(tree: DendriteGraph, seed: int = 0) -> list:
@@ -149,7 +155,7 @@ def _fiber_mismatches(tree: DendriteGraph, points, depths) -> list:
 
 
 def _reference_fiber_soundness(tree: DendriteGraph, depth: int) -> float:
-    """``cli._fiber_soundness`` from the reference fibers and tour lookup."""
+    """``campaign._fiber_soundness`` from the reference fibers and tour lookup."""
     worst = Fraction(0)
     for v in tree.vertices:
         p = tree.vertex_point(v)
@@ -809,9 +815,25 @@ class TestTickFibers:
     @pytest.mark.parametrize("depth", range(9))
     def test_soundness_matches_the_fraction_definition(self, depth):
         t = DendriteGraph(depth)
-        sound = cli._fiber_soundness(t, 2 * depth + 4)
+        sound = campaign._fiber_soundness(t, 2 * depth + 4)
         assert sound == _reference_fiber_soundness(t, 2 * depth + 4)
         assert sound <= 1e-9
+
+
+class TestCylinderCounts:
+    """``_cylinder_counts``, the fiber counts the documents write, against
+    ``fiber_of`` and the Fraction definition."""
+
+    @pytest.mark.parametrize("tree_depth", range(9))
+    def test_each_vertex_counts_its_fiber_cylinders(self, tree_depth):
+        t = DendriteGraph(tree_depth)
+        params = {v: _reference_tour_parameters(t, t.vertex_point(v)) for v in t.vertices}
+        for depth in (*range(cli.MAX_DOCUMENT_DEPTH + 1), 20):
+            counts = dendrite._cylinder_counts(t, depth)
+            assert list(counts) == list(t.vertices)
+            for v in t.vertices:
+                fib = fiber_of(t, t.vertex_point(v), depth)
+                assert counts[v] == len(fib.cylinders) == len(_reference_words(params[v], depth)), (v, depth)
 
 
 class TestPlantedFaults:
@@ -822,7 +844,7 @@ class TestPlantedFaults:
     def test_a_fault_fails_its_records(self, monkeypatch, fault, depth):
         plant, must_fail = PLANTED_FAULTS[fault]
         monkeypatch.setattr(dendrite, "DendriteGraph", _planted_trees(plant))
-        records = cli._dendrite_checks(cli.RunConfig(dendrite_depth=depth))
+        records = campaign._dendrite_checks(cli.RunConfig(dendrite_depth=depth))
         failing = {r["id"] for r in records if not r["passed"]}
         assert must_fail <= failing, (fault, depth, failing)
 
@@ -833,7 +855,7 @@ class TestPlantedFaults:
         # ``dendrite_map`` runs the kernel the continuity check certifies, so
         # a kernel fault also moves the fiber witnesses
         monkeypatch.setattr(dendrite, "DendriteGraph", _planted_trees(PLANTED_FAULTS[fault][0]))
-        soundness = cli._dendrite_checks(cli.RunConfig(dendrite_depth=depth))[-1]
+        soundness = campaign._dendrite_checks(cli.RunConfig(dendrite_depth=depth))[-1]
         assert (soundness["id"], soundness["passed"]) == ("dendrite.fiber_soundness", False), soundness
 
     def test_a_witness_off_the_tree_fails_fiber_soundness(self, monkeypatch, caplog):
@@ -842,7 +864,7 @@ class TestPlantedFaults:
         # it raises
         monkeypatch.setattr(dendrite, "DendriteGraph", _planted_trees(_run_the_last_leaf_edge_twice_its_length))
         caplog.set_level(logging.INFO, logger="cantor_coarse")
-        soundness = cli._dendrite_checks(cli.RunConfig())[-1]
+        soundness = campaign._dendrite_checks(cli.RunConfig())[-1]
         assert (soundness["id"], soundness["measured"], soundness["passed"]) == ("dendrite.fiber_soundness", None, False)
         (raised,) = [r for r in caplog.records if r.exc_info]
         assert raised.levelno == logging.INFO
@@ -864,5 +886,5 @@ class TestPlantedFaults:
     )
     def test_each_record_reads_its_check(self, monkeypatch, check_id, check):
         monkeypatch.setattr(dendrite, check, lambda tree: False)
-        records = cli._dendrite_checks(cli.RunConfig())
+        records = campaign._dendrite_checks(cli.RunConfig())
         assert [r["id"] for r in records if not r["passed"]] == [check_id]

@@ -45,14 +45,16 @@ SUBMODULES = ("clopen_partition", "coarse_graining", "code_space", "dendrite", "
 
 CORE = {"cantor_coarse", "cantor_coarse.cli"}
 ALL_MODULES = CORE | {f"cantor_coarse.{m}" for m in (*SUBMODULES, "svg")}
-# the cantor_coarse modules each command has loaded when it exits
+# the cantor_coarse modules each command has loaded when it exits: only
+# verify loads ``campaign``, its check families, and the fiber counts of
+# render and dendrite need no ``code_space``
 LOADED = {
     "--help": CORE,
     "partition": CORE | {"cantor_coarse.code_space", "cantor_coarse.clopen_partition"},
-    "dendrite": CORE | {"cantor_coarse.code_space", "cantor_coarse.dendrite"},
+    "dendrite": CORE | {"cantor_coarse.dendrite"},
     "hierarchy": ALL_MODULES - {"cantor_coarse.dendrite", "cantor_coarse.svg"},
-    "verify": ALL_MODULES - {"cantor_coarse.svg"},
-    "render": ALL_MODULES - {"cantor_coarse.coarse_graining", "cantor_coarse.clopen_partition"},
+    "verify": ALL_MODULES - {"cantor_coarse.svg"} | {"cantor_coarse.campaign"},
+    "render": CORE | {"cantor_coarse.quadratic_system", "cantor_coarse.dendrite", "cantor_coarse.svg"},
 }
 # standard-library modules a command has no use for, each milliseconds of
 # start-up: no command loads ``logging`` unless CANTOR_COARSE_LOG is set,
@@ -102,7 +104,7 @@ class TestPackageRoot:
             "from cantor_coarse import DendriteGraph\n"
             "print(sorted(m for m in sys.modules if m.startswith('cantor_coarse')))"
         )
-        assert out.strip() == "['cantor_coarse', 'cantor_coarse.code_space', 'cantor_coarse.dendrite']"
+        assert out.strip() == "['cantor_coarse', 'cantor_coarse.dendrite']"
 
 
 # runs cantor_coarse as ``python -m`` does and writes the names of the

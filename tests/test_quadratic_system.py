@@ -13,7 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cantor_coarse import quadratic_system
-from cantor_coarse.cli import RunConfig, _statement_checks, run_campaign
+from cantor_coarse.campaign import _statement_checks
+from cantor_coarse.cli import RunConfig, run_campaign
 from cantor_coarse.code_space import Address
 from cantor_coarse.quadratic_system import (
     IntervalCover,
