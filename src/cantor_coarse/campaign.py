@@ -11,6 +11,7 @@ runs, as ``cli`` does.
 
 from __future__ import annotations
 
+import math
 from operator import le
 
 from .cli import MAX_DOCUMENT_DEPTH, MAX_ENUMERATED_DEPTH, _capped, _cover_chain, _info
@@ -29,6 +30,11 @@ RATIO_RESOLUTION = 2.0**-30
 def _check(check_id: str, location: str, measured: object, bound: object, passed: bool) -> dict:
     """One entry of the report's ``checks`` list."""
     return {"id": check_id, "location": location, "measured": measured, "bound": bound, "passed": passed}
+
+
+def _finite(distance: float) -> float | None:
+    """``distance``, or None for an infinite one, which JSON cannot hold."""
+    return distance if distance < math.inf else None
 
 
 def _statement_checks(cfg: RunConfig, sys_: WeakContractionSystem) -> list[dict]:
@@ -84,7 +90,7 @@ def _coverage_checks(
             and all(map(le, fine[3::4], ends[1::2]))
         )
         records.append(
-            _check("cover.identity", f"n={n}", dist, cfg.tolerance, dist <= cfg.tolerance)
+            _check("cover.identity", f"n={n}", _finite(dist), cfg.tolerance, dist <= cfg.tolerance)
         )
         records.append(_check("cover.nested", f"n={n}", nested, True, nested))
         distances.append(dist)
@@ -211,7 +217,7 @@ def _hierarchy_checks(
             _check(
                 "hierarchy.coverage",
                 f"k={level.level} depth={verify_depth}",
-                {"exact": exact, "hausdorff": hausdorff},
+                {"exact": exact, "hausdorff": _finite(hausdorff)},
                 cfg.tolerance,
                 exact and hausdorff <= cfg.tolerance,
             )

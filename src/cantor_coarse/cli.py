@@ -9,6 +9,12 @@ precision, so repeated runs with one configuration are byte-identical.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 output
 I/O error.
 
+``_OPTIONS`` is the one table of options.  ``main`` reads a command line
+that is a command name and then known ``--flag value`` or
+``--flag=value`` pairs straight from it, with each option's converter and
+choices; argparse parses every other line, and so writes all help and
+every usage error.  A well-formed command line loads no ``argparse``.
+
 Set ``CANTOR_COARSE_LOG`` to a level name (``INFO``) to see the depth
 caps and the faults behind failed checks on stderr; a value that names
 no level is ignored.  The process imports ``logging`` only when the
@@ -21,7 +27,6 @@ and ``dendrite`` count fiber cylinders on integers, without loading
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -29,6 +34,8 @@ from pathlib import Path
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+
     from .code_space import Address
     from .dendrite import DendriteGraph
     from .quadratic_system import IntervalCover, WeakContractionSystem
@@ -129,6 +136,10 @@ class RunConfig:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         if not isinstance(self.out, str):
             raise ValueError(f"out must be a string, got {self.out!r}")
+        # no file system takes a path with a NUL in it; pathlib raises
+        # ValueError at the first write
+        if "\0" in self.out:
+            raise ValueError(f"out must not contain a NUL character, got {self.out!r}")
         if self.representatives not in _POLICIES:
             raise ValueError(f"representative policy must be one of {_POLICIES}")
         # another policy would ignore the lists, and every report would echo them
@@ -310,22 +321,30 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _rejected(message: str) -> Exception:
+    """argparse's ``ArgumentTypeError`` with ``message``: a converter loads
+    argparse only for a value it rejects, and argparse reports it."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _config_file(value: str) -> str:
     """``--config`` names a readable file that exists."""
     path = Path(value)
     if not path.exists():
-        raise argparse.ArgumentTypeError(f"file {value!r} does not exist")
+        raise _rejected(f"file {value!r} does not exist")
     if path.is_dir():
-        raise argparse.ArgumentTypeError(f"file {value!r} is a directory")
+        raise _rejected(f"file {value!r} is a directory")
     if not os.access(path, os.R_OK):
-        raise argparse.ArgumentTypeError(f"file {value!r} is not readable")
+        raise _rejected(f"file {value!r} is not readable")
     return value
 
 
 def _out_dir(value: str) -> str:
     """``--out`` names a directory, which need not exist yet."""
     if Path(value).is_file():
-        raise argparse.ArgumentTypeError(f"directory {value!r} is a file")
+        raise _rejected(f"directory {value!r} is a file")
     return value
 
 
@@ -342,7 +361,11 @@ _OPTIONS = (
     ("--config", {"dest": "config_path", "metavar": "PATH", "type": _config_file, "help": "JSON config file"}),
     ("--out", {"type": _out_dir, "help": "output directory"}),
 )
-_FLAGS = frozenset(flag for flag, _ in _OPTIONS)
+# each flag's destination, converter and choices, as argparse reads them
+_READERS = {
+    flag: (kwargs.get("dest", flag[2:].replace("-", "_")), kwargs.get("type", str), kwargs.get("choices"))
+    for flag, kwargs in _OPTIONS
+}
 
 
 def verify(cfg: RunConfig) -> None:
@@ -441,7 +464,12 @@ def dendrite(cfg: RunConfig) -> None:
     print(f"document: {out}")
 
 
+_COMMANDS = {run.__name__: run for run in (verify, hierarchy, render, partition, dendrite)}
+
+
 def _parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cantor-coarse",
         description="Construct and machine-verify self-similar coarse grainings of the "
@@ -453,7 +481,7 @@ def _parser() -> argparse.ArgumentParser:
     for flag, kwargs in _OPTIONS:
         options.add_argument(flag, **kwargs)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
-    for run in (verify, hierarchy, render, partition, dendrite):
+    for run in _COMMANDS.values():
         doc = run.__doc__.strip()
         sub = commands.add_parser(run.__name__, help=doc, description=doc, allow_abbrev=False, parents=[options])
         sub.set_defaults(run=run, fail=sub.error)
@@ -470,7 +498,7 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     tokens = iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token in _FLAGS else None
+        value = next(tokens, None) if token in _READERS else None
         if value is None:
             out.append(token)
         elif value.startswith("-"):
@@ -480,10 +508,63 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _read_options(argv: list[str]) -> dict | None:
+    """The options of a command line that is one command name and then
+    known ``--flag value`` or ``--flag=value`` pairs, read from
+    ``_OPTIONS`` as argparse reads them: ``dest`` to value, None for a
+    flag not given, and a repeated flag's last value.  None for any other
+    line, and for a value that its converter or choices reject, so that
+    argparse parses the line and reports its help or error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    args = dict.fromkeys(dest for dest, _, _ in _READERS.values())
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        reader = _READERS.get(flag)
+        if reader is None:
+            return None
+        if not equals:
+            value = next(tokens, None)
+        # argparse drops a value of "--" as the end of the options
+        if value is None or value == "--":
+            return None
+        dest, convert, choices = reader
+        try:
+            value = convert(value)
+        except Exception as exc:
+            import argparse
+
+            # argparse converts a rejected value again and reports it; any
+            # other exception escapes, as it would from argparse
+            if isinstance(exc, (argparse.ArgumentTypeError, TypeError, ValueError)):
+                return None
+            raise
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    return args
+
+
 def main(argv: list[str] | None = None) -> None:
-    """Run one command on ``argv`` (default: ``sys.argv[1:]``)."""
-    args = vars(_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv)))
-    run, fail = args.pop("run"), args.pop("fail")
+    """Run one command on ``argv`` (default: ``sys.argv[1:]``).
+
+    A well-formed command line is read from the option table; argparse
+    parses every other one, for help and usage errors.
+    """
+    argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
+    args = _read_options(argv)
+    if args is None:
+        args = vars(_parser().parse_args(argv))
+        run, fail = args.pop("run"), args.pop("fail")
+    else:
+        run = _COMMANDS[argv[0]]
+
+        def fail(message: str) -> None:
+            # the command's own parser reports the error, as it would have
+            vars(_parser().parse_args(argv))["fail"](message)
+
     level_name = os.environ.get("CANTOR_COARSE_LOG")
     if level_name is not None:
         import logging
@@ -494,8 +575,9 @@ def main(argv: list[str] | None = None) -> None:
             logging.basicConfig(level=level)
     try:
         cfg = load_config(args.pop("config_path"), **args)
-    # a file that is not JSON raises json.JSONDecodeError, a ValueError
-    except (ValueError, TypeError, KeyError) as exc:
+    # a file that is not JSON raises json.JSONDecodeError, a ValueError, and
+    # one nested too deep for the decoder RecursionError
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
         fail(f"invalid configuration: {exc}")
     run(cfg)
 

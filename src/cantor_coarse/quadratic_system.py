@@ -344,10 +344,13 @@ def forward_distance(mu: float, finer: IntervalCover, cover: IntervalCover) -> f
     a side's images are sorted and disjoint, as ``hausdorff_distance``
     needs; in double precision this was seen to hold on every cover built
     for mu in (4, 1000].  The map is evaluated once per endpoint, in
-    ``logistic``'s order of operations.
+    ``logistic``'s order of operations.  A side with no interval is
+    infinitely far from ``cover``, as the empty set is from any other.
     """
     ends = finer.ends
     k = 2 * bisect_left(ends[::2], 0.5)  # endpoints of the intervals starting left of 1/2
+    if not 0 < k < len(ends):
+        return math.inf
     images = [mu * x * (1.0 - x) for x in ends]  # logistic's expression
     sides = (images[:k], images[k:][::-1])
     return max(hausdorff_distance(_trusted_cover(cover.depth, tuple(side)), cover) for side in sides)

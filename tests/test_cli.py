@@ -467,7 +467,7 @@ class TestPlantedFaults:
         checks = run_campaign(RunConfig(**{"depth": 4, "dendrite_depth": 0, **knobs}))["checks"]
         assert {(c["id"], c["location"]) for c in checks if not c["passed"]} == failing
 
-    @pytest.mark.parametrize("n", [1, 3, 7])
+    @pytest.mark.parametrize("n", [0, 1, 3, 7])
     def test_a_refinement_that_drops_an_interval_fails_nesting_from_there(self, monkeypatch, n):
         real = quadratic_system.refine_cover
         pairs = []
@@ -486,6 +486,11 @@ class TestPlantedFaults:
         # every later refinement inherits the gap, so nesting fails from n on
         failing = [c["location"] for c in checks if c["id"] == "cover.nested" and not c["passed"]]
         assert failing == [f"n={m}" for m in range(n, 9)]
+        # the planted cover's images miss part of its parent; at n = 0 it has
+        # no interval right of 1/2, infinitely far, which JSON writes as null
+        identity = [(c["location"], c["measured"]) for c in checks if c["id"] == "cover.identity" and not c["passed"]]
+        assert [location for location, _ in identity] == [f"n={n}"]
+        assert (identity[0][1] is None) == (n == 0)
         # at n, each interval of the plant lies inside one of its parent
         # cover's, so a containment test passes it there
         (planted,) = [(cover, finer) for cover, finer in pairs if finer.depth == n + 1]
@@ -988,9 +993,84 @@ class TestSubprocessHarness:
         assert (out / "verification_report.json").read_bytes() == first
 
 
+COMMANDS = ["verify", "hierarchy", "render", "partition", "dendrite"]
+# each flag with values its converter and choices accept, some of which
+# look like flags, and which may still give an invalid configuration
+GOOD_VALUES = {
+    "--mu": ["5", "4.5", "-inf", "nan", "1e-3", " 7 "],
+    "--depth": ["0", "4", "-1", "1_0"],
+    "--n": ["1", "3", "+2"],
+    "--levels": ["0", "1"],
+    "--dendrite-depth": ["0", "2"],
+    "--tolerance": ["1e-3", "-1e-3", "inf"],
+    "--seed": ["0", "-7", "1_0"],
+    "--representatives": ["distinct", "merged", "explicit"],
+    "--config": ["<file>"],
+    "--out": ["out", "", "-", "--depth", "--mu=5", "-h", "a=b", "<dir>", "<missing>"],
+}
+# values any flag may meet: all of the above, which other flags reject,
+# and the end of the options
+FLAG_VALUES = sorted({v for values in GOOD_VALUES.values() for v in values} | {"--", "abc", "1.5", "Merged"})
+# tokens that are no flag-value pair: help, unknown and abbreviated flags,
+# the end of the options, a stray value, a command in the wrong place and
+# a flag with no value
+STRAY_TOKENS = ["-h", "--help", "--bogus", "--dep", "--dendrite", "--", "-", "5", "verify", "--mu=", *GOOD_VALUES]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command name (or, one time in eight, none or another token), then
+    flag-value pairs in the separate and the ``=`` form, and one time in
+    four a stray token among them."""
+    head = [draw(st.sampled_from(COMMANDS))]
+    if draw(st.integers(0, 7)) == 0:
+        head = draw(st.sampled_from([[], ["frobnicate"], ["-h"]]))
+    tokens = []
+    for flag in draw(st.lists(st.sampled_from(list(GOOD_VALUES)), max_size=4)):
+        value = draw(st.sampled_from(GOOD_VALUES[flag]) | st.sampled_from(FLAG_VALUES))
+        tokens.extend(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    if draw(st.integers(0, 3)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(STRAY_TOKENS)))
+    return head + tokens
+
+
+@pytest.fixture(scope="module")
+def option_paths(tmp_path_factory) -> dict[str, str]:
+    """Stand-ins of ``FLAG_VALUES`` for a config file, a directory and a
+    path that does not exist."""
+    root = tmp_path_factory.mktemp("options")
+    (root / "cfg.json").write_text("{}")
+    (root / "a-dir").mkdir()
+    return {"<file>": str(root / "cfg.json"), "<dir>": str(root / "a-dir"), "<missing>": str(root / "missing.json")}
+
+
 class TestCommandLine:
     """The parser's own checks: each is a usage error, exit 2, with its
     message on stderr, no traceback and nothing written."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=command_lines())
+    @example(argv=["verify", "--mu", "-inf", "--n=3", "--mu", "6"])
+    @example(argv=["partition", "--out", "--", "--seed", "1_0"])
+    @example(argv=["render", "--out=", "--representatives", "merged"])
+    @example(argv=["dendrite", "--out", "--depth", "--depth", "-1"])
+    def test_the_table_reads_a_line_as_argparse_does(self, option_paths, argv):
+        argv = cli._attach_dash_values([option_paths.get(token, token) for token in argv])
+        args = cli._read_options(argv)
+        if args is not None:
+            expected = vars(cli._parser().parse_args(argv))
+            assert expected.pop("run") is cli._COMMANDS[argv[0]]
+            del expected["fail"]
+            # repr tells 5 from 5.0 and matches nan with nan
+            assert {k: repr(v) for k, v in args.items()} == {k: repr(v) for k, v in expected.items()}
+
+    def test_a_well_formed_line_is_read_from_the_table(self):
+        argv = ["verify", "--mu", "-inf", "--n=3", "--mu", "6", "--representatives", "merged", "--out", "-h"]
+        args = cli._read_options(cli._attach_dash_values(argv))
+        assert args == {
+            "mu": 6.0, "depth": None, "partition_n": 3, "levels": None, "dendrite_depth": None, "tolerance": None,
+            "seed": None, "representatives": "merged", "config_path": None, "out": "-h",
+        }
 
     @pytest.mark.parametrize(
         ("args", "message"),
@@ -1179,6 +1259,17 @@ class TestMalformedConfig:
         assert isinstance(result.exception, SystemExit)
         assert "invalid configuration: the config file must hold a JSON object" in result.stderr
 
+    @pytest.mark.parametrize("command", ["verify", "hierarchy", "render", "partition", "dendrite"])
+    def test_config_nested_too_deep_for_the_decoder(self, tmp_path, command):
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000)
+        out = tmp_path / "out"
+        result = invoke([command, "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration: maximum recursion depth exceeded" in result.stderr
+        assert not out.exists()
+
     def test_explicit_flag_without_lists(self, tmp_path):
         result = invoke(["verify", "--representatives", "explicit", "--out", str(tmp_path)])
         assert result.exit_code == 2
@@ -1202,6 +1293,17 @@ class TestMalformedConfig:
         assert result.exit_code == 2, result.stderr
         assert isinstance(result.exception, SystemExit)
         assert "invalid configuration: out must be a string, got 5" in result.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["verify", "hierarchy", "render", "partition", "dendrite"])
+    def test_out_must_hold_no_nul(self, tmp_path, monkeypatch, command):
+        # no --out, which would override the file's out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"out": "a\\u0000b"}')
+        result = invoke([command, "--config", "cfg.json"])
+        assert result.exit_code == 2, result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration: out must not contain a NUL character, got 'a\\x00b'" in result.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_integer_tolerance_is_valid(self, tmp_path):

@@ -59,9 +59,18 @@ LOADED = {
 # standard-library modules a command has no use for, each milliseconds of
 # start-up: no command loads ``logging`` unless CANTOR_COARSE_LOG is set,
 # ``inspect`` comes with ``dataclasses``, a command that writes no JSON
-# loads no ``json``, and one that builds no ``Fraction`` no ``fractions``
+# loads no ``json``, and one that builds no ``Fraction`` no ``fractions``.
+# A well-formed command line is read from the option table, so only help
+# and usage errors load ``argparse``
 UNUSED = {"logging", "dataclasses", "inspect"}
-UNUSED_BY = {"--help": {"json", "fractions"}, "partition": {"fractions"}, "render": {"json"}}
+UNUSED_BY = {
+    "--help": {"json", "fractions"},
+    "verify": {"argparse"},
+    "hierarchy": {"argparse"},
+    "render": {"argparse", "json"},
+    "partition": {"argparse", "fractions"},
+    "dendrite": {"argparse"},
+}
 
 
 def _fresh(code: str) -> str:
@@ -123,9 +132,9 @@ finally:
 """
 
 
-def _new_modules(tmp_path, args: list[str], *flags: str, env: dict | None = None) -> list[str]:
+def _new_modules(tmp_path, args: list[str], *flags: str, env: dict | None = None, code: int = 0) -> list[str]:
     """The modules ``python *flags -m cantor_coarse *args`` loads, with
-    CANTOR_COARSE_LOG unset unless ``env`` sets it."""
+    CANTOR_COARSE_LOG unset unless ``env`` sets it; it must exit ``code``."""
     loaded = tmp_path / "loaded.txt"
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _NEW_MODULES, str(loaded), *args],
@@ -134,7 +143,7 @@ def _new_modules(tmp_path, args: list[str], *flags: str, env: dict | None = None
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.returncode == code, proc.stderr[-2000:]
     return loaded.read_text(encoding="utf-8").split()
 
 
@@ -144,7 +153,9 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     modules = _new_modules(tmp_path, args)
     assert {m for m in modules if m.split(".")[0] == "cantor_coarse"} == LOADED[command]
     assert {m.split(".")[0] for m in modules} - {"cantor_coarse"} <= set(sys.stdlib_module_names)
-    assert UNUSED.union(UNUSED_BY.get(command, ())).isdisjoint(modules)
+    assert UNUSED.union(UNUSED_BY[command]).isdisjoint(modules)
+    if command == "--help":
+        assert "argparse" in modules  # argparse writes the help
     # nor ``typing``; ``site`` may load it or ``logging`` through a ``.pth``
     # file, before the snapshot, so the command runs again without ``site``
     assert {"typing", "logging"}.isdisjoint(_new_modules(tmp_path, args, "-S"))
@@ -153,3 +164,14 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
 def test_the_log_variable_loads_logging(tmp_path):
     args = ["partition", "--out", str(tmp_path)]
     assert "logging" in _new_modules(tmp_path, args, env={"CANTOR_COARSE_LOG": "INFO"})
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "--mu", "abc"], ["partition", "--tolerance", "-1e-3"]],
+    ids=["argparse-rejects", "invalid-configuration"],
+)
+def test_a_usage_error_loads_argparse(tmp_path, args):
+    # argparse writes every usage error, also that of a line the option
+    # table read whose configuration is invalid
+    assert "argparse" in _new_modules(tmp_path, args, code=2)
