@@ -42,8 +42,13 @@ for n in range(1, 7):
     cover = invariant_cover(system, n)
     width = max(hi - lo for lo, hi in cover.intervals)
     drift = hausdorff_distance(previous, cover)
+    # interval i of the coarser cover holds intervals 2i and 2i+1 of the finer
+    nested = all(
+        lo <= cover.intervals[2 * i][0] and cover.intervals[2 * i + 1][1] <= hi
+        for i, (lo, hi) in enumerate(previous.intervals)
+    )
     print(f"  depth {n}: {len(cover):3d} intervals, widest {width:.6f}, "
-          f"Hausdorff step {drift:.6f}, nested: {cover.subset_of(previous)}")
+          f"Hausdorff step {drift:.6f}, nested: {nested}")
     previous = cover
 
 print("\npoints by symbolic address (midpoint +- radius at depth 30):")

@@ -7,7 +7,14 @@ sampled ratios draw from the configured seed.  Reports carry no
 timestamps, and the SVG builders format every number with fixed
 precision, so repeated runs with one configuration are byte-identical.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 output
-I/O error.
+I/O error, also a stdout that refuses the command's lines, such as a pipe
+whose reader has gone.
+
+``python -m cantor_coarse`` and the ``cantor-coarse`` script run ``main``
+through ``entry``, which ends the process with ``os._exit`` once stdout
+and stderr are flushed, skipping interpreter teardown: ``atexit`` hooks
+do not run in that process.  ``main`` itself returns or raises, as any
+function does.
 
 ``_OPTIONS`` is the one table of options.  ``main`` reads a command line
 that is a command name and then known ``--flag value`` or
@@ -35,12 +42,13 @@ from pathlib import Path
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from typing import NoReturn
 
     from .code_space import Address
     from .dendrite import DendriteGraph
     from .quadratic_system import IntervalCover, WeakContractionSystem
 
-__all__ = ["RunConfig", "main", "run_campaign"]
+__all__ = ["RunConfig", "entry", "main", "run_campaign"]
 
 
 def _info(msg: str, *args: object, exc_info: bool = False) -> None:
@@ -306,13 +314,27 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     }
 
 
+def _cannot_write(target: object, exc: OSError) -> int:
+    """Report an output I/O error on stderr; return its exit status, 3."""
+    print(f"cannot write {target}: {exc}", file=sys.stderr)
+    return 3
+
+
 def _write_text(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
-        sys.exit(3)
+        sys.exit(_cannot_write(path, exc))
+
+
+def _say(line: str) -> None:
+    """Print ``line`` on stdout.  A stream that refuses it, such as a pipe
+    whose reader has gone, is an output I/O error (exit 3)."""
+    try:
+        print(line)
+    except OSError as exc:
+        sys.exit(_cannot_write("standard output", exc))
 
 
 def _dump(doc: dict) -> str:
@@ -373,10 +395,10 @@ def verify(cfg: RunConfig) -> None:
     report = run_campaign(cfg)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
-        print(f"{status} {check['id']} [{check['location']}]")
+        _say(f"{status} {check['id']} [{check['location']}]")
     out = Path(cfg.out) / "verification_report.json"
     _write_text(out, _dump(report))
-    print(f"report: {out}")
+    _say(f"report: {out}")
     if not report["summary"]["all_passed"]:
         import json
 
@@ -395,7 +417,7 @@ def hierarchy(cfg: RunConfig) -> None:
     doc = hierarchy_document(cfg)
     out = Path(cfg.out) / "hierarchy.json"
     _write_text(out, _dump(doc))
-    print(f"document: {out}")
+    _say(f"document: {out}")
 
 
 def _fiber_counts(tree: DendriteGraph, depth: int) -> dict[int, int]:
@@ -423,7 +445,7 @@ def render(cfg: RunConfig) -> None:
 
     tree = DendriteGraph(cfg.dendrite_depth)
     _write_text(out_dir / "dendrite.svg", dendrite_svg(tree, _fiber_counts(tree, cfg.depth)))
-    print(f"renderings: {out_dir}")
+    _say(f"renderings: {out_dir}")
 
 
 def partition(cfg: RunConfig) -> None:
@@ -440,7 +462,7 @@ def partition(cfg: RunConfig) -> None:
     }
     out = Path(cfg.out) / "partition.json"
     _write_text(out, _dump(doc))
-    print(f"document: {out}")
+    _say(f"document: {out}")
 
 
 def dendrite(cfg: RunConfig) -> None:
@@ -461,7 +483,7 @@ def dendrite(cfg: RunConfig) -> None:
     }
     out = Path(cfg.out) / "dendrite.json"
     _write_text(out, _dump(doc))
-    print(f"document: {out}")
+    _say(f"document: {out}")
 
 
 _COMMANDS = {run.__name__: run for run in (verify, hierarchy, render, partition, dendrite)}
@@ -582,5 +604,45 @@ def main(argv: list[str] | None = None) -> None:
     run(cfg)
 
 
+def entry() -> NoReturn:
+    """Run ``main`` as the whole process, and end the process with
+    ``os._exit`` once its outputs are flushed.
+
+    ``python -m cantor_coarse`` and the ``cantor-coarse`` script both
+    start here.  Interpreter teardown would only free what the process is
+    about to drop, and ``_write_text`` has closed every output file, so
+    skipping it loses nothing.  The status is the one Python gives: 0 when
+    ``main`` returns; for a ``SystemExit``, 0 for a code of None, an int
+    code as it is, and 1 for any other code, which is printed on stderr.
+    Any other exception escapes, with Python's own traceback and exit 1.
+    A stdout that refuses the last flush is an output I/O error (exit 3).
+    """
+    try:
+        main()
+        status = 0
+    except SystemExit as exc:
+        if exc.code is None:
+            status = 0
+        elif isinstance(exc.code, int):
+            status = exc.code
+        else:
+            print(exc.code, file=sys.stderr)
+            status = 1
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.shutdown()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        status = _cannot_write("standard output", exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # no stream is left to say so
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    main()
+    entry()

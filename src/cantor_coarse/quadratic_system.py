@@ -13,10 +13,10 @@ symbolic layer.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Callable
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from operator import gt, itemgetter, le, lt, sub
 
 TYPE_CHECKING = False
@@ -222,18 +222,6 @@ class IntervalCover:
 
     def __len__(self) -> int:
         return len(self.ends) >> 1
-
-    def subset_of(self, other: "IntervalCover") -> bool:
-        """Every interval of self contained in a single interval of other.
-
-        For each interval of self, ``bisect_right`` over other's starts
-        gives one past the last interval of other that starts at or left
-        of it, and that interval's stop is read; a leading -inf stop fails
-        an interval that starts left of all of other.
-        """
-        stops = (-math.inf, *other.ends[1::2])
-        found = map(bisect_right, repeat(other.ends[::2]), self.ends[::2])
-        return all(map(le, self.ends[1::2], map(stops.__getitem__, found)))
 
 
 def _trusted_cover(depth: int, ends: tuple[float, ...]) -> IntervalCover:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
@@ -37,3 +38,16 @@ def invoke(args: list[str]) -> Result:
             exception = exc
             code = 1
     return Result(code, out.getvalue(), err.getvalue(), exception)
+
+
+def subset_of(cover, other) -> bool:
+    """Whether every interval of the ``IntervalCover`` ``cover`` lies in a
+    single interval of ``other``: the tests' nesting oracle.  For each
+    interval, ``bisect_right`` over other's starts finds the last interval
+    of other that starts at or left of it, and its stop is read."""
+    starts = [lo for lo, _ in other.intervals]
+    for lo, hi in cover.intervals:
+        i = bisect_right(starts, lo) - 1
+        if i < 0 or hi > other.intervals[i][1]:
+            return False
+    return True

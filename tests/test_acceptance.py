@@ -31,7 +31,7 @@ from cantor_coarse.quadratic_system import (
     logistic,
     verify_statement_conditions,
 )
-from conftest import invoke
+from conftest import invoke, subset_of
 
 MU5 = 5.0
 
@@ -81,7 +81,7 @@ def test_criterion_2_self_similarity_coverage():
         worst = max(worst, moved)
         ok &= moved < 1e-12 and hits == [2] * len(cover)
         ok &= dist == moved  # the gaps are wide, so the distance is the largest move
-        ok &= finer.subset_of(cover)
+        ok &= subset_of(finer, cover)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
     report(

@@ -22,7 +22,7 @@ from cantor_coarse.cli import RunConfig, _dump, load_config, run_campaign
 from cantor_coarse.clopen_partition import build_partition
 from cantor_coarse.code_space import FULL_SPACE, ClopenSet, compose, prepend_map
 from cantor_coarse.quadratic_system import IntervalCover
-from conftest import invoke
+from conftest import invoke, subset_of
 from test_coarse_graining import deep_broken
 
 REPO = Path(__file__).resolve().parents[1]
@@ -494,7 +494,7 @@ class TestPlantedFaults:
         # at n, each interval of the plant lies inside one of its parent
         # cover's, so a containment test passes it there
         (planted,) = [(cover, finer) for cover, finer in pairs if finer.depth == n + 1]
-        assert planted[1].subset_of(planted[0])
+        assert subset_of(planted[1], planted[0])
 
     @pytest.mark.parametrize(
         ("check_id", "plant"),

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantor_coarse.clopen_partition import build_partition
 from cantor_coarse.code_space import (
@@ -527,6 +529,94 @@ class TestIntertwining:
         level = tower[1]
         three = floor_with(level, maps=level.maps + level.maps[:1])
         assert not check_intertwining(three, tower[0])
+
+
+@st.composite
+def complete_codes(draw, size: int) -> list[str]:
+    """A random complete binary prefix code of ``size`` words, in
+    lexicographic order: the empty word, with a drawn word split in two
+    until there are ``size``."""
+    code = [""]
+    while len(code) < size:
+        i = draw(st.integers(0, len(code) - 1))
+        word = code[i]
+        code[i : i + 1] = [word + "0", word + "1"]
+    return code
+
+
+@st.composite
+def code_homeomorphisms(draw, min_size: int = 1) -> PrefixRewrite:
+    """A homeomorphism of the code space: a bijection between two random
+    complete prefix codes of ``min_size``..24 words."""
+    size = draw(st.integers(min_size, 24))
+    sources = draw(complete_codes(size))
+    targets = draw(st.permutations(draw(complete_codes(size))))
+    return PrefixRewrite(tuple(zip(sources, targets)))
+
+
+def transported(ground: HierarchyLevel, hom: PrefixRewrite) -> HierarchyLevel:
+    """Floor 1 over ``ground``, with its branches conjugated through
+    ``hom``, built as ``build_hierarchy`` builds a floor."""
+    return HierarchyLevel(
+        level=1,
+        maps=conjugate_system(ground.maps, hom),
+        carrier=map_clopen(hom, ground.carrier),
+        quotient=None,
+        hom=hom,
+        to_base=compose(hom.inverse(), ground.to_base),
+    )
+
+
+class TestTransport:
+    """A space homeomorphic to a self-similar space is self-similar: the
+    ground conjugated through a homeomorphism of the code space the tower
+    never builds passes the four exact floor checks, and each planted
+    fault fails the checks that read it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(code_homeomorphisms())
+    def test_a_homeomorphism_transports_every_check(self, hom):
+        ground = base_system()
+        floor = transported(ground, hom)
+        assert floor.carrier == FULL_SPACE
+        assert check_coverage(floor)
+        assert check_conjugation(floor, ground)
+        assert check_isometry(floor, ground)
+        assert check_intertwining(floor, ground)
+
+    @settings(max_examples=50, deadline=None)
+    @given(code_homeomorphisms(min_size=2), st.data())
+    def test_a_pull_back_with_two_targets_swapped_fails(self, hom, data):
+        ground = base_system()
+        floor = transported(ground, hom)
+        rules = list(hom.inverse().rules)
+        i, k = data.draw(st.lists(st.integers(0, len(rules) - 1), min_size=2, max_size=2, unique=True))
+        (src_i, dst_i), (src_k, dst_k) = rules[i], rules[k]
+        rules[i], rules[k] = (src_i, dst_k), (src_k, dst_i)
+        swapped = floor_with(floor, to_base=PrefixRewrite(tuple(rules)))
+        # to_base o hom swaps two cylinders of the ground: no isometry, and
+        # a swap commutes with both prepending branches only if it is the
+        # identity, so the floor does not intertwine
+        assert not check_isometry(swapped, ground)
+        assert not check_intertwining(swapped, ground)
+        # coverage and conjugation do not read the pull-back
+        assert check_coverage(swapped)
+        assert check_conjugation(swapped, ground)
+
+    @settings(max_examples=50, deadline=None)
+    @given(code_homeomorphisms(), st.integers(2, 24).flatmap(complete_codes), st.data())
+    def test_a_branch_code_that_is_not_complete_fails_coverage(self, hom, code, data):
+        # the ground's branch code {0, 1} replaced by a prefix code with one
+        # word left out: the branch images miss that word's cylinder, on the
+        # ground and on every floor transported from it
+        code.pop(data.draw(st.integers(0, len(code) - 1)))
+        ground = floor_with(base_system(), maps=[PrefixRewrite((("", word),)) for word in code])
+        floor = transported(ground, hom)
+        assert not check_coverage(ground)
+        assert not check_coverage(floor)
+        assert check_conjugation(floor, ground)
+        assert check_isometry(floor, ground)
+        assert check_intertwining(floor, ground)
 
 
 def refined_coverage(level, extra: int) -> bool:

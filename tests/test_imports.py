@@ -118,17 +118,24 @@ class TestPackageRoot:
 
 # runs cantor_coarse as ``python -m`` does and writes the names of the
 # modules the command loaded, one a line, to the file named by its first
-# argument; it imports nothing of its own after the ``before`` snapshot
+# argument; it imports nothing of its own after the ``before`` snapshot.
+# The process entry ends the process with ``os._exit``, which runs no
+# ``finally``, so the list is written by a wrapper of ``os._exit``: a
+# command that ends any other way writes none
 _NEW_MODULES = """
-import runpy, sys
+import os, runpy, sys
 out, sys.argv = sys.argv[1], ["cantor-coarse", *sys.argv[2:]]
 before = set(sys.modules)
-try:
-    runpy.run_module("cantor_coarse", run_name="__main__", alter_sys=True)
-finally:
+exit_ = os._exit
+
+def record_then_exit(status):
     loaded = sorted(set(sys.modules) - before)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\\n".join(loaded))
+    exit_(status)
+
+os._exit = record_then_exit
+runpy.run_module("cantor_coarse", run_name="__main__", alter_sys=True)
 """
 
 
@@ -136,6 +143,7 @@ def _new_modules(tmp_path, args: list[str], *flags: str, env: dict | None = None
     """The modules ``python *flags -m cantor_coarse *args`` loads, with
     CANTOR_COARSE_LOG unset unless ``env`` sets it; it must exit ``code``."""
     loaded = tmp_path / "loaded.txt"
+    loaded.unlink(missing_ok=True)  # a command that ends without os._exit writes none
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _NEW_MODULES, str(loaded), *args],
         env={**QUIET, **(env or {})},

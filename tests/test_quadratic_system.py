@@ -31,6 +31,7 @@ from cantor_coarse.quadratic_system import (
     refine_cover,
     verify_statement_conditions,
 )
+from conftest import subset_of
 
 MU5 = 5.0
 
@@ -166,21 +167,23 @@ class TestStatementConditions:
 
 
 class TestSubsetOf:
+    """The tests' nesting oracle, ``conftest.subset_of``."""
+
     OTHER = IntervalCover(0, [(0.1, 0.4), (0.5, 0.9)])
 
     def test_interval_straddling_two_intervals(self):
-        assert not IntervalCover(0, [(0.3, 0.6)]).subset_of(self.OTHER)
+        assert not subset_of(IntervalCover(0, [(0.3, 0.6)]), self.OTHER)
 
     def test_interval_starting_before_the_first(self):
-        assert not IntervalCover(0, [(0.0, 0.2)]).subset_of(self.OTHER)
-        assert not IntervalCover(0, [(0.05, 0.08)]).subset_of(self.OTHER)
+        assert not subset_of(IntervalCover(0, [(0.0, 0.2)]), self.OTHER)
+        assert not subset_of(IntervalCover(0, [(0.05, 0.08)]), self.OTHER)
 
     def test_shared_endpoints_are_contained(self):
-        assert IntervalCover(0, [(0.1, 0.4), (0.5, 0.5), (0.9, 0.9)]).subset_of(self.OTHER)
+        assert subset_of(IntervalCover(0, [(0.1, 0.4), (0.5, 0.5), (0.9, 0.9)]), self.OTHER)
 
     def test_interval_past_the_last(self):
-        assert not IntervalCover(0, [(0.6, 0.95)]).subset_of(self.OTHER)
-        assert not IntervalCover(0, [(0.95, 1.0)]).subset_of(self.OTHER)
+        assert not subset_of(IntervalCover(0, [(0.6, 0.95)]), self.OTHER)
+        assert not subset_of(IntervalCover(0, [(0.95, 1.0)]), self.OTHER)
 
 
 class TestInvariantCover:
@@ -218,7 +221,7 @@ class TestInvariantCover:
         for n in range(1, 15):
             cover = invariant_cover(sys5, n)
             assert len(cover) == 2**n
-            assert cover.subset_of(prev)
+            assert subset_of(cover, prev)
             prev = cover
 
     def test_each_interval_splits_into_exactly_two(self):
@@ -626,15 +629,6 @@ def oracle_branch_images(sys_, intervals):
     return pieces
 
 
-def oracle_subset_of(intervals, other):
-    starts = [lo for lo, _ in other]
-    for lo, hi in intervals:
-        i = bisect_right(starts, lo) - 1
-        if i < 0 or hi > other[i][1]:
-            return False
-    return True
-
-
 def _oracle_least_gap(ends):
     return min(map(sub, ends[2::2], ends[1::2]), default=math.inf)
 
@@ -694,8 +688,7 @@ class TestFlatCoversAgainstPairOracles:
             assert finer.intervals == tuple(want)
             assert bits([forward_distance(mu, finer, cover)]) == bits([oracle_forward_distance(mu, want, pairs)])
             assert bits([hausdorff_distance(finer, cover)]) == bits([oracle_hausdorff(want, pairs)])
-            assert finer.subset_of(cover) is oracle_subset_of(want, pairs) is True
-            assert cover.subset_of(finer) is oracle_subset_of(pairs, want)
+            assert subset_of(finer, cover)
             cover, pairs = finer, want
 
     @pytest.mark.parametrize(("mu", "depth"), [(95.75, 8), (431.0, 6)])
