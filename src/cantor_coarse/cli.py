@@ -2,10 +2,11 @@
 SVG renderings.
 
 Configuration comes from an optional JSON file plus flag overrides (flags
-win).  ``verify`` draws no random number, and the hierarchy document's
-sampled ratios draw from the configured seed.  Reports carry no
-timestamps, and the SVG builders format every number with fixed
-precision, so repeated runs with one configuration are byte-identical.
+win).  ``verify`` draws no random number, and the hierarchy document
+samples its contraction ratio once per tower, on the top floor, from the
+configured seed.  Reports carry no timestamps, and the SVG builders
+format every number with fixed precision, so repeated runs with one
+configuration are byte-identical.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 output
 I/O error, also a stdout that refuses the command's lines, such as a pipe
 whose reader has gone.
@@ -266,8 +267,14 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     valid ``mu``; only ``verify`` judges the contraction conditions.  Each
     floor's ``modulus_bound`` is the ground branches' modulus, which bounds
     every floor's ratio.
+
+    A floor that intertwines with the ground has the ground's contraction
+    ratio, so the ratio is sampled once, on the top floor, whose maps
+    compose every recoding below it, and each floor that intertwines writes
+    that reading; any other floor, or every floor when the top one does not
+    intertwine, is sampled on its own.  Each floor decides its own coverage.
     """
-    from .coarse_graining import build_hierarchy, verify_self_similarity
+    from .coarse_graining import build_hierarchy, check_coverage, check_intertwining, verify_self_similarity
     from .quadratic_system import forward_distance, inverse_branches
 
     sys_ = inverse_branches(cfg.mu)
@@ -277,21 +284,37 @@ def hierarchy_document(cfg: RunConfig) -> dict:
     covers = _cover_chain(sys_, doc_depth + 1)
     # MAX_COVER_DEPTH <= MAX_DOCUMENT_DEPTH, so only the chain's end clips it
     cover = covers[min(_capped(cfg.depth, MAX_COVER_DEPTH, "MAX_COVER_DEPTH"), len(covers) - 1)]
+    interval_cover = {"depth": cover.depth, "intervals": [list(iv) for iv in cover.intervals]}
     # the realized point set is the same at every floor: labels pull back to
     # ground addresses, and those realize to these covers
     hausdorff = forward_distance(cfg.mu, covers[-1], covers[-2])
+    ground, top = tower[0], tower[-1]
+    reading = verify_self_similarity(top, samples=100, seed=cfg.seed)
+    top_ratio = list(reading.max_ratio)
+    # the ground intertwines with itself
+    shared = top is ground or check_intertwining(top, ground)
+    if not shared:
+        _info("%s does not intertwine with the ground; sampling every floor's ratio on its own", _floor_name(top.level))
     levels: dict[str, dict] = {}
     for level in tower:
         base_len = max((len(w) for w in level.carrier.words), default=0)
-        rep = verify_self_similarity(level, samples=100, seed=cfg.seed)
+        if level is top:
+            coverage_exact, ratio = reading.coverage_exact, top_ratio
+        elif shared and (level is ground or check_intertwining(level, ground)):
+            coverage_exact, ratio = check_coverage(level), top_ratio
+        else:
+            if shared:
+                _info("%s does not intertwine with the ground; sampling its ratio on its own", _floor_name(level.level))
+            rep = verify_self_similarity(level, samples=100, seed=cfg.seed)
+            coverage_exact, ratio = rep.coverage_exact, list(rep.max_ratio)
         entry: dict = {
             "carrier": list(level.carrier.words),
             "cylinders": list(level.carrier.refine(base_len + doc_depth)),
-            "interval_cover": {"depth": cover.depth, "intervals": [list(iv) for iv in cover.intervals]},
+            "interval_cover": interval_cover,
             "modulus_bound": modulus,
-            "coverage_exact": rep.coverage_exact,
+            "coverage_exact": coverage_exact,
             "coverage_hausdorff": hausdorff,
-            "max_contraction_ratio": list(rep.max_ratio),
+            "max_contraction_ratio": ratio,
         }
         if level.quotient is not None:
             entry["homeomorphism"] = [
@@ -328,11 +351,11 @@ def _write_text(path: Path, text: str) -> None:
         sys.exit(_cannot_write(path, exc))
 
 
-def _say(line: str) -> None:
-    """Print ``line`` on stdout.  A stream that refuses it, such as a pipe
-    whose reader has gone, is an output I/O error (exit 3)."""
+def _say(line: str, end: str = "\n") -> None:
+    """Print ``line`` on stdout, then ``end``.  A stream that refuses it,
+    such as a pipe whose reader has gone, is an output I/O error (exit 3)."""
     try:
-        print(line)
+        print(line, end=end)
     except OSError as exc:
         sys.exit(_cannot_write("standard output", exc))
 
@@ -492,7 +515,16 @@ _COMMANDS = {run.__name__: run for run in (verify, hierarchy, render, partition,
 def _parser() -> argparse.ArgumentParser:
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        """Writes its help on stdout through ``_say``: argparse drops a
+        help text that stdout refuses and exits 0."""
+
+        def print_help(self, file=None) -> None:
+            if file is not None:
+                return super().print_help(file)
+            _say(self.format_help(), end="")
+
+    parser = Parser(
         prog="cantor-coarse",
         description="Construct and machine-verify self-similar coarse grainings of the "
         "Cantor-type invariant set of the quadratic map.",

@@ -287,10 +287,11 @@ def verify_self_similarity(level: HierarchyLevel, samples: int = 400, seed: int 
     ``random_address`` from ``random.Random(seed)`` are measured in the
     transported middle-thirds code metric before and after each branch;
     on the tower's floors each ratio is exactly 1/3, so no document depends
-    on which pairs are drawn.  Only the hierarchy document calls this; ``verify`` reads the
-    ground's ratio in the real metric, from its interval cover.  The
-    interval realization is the same on every floor and is checked by the
-    caller, once.
+    on which pairs are drawn.  Only the hierarchy document calls this, once
+    per tower on its top floor, and again for a floor that does not
+    intertwine with the ground; ``verify`` reads the ground's ratio in the
+    real metric, from its interval cover.  The interval realization is the
+    same on every floor and is checked by the caller, once.
     """
     carrier = level.carrier
     rng = random.Random(seed)

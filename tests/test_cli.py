@@ -806,6 +806,71 @@ class TestGroundRatio:
         assert {(c["measured"], c["bound"]) for c in ratio.values()} == {(ratio["k=0"]["measured"], ratio["k=0"]["bound"])}
 
 
+class TestDocumentRatio:
+    """The hierarchy document samples the contraction ratio once per
+    tower, on the top floor, and every floor that intertwines with the
+    ground writes that reading; each floor decides its own coverage."""
+
+    @pytest.mark.parametrize("levels", [0, 2, 8])
+    def test_one_reading_per_tower(self, monkeypatch, levels):
+        names = ("verify_self_similarity", "check_intertwining", "check_coverage")
+        calls = count_calls(monkeypatch, coarse_graining, names)
+        cli.hierarchy_document(RunConfig(depth=4, partition_n=5, levels=levels))
+        # the ground intertwines with itself, so only the floors above it
+        # are checked: the top floor, then each one below it
+        assert calls == {"verify_self_similarity": 1, "check_intertwining": levels, "check_coverage": levels + 1}
+
+    @pytest.mark.parametrize("part", ["branch", "to_base"])
+    @pytest.mark.parametrize(
+        ("levels", "sampled", "line"),
+        [
+            (3, [3, 2], "D2 does not intertwine with the ground; sampling its ratio on its own"),
+            (2, [2, 0, 1], "D2 does not intertwine with the ground; sampling every floor's ratio on its own"),
+        ],
+        ids=["middle-floor", "top-floor"],
+    )
+    def test_a_floor_that_does_not_intertwine_is_sampled_on_its_own(
+        self, monkeypatch, caplog, part, levels, sampled, line
+    ):
+        jsonschema = pytest.importorskip("jsonschema")
+        cfg = RunConfig(depth=4, levels=levels)
+        unbroken = cli.hierarchy_document(cfg)
+        _broken_floor_2(part)(monkeypatch)
+        floors: list[int] = []
+        real = coarse_graining.verify_self_similarity
+
+        def recorded(level, **kwargs):
+            floors.append(level.level)
+            return real(level, **kwargs)
+
+        monkeypatch.setattr(coarse_graining, "verify_self_similarity", recorded)
+        caplog.set_level(logging.INFO, logger="cantor_coarse")
+        doc = cli.hierarchy_document(cfg)
+        assert floors == sampled
+        assert [r.getMessage() for r in caplog.records if "intertwine" in r.getMessage()] == [line]
+        jsonschema.validate(doc, json.loads((SCHEMAS / "hierarchy_document.schema.json").read_text()))
+        # the fault lies deeper than any sampled pair reaches, so every floor
+        # reads as it does on the unbroken tower
+        assert doc == unbroken
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        levels=st.integers(0, 8),
+        policy=st.sampled_from(["distinct", "merged"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_every_floor_reads_as_its_own_sampling(self, n, levels, policy, seed):
+        doc = cli.hierarchy_document(
+            RunConfig(depth=2, partition_n=n, levels=levels, representatives=policy, seed=seed)
+        )
+        for level in coarse_graining.build_hierarchy(levels, n, policy):
+            own = coarse_graining.verify_self_similarity(level, samples=100, seed=seed)
+            entry = doc["levels"][cli._floor_name(level.level)]
+            assert entry["max_contraction_ratio"] == list(own.max_ratio), level.level
+            assert entry["coverage_exact"] == own.coverage_exact, level.level
+
+
 class TestVerdictsAcrossTheConfigSpace:
     """verify exits with the known answer over mu in (4, 1e4], every depth,
     block count, floor count and dendrite depth up to 4, under both

@@ -24,6 +24,7 @@ from cantor_coarse.code_space import (
     prepend_map,
     push_word,
     random_address,
+    recode_between,
     recode_homeomorphism,
 )
 from cantor_coarse.coarse_graining import (
@@ -31,6 +32,7 @@ from cantor_coarse.coarse_graining import (
     HierarchyLevel,
     QuotientSpec,
     RATIO_SLACK,
+    _agree_on,
     base_system,
     build_hierarchy,
     check_conjugation,
@@ -617,6 +619,39 @@ class TestTransport:
         assert check_conjugation(floor, ground)
         assert check_isometry(floor, ground)
         assert check_intertwining(floor, ground)
+
+
+_carriers = st.lists(st.text(alphabet="01", max_size=7), min_size=1, max_size=6).map(ClopenSet)
+
+
+def prepended(word: str, s: ClopenSet) -> ClopenSet:
+    return ClopenSet([word + w for w in s.words])
+
+
+class TestPrependingAWord:
+    """The builder's step commutes with prepending a word w: the recoding
+    between two w-prefixed carriers is the w-conjugate of the recoding
+    between the carriers, and both representative policies on a
+    w-prefixed carrier's partition give w-prefixed copies.
+    ``build_partition`` commutes too (``tests/test_clopen_partition.py``),
+    so a floor built over [w] is w's image of the floor built over the
+    full space."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(word=st.text(alphabet="01", max_size=6), source=_carriers, target=_carriers)
+    def test_recode_between_is_the_conjugate(self, word, source, target):
+        w = PrefixRewrite((("", word),))
+        shifted_source, shifted_target = prepended(word, source), prepended(word, target)
+        shifted = recode_between(shifted_source, shifted_target)
+        assert map_clopen(shifted, shifted_source) == shifted_target
+        assert _agree_on(shifted, compose(w.inverse(), recode_between(source, target), w), shifted_source)
+
+    @settings(max_examples=100, deadline=None)
+    @given(word=st.text(alphabet="01", max_size=6), carrier=_carriers, n=st.integers(1, 64))
+    def test_representatives_are_prefixed_copies(self, word, carrier, n):
+        for policy in (default_representatives, merged_representatives):
+            shifted = policy(build_partition(prepended(word, carrier), n))
+            assert shifted == tuple(Address(word + q.prefix, q.tail) for q in policy(build_partition(carrier, n)))
 
 
 def refined_coverage(level, extra: int) -> bool:

@@ -78,8 +78,9 @@ class TestProcessMatchesInvoke:
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("command", [*COMMANDS, "--help"])
 def test_a_closed_stdout_is_an_output_error(tmp_path, command, buffered):
-    # unbuffered, the first print fails in the command; buffered, the
-    # entry's flush fails.  Either way: exit 3, one line, no traceback
+    # unbuffered, the first print fails in the command, or the help text's
+    # write; buffered, the entry's flush fails.  Either way: exit 3, one
+    # line, no traceback
     read, write = os.pipe()
     os.close(read)
     args = [command] if command == "--help" else [command, "--out", str(tmp_path)]
@@ -87,11 +88,7 @@ def test_a_closed_stdout_is_an_output_error(tmp_path, command, buffered):
         proc = _run(args, tmp_path, stdout=write, **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
     finally:
         os.close(write)
-    if command == "--help" and not buffered:
-        # argparse drops a help text that stdout refuses, and exits 0
-        assert (proc.returncode, proc.stderr) in ((0, ""), (3, EPIPE_LINE))
-    else:
-        assert (proc.returncode, proc.stderr) == (3, EPIPE_LINE)
+    assert (proc.returncode, proc.stderr) == (3, EPIPE_LINE)
 
 
 class _Exited(Exception):
